@@ -11,9 +11,7 @@ maps subcommand names to flag defaults.
 """
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import os
 import sys
@@ -21,7 +19,7 @@ import traceback
 
 import numpy as np
 
-from . import __version__
+from . import __version__, csvio
 from .classify import (
     ClassifierSpec,
     load_model,
@@ -149,7 +147,7 @@ def cmd_generate(args):
         }
 
     meta = _meta_line(config)
-    dataset.write_csv(os.path.join(args.out, "data.csv"), meta=meta)
+    lines = dataset.write_csv(os.path.join(args.out, "data.csv"), meta)
     write_schema(
         os.path.join(args.out, "schema.json"), dataset, extra={"tool": _tool_block(config)}
     )
@@ -166,15 +164,14 @@ def cmd_generate(args):
         n_train = int(round(args.split * dataset.n_rows))
         train_idx = np.sort(perm[:n_train])
         test_idx = np.sort(perm[n_train:])
-        dataset.take(train_idx).write_csv(os.path.join(args.out, "train.csv"), meta=meta)
-        dataset.take(test_idx).write_csv(os.path.join(args.out, "test.csv"), meta=meta)
-        if truth is not None:
-            truth.take(train_idx).write_csv(
-                os.path.join(args.out, "train_truth.csv"), meta=meta
+        for part, idx in (("train", train_idx), ("test", test_idx)):
+            dataset.write_csv(
+                os.path.join(args.out, f"{part}.csv"), meta, [lines[i] for i in idx]
             )
-            truth.take(test_idx).write_csv(
-                os.path.join(args.out, "test_truth.csv"), meta=meta
-            )
+            if truth is not None:
+                truth.take(idx).write_csv(
+                    os.path.join(args.out, f"{part}_truth.csv"), meta=meta
+                )
     print(f"wrote {dataset.n_rows} rows x {len(dataset.columns)} columns to {args.out}")
     return 0
 
@@ -265,32 +262,31 @@ def cmd_predict(args):
         "model": os.path.basename(args.model),
         "theta": args.theta,
     }
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {_meta_line(config)}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row_id", "p1", "p0", "effect", "assign"])
-        for i, p in enumerate(preds):
-            writer.writerow([i, repr(p.p1), repr(p.p0), repr(p.effect), p.assign])
+    columns = [
+        (csvio.int_cells, np.arange(len(preds))),
+        (csvio.float_cells, [p.p1 for p in preds]),
+        (csvio.float_cells, [p.p0 for p in preds]),
+        (csvio.float_cells, [p.effect for p in preds]),
+        (csvio.int_cells, [p.assign for p in preds]),
+    ]
+    csvio.write(
+        args.out,
+        ["row_id", "p1", "p0", "effect", "assign"],
+        csvio.encode_lines(columns, len(preds)),
+        _meta_line(config),
+    )
     print(f"wrote {len(preds)} predictions to {args.out}")
     return 0
 
 
 def read_predictions(path):
     """Load a predictions CSV back into (p1, p0, effect, assign) arrays."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
-    reader = csv.DictReader(io.StringIO("\n".join(lines)))
-    p1, p0, effect, assign = [], [], [], []
-    for row in reader:
-        p1.append(float(row["p1"]))
-        p0.append(float(row["p0"]))
-        effect.append(float(row["effect"]))
-        assign.append(int(row["assign"]))
+    columns = csvio.read(path)
     return (
-        np.array(p1),
-        np.array(p0),
-        np.array(effect),
-        np.array(assign, dtype=np.int64),
+        csvio.floats(columns, "p1"),
+        csvio.floats(columns, "p0"),
+        csvio.floats(columns, "effect"),
+        csvio.ints(columns, "assign"),
     )
 
 
@@ -330,13 +326,9 @@ def cmd_eval(args):
 
 
 def _write_curve_csv(path, points, config, fold=None):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {_meta_line(config)}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["fraction", "uplift"] if fold is None else ["fold", "fraction", "uplift"]
-        writer.writerow(header)
-        for row in points:
-            writer.writerow([_fmt(c) for c in row])
+    header = ["fraction", "uplift"] if fold is None else ["fold", "fraction", "uplift"]
+    columns = [list(map(_fmt, column)) for column in zip(*points)]
+    csvio.write(path, header, csvio.join_rows(columns), _meta_line(config))
 
 
 def _fmt(value):
@@ -344,7 +336,7 @@ def _fmt(value):
         return ""
     if isinstance(value, float):
         return repr(value)
-    return value
+    return str(value)
 
 
 # ---------------------------------------------------------------- qini (CV)
@@ -523,7 +515,14 @@ def _apply_config_dir(parser, sub):
     if not os.path.exists(path):
         return
     with open(path, "r", encoding="utf-8") as fh:
-        defaults = json.load(fh)
+        try:
+            defaults = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(defaults, dict) or not all(
+        isinstance(v, dict) for v in defaults.values()
+    ):
+        raise ValueError(f"{path}: expected an object of per-command objects")
     for name, overrides in defaults.items():
         if name in sub.choices:
             sub.choices[name].set_defaults(
@@ -532,9 +531,8 @@ def _apply_config_dir(parser, sub):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except EmptyArm as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,19 +3,18 @@
 Columns are binary (0/1 int codes), categorical (int codes plus a label
 vocabulary) or continuous (float64). On-disk format is an RFC-style CSV with
 a mandatory header plus a JSON schema sidecar carrying column kinds, roles
-and category vocabularies. Lines starting with ``#`` before the header are
-treated as comments (the CLI uses one to stamp tool version and config hash).
+and category vocabularies, read and written by ``csvio``. Lines starting
+with ``#`` before the header are comments (the CLI uses one to stamp tool
+version and config hash).
 """
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import csvio
 from .errors import (
-    EmptyColumn,
     LengthMismatch,
     MissingValues,
     NonBinary,
@@ -133,25 +132,27 @@ class Dataset:
 
     # ---------------------------------------------------------------- csv io
 
-    def write_csv(self, path, meta=None):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            if meta:
-                fh.write(f"# {meta}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.columns)
-            cells = []
-            for name in self.columns:
-                spec = self._specs[name]
-                values = self._values[name]
-                if spec.kind == "continuous":
-                    cells.append([repr(float(v)) for v in values])
-                elif spec.kind == "categorical" and spec.categories is not None:
-                    cats = spec.categories
-                    cells.append([cats[v] for v in values])
-                else:
-                    cells.append([str(int(v)) for v in values])
-            for row in zip(*cells):
-                writer.writerow(row)
+    def _encoder(self, name):
+        spec = self._specs[name]
+        if spec.kind == "continuous":
+            return csvio.float_cells
+        if spec.kind == "binary":
+            return csvio.bit_cells
+        if spec.categories is not None:
+            return csvio.label_encoder(spec.categories)
+        return csvio.int_cells
+
+    def write_csv(self, path, meta=None, lines=None):
+        """Write the header and rows; return the encoded row lines.
+
+        ``lines`` may be (a subset of) lines an earlier call returned, so a
+        caller writing several row subsets of one dataset encodes it once.
+        """
+        if lines is None:
+            columns = [(self._encoder(n), v) for n, v in self._values.items()]
+            lines = csvio.encode_lines(columns, self.n_rows)
+        csvio.write(path, self.columns, lines, meta)
+        return lines
 
     @classmethod
     def read_csv(cls, path, schema):
@@ -161,57 +162,36 @@ class Dataset:
                 schema = json.load(fh)
         by_name = {c["name"]: c for c in schema["columns"]}
 
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-        lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-        reader = csv.reader(io.StringIO("\n".join(lines)))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyColumn("CSV has no header row") from None
-        unknown = [h for h in header if h not in by_name]
+        columns = csvio.read(path)
+        unknown = [h for h in columns if h not in by_name]
         if unknown:
             raise UnknownColumn(unknown[0])
 
-        raw = {h: [] for h in header}
-        for row in reader:
-            if len(row) != len(header):
-                raise LengthMismatch(f"row with {len(row)} cells, expected {len(header)}")
-            for h, cell in zip(header, row):
-                raw[h].append(cell)
-
         specs = []
         arrays = {}
-        for h in header:
+        for h, cells in columns.items():
             entry = by_name[h]
             kind = entry["kind"]
             role = entry.get("role", "covariate")
-            cells = raw[h]
-            if any(c == "" for c in cells):
-                raise MissingValues(h)
+            cats = None
             if kind == "continuous":
-                arrays[h] = np.array([float(c) for c in cells], dtype=np.float64)
-                specs.append(ColumnSpec(h, kind, role))
+                arrays[h] = csvio.floats(columns, h)
             elif kind == "binary":
-                values = []
-                for c in cells:
-                    if c not in ("0", "1"):
-                        raise NonBinary(h)
-                    values.append(int(c))
-                arrays[h] = np.array(values, dtype=np.int64)
-                specs.append(ColumnSpec(h, kind, role))
+                try:
+                    arrays[h] = csvio.codes(columns, h, csvio.BITS)
+                except KeyError:
+                    raise NonBinary(h) from None
             else:
                 cats = entry.get("categories")
                 if cats is None:
                     cats = sorted(set(cells))
-                index = {c: i for i, c in enumerate(cats)}
                 try:
-                    arrays[h] = np.array([index[c] for c in cells], dtype=np.int64)
+                    arrays[h] = csvio.codes(columns, h, cats)
                 except KeyError as exc:
                     raise UnknownColumn(
                         f"value {exc.args[0]!r} not in categories of {h!r}"
                     ) from None
-                specs.append(ColumnSpec(h, kind, role, tuple(cats)))
+            specs.append(ColumnSpec(h, kind, role, cats))
         return cls(specs, arrays)
 
 

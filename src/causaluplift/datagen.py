@@ -13,14 +13,13 @@ pretreatment values, and potential outcomes sampled under both arms from a
 shared exogenous draw.
 """
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
+from . import csvio
 from .data import ColumnSpec, Dataset
 from .errors import (
     MissingCptRow,
@@ -34,6 +33,8 @@ from .graph import Dag
 _ROW_SUM_TOL = 1e-9
 
 RESPONSE_LABELS = ("nonresponse0", "positive", "negative", "nonresponse1")
+
+TRUTH_HEADER = ["row", "effect", "response", "potential_y0", "potential_y1"]
 
 
 class BayesNet:
@@ -275,38 +276,24 @@ class GroundTruth:
         )
 
     def write_csv(self, path, meta=None):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            if meta:
-                fh.write(f"# {meta}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["row", "effect", "response", "potential_y0", "potential_y1"])
-            for i in range(len(self.effect)):
-                writer.writerow(
-                    [
-                        i,
-                        repr(float(self.effect[i])),
-                        self.response[i],
-                        int(self.potential_y0[i]),
-                        int(self.potential_y1[i]),
-                    ]
-                )
+        n = len(self.effect)
+        columns = [
+            (csvio.int_cells, np.arange(n)),
+            (csvio.float_cells, self.effect),
+            (csvio.text_cells, self.response),
+            (csvio.int_cells, self.potential_y0),
+            (csvio.int_cells, self.potential_y1),
+        ]
+        csvio.write(path, TRUTH_HEADER, csvio.encode_lines(columns, n), meta)
 
     @classmethod
     def read_csv(cls, path):
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
-        reader = csv.DictReader(io.StringIO("\n".join(lines)))
-        effect, response, y0, y1 = [], [], [], []
-        for row in reader:
-            effect.append(float(row["effect"]))
-            response.append(row["response"])
-            y0.append(int(row["potential_y0"]))
-            y1.append(int(row["potential_y1"]))
+        columns = csvio.read(path)
         return cls(
-            np.array(effect),
-            np.array(response, dtype=object),
-            np.array(y0, dtype=np.int64),
-            np.array(y1, dtype=np.int64),
+            csvio.floats(columns, "effect"),
+            np.array(csvio.cells(columns, "response"), dtype=object),
+            csvio.ints(columns, "potential_y0"),
+            csvio.ints(columns, "potential_y1"),
         )
 
 

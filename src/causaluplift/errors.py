@@ -75,6 +75,12 @@ class NonBinary(DataError):
         super().__init__(f"column {name!r} is not binary 0/1")
 
 
+class NonFinite(DataError):
+    def __init__(self, name):
+        self.name = name
+        super().__init__(f"column {name!r} contains a non-finite value (nan or inf)")
+
+
 class LengthMismatch(CausalUpliftError):
     pass
 

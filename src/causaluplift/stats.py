@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import joint_counts
-from .data import ColumnSpec
+from .data import ColumnSpec, Dataset
 from .errors import ContinuousColumn, DegenerateColumnWarning, EmptyColumn
 from .special import chi_square_sf
 
@@ -56,17 +56,19 @@ def discretize_dataset(data, bins=3):
     Applied once, dataset-wide, so category arities do not depend on the
     stratum a test later conditions on.
     """
-    out = data
+    specs = []
+    arrays = {}
     for name in data.columns:
         spec = data.spec(name)
-        if spec.kind != "continuous":
-            continue
-        disc = discretize(data.values(name), bins)
-        labels = tuple(f"q{i}" for i in range(disc.n_bins))
-        out = out.replace(
-            ColumnSpec(name, "categorical", spec.role, labels), disc.codes
-        )
-    return out
+        values = data.values(name)
+        if spec.kind == "continuous":
+            disc = discretize(values, bins)
+            labels = tuple(f"q{i}" for i in range(disc.n_bins))
+            spec = ColumnSpec(name, "categorical", spec.role, labels)
+            values = disc.codes
+        specs.append(spec)
+        arrays[name] = values
+    return Dataset(specs, arrays)
 
 
 @dataclass(frozen=True)

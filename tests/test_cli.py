@@ -364,3 +364,57 @@ class TestConfigDir:
         )
         payload = json.loads(out.read_text())
         assert payload["tool"]["config"]["alpha"] == 0.2
+
+    def test_malformed_defaults_exit_2(self, tmp_path, monkeypatch, capsys):
+        conf = tmp_path / "conf"
+        conf.mkdir()
+        (conf / "defaults.json").write_text('{"discover": {"alpha": 0.2,')
+        monkeypatch.setenv("CAUSALUPLIFT_CONFIG_DIR", str(conf))
+        assert run("generate", "--seed", 1, "--out", tmp_path / "g") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "defaults.json" in err
+        assert err.count("\n") == 1  # one line, no traceback
+
+    def test_defaults_not_an_object_exit_2(self, tmp_path, monkeypatch):
+        conf = tmp_path / "conf"
+        conf.mkdir()
+        (conf / "defaults.json").write_text('["discover"]')
+        monkeypatch.setenv("CAUSALUPLIFT_CONFIG_DIR", str(conf))
+        assert run("generate", "--seed", 1, "--out", tmp_path / "g") == 2
+
+
+class TestNonFiniteInput:
+    def test_nan_training_cell_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        rows = [
+            f"{t},{y},{v!r}"
+            for t, y, v in zip(
+                rng.integers(0, 2, 400), rng.integers(0, 2, 400),
+                rng.normal(size=400).tolist(),
+            )
+        ]
+        rows[17] = rows[17].rsplit(",", 1)[0] + ",nan"
+        (tmp_path / "d.csv").write_text("T,Y,V\n" + "\n".join(rows) + "\n")
+        schema = {
+            "columns": [
+                {"name": "T", "kind": "binary", "role": "treatment"},
+                {"name": "Y", "kind": "binary", "role": "outcome"},
+                {"name": "V", "kind": "continuous", "role": "covariate"},
+            ]
+        }
+        (tmp_path / "schema.json").write_text(json.dumps(schema))
+        assert run(
+            "train", "--data", tmp_path / "d.csv", "--treatment", "T",
+            "--outcome", "Y", "--parents", "V", "--out", tmp_path / "m.json",
+        ) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_infinite_prediction_exits_2(self, tmp_path):
+        preds = tmp_path / "p.csv"
+        preds.write_text("row_id,p1,p0,effect,assign\n0,0.5,0.5,inf,1\n")
+        truth = tmp_path / "t.csv"
+        truth.write_text(
+            "row,effect,response,potential_y0,potential_y1\n0,0.1,positive,0,1\n"
+        )
+        assert run("eval", "--predictions", preds, "--ground-truth", truth) == 2

@@ -2,12 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causaluplift.data import ColumnSpec, Dataset, write_schema
 from causaluplift.errors import (
     LengthMismatch,
     MissingValues,
     NonBinary,
+    NonFinite,
     UnknownColumn,
 )
 
@@ -137,3 +140,98 @@ class TestCsvRoundTrip:
         payload = json.loads((tmp_path / "s.json").read_text())
         assert payload["tool"] == {"version": "x"}
         assert payload["columns"][0]["name"] == "T"
+
+    def test_hash_labels_after_header_are_data(self, tmp_path):
+        spec = ColumnSpec("tag", "categorical", "covariate", ("#a", "b"))
+        data = Dataset(
+            [spec, ColumnSpec("T", "binary", "treatment")],
+            {"tag": np.array([0, 1, 0, 0]), "T": np.array([1, 0, 1, 0])},
+        )
+        path = tmp_path / "d.csv"
+        data.write_csv(path, meta="v=1")
+        write_schema(tmp_path / "s.json", data)
+        again = Dataset.read_csv(path, tmp_path / "s.json")
+        assert again.n_rows == 4
+        assert again.values("tag").tolist() == [0, 1, 0, 0]
+        assert again.values("T").tolist() == [1, 0, 1, 0]
+
+    def test_line_separator_inside_label_survives(self, tmp_path):
+        labels = ("a\u2028b", "c\x85d", "e\nf", "g\rh")
+        data = Dataset(
+            [ColumnSpec("c", "categorical", "covariate", labels)],
+            {"c": np.array([0, 1, 2, 3, 0])},
+        )
+        data.write_csv(tmp_path / "d.csv")
+        write_schema(tmp_path / "s.json", data)
+        again = Dataset.read_csv(tmp_path / "d.csv", tmp_path / "s.json")
+        assert again.values("c").tolist() == [0, 1, 2, 3, 0]
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    def test_non_finite_rejected(self, tmp_path, cell):
+        (tmp_path / "d.csv").write_text(f"v\n1.5\n{cell}\n")
+        schema = {"columns": [{"name": "v", "kind": "continuous"}]}
+        with pytest.raises(NonFinite):
+            Dataset.read_csv(tmp_path / "d.csv", schema)
+
+    def test_ragged_row_rejected(self, tmp_path):
+        (tmp_path / "d.csv").write_text("a,b\n1,0\n1\n")
+        schema = {"columns": [{"name": "a", "kind": "binary"}, {"name": "b", "kind": "binary"}]}
+        with pytest.raises(LengthMismatch):
+            Dataset.read_csv(tmp_path / "d.csv", schema)
+
+    def test_non_binary_cell_rejected(self, tmp_path):
+        (tmp_path / "d.csv").write_text("a\n1\n2\n")
+        with pytest.raises(NonBinary):
+            Dataset.read_csv(tmp_path / "d.csv", {"columns": [{"name": "a", "kind": "binary"}]})
+
+    def test_unknown_category_rejected(self, tmp_path):
+        (tmp_path / "d.csv").write_text("c\nred\npink\n")
+        schema = {"columns": [{"name": "c", "kind": "categorical", "categories": ["red"]}]}
+        with pytest.raises(UnknownColumn, match="pink"):
+            Dataset.read_csv(tmp_path / "d.csv", schema)
+
+
+EXTREME_FLOATS = st.sampled_from(
+    [5e-324, -5e-324, 1e16, -1e16, 1e-5, 1e-4, 0.1, -0.0, 0.0, 1.7976931348623157e308]
+)
+FLOATS = st.one_of(EXTREME_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+# characters the writer must quote, or that a line splitter would break at
+LABELS = st.text(
+    alphabet=st.sampled_from(list('ab, "#\'\n\r\u2028\x85;|-')), min_size=1, max_size=6
+)
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(0, 12))
+    labels = tuple(draw(st.lists(LABELS, min_size=1, max_size=4, unique=True)))
+    return Dataset(
+        [
+            ColumnSpec("lab, \"x\"", "categorical", "covariate", labels),
+            ColumnSpec("v", "continuous", "noise"),
+            ColumnSpec("T", "binary", "treatment"),
+        ],
+        {
+            "lab, \"x\"": np.array(
+                draw(st.lists(st.integers(0, len(labels) - 1), min_size=n, max_size=n)),
+                dtype=np.int64,
+            ),
+            "v": np.array(draw(st.lists(FLOATS, min_size=n, max_size=n)), dtype=np.float64),
+            "T": np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64),
+        },
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=datasets())
+def test_csv_round_trip_property(data, tmp_path_factory):
+    root = tmp_path_factory.mktemp("prop")
+    data.write_csv(root / "d.csv", meta="prop")
+    write_schema(root / "s.json", data)
+    again = Dataset.read_csv(root / "d.csv", root / "s.json")
+    assert again.columns == data.columns
+    assert again.n_rows == data.n_rows
+    for name in data.columns:
+        assert again.spec(name) == data.spec(name)
+        # byte-level equality keeps the sign of -0.0
+        assert again.values(name).tobytes() == data.values(name).tobytes()

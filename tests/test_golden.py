@@ -1,0 +1,113 @@
+"""Golden sha256 hashes of every CLI output file at fixed seeds.
+
+The hashes pin the on-disk bytes (shortest round-trip float text, label
+quoting, comment stamp, row order), not just the values, so a change to
+the CSV layer or the model format that alters a single byte fails here.
+They change only with a deliberate output change (for example a
+``__version__`` bump, which is stamped into every file); regenerate them
+then with ``python tests/test_golden.py``.
+"""
+
+import hashlib
+import tempfile
+from importlib import resources
+from pathlib import Path
+
+from causaluplift import cli
+
+GOLDEN = {
+    "bif/data.csv": "231d589f77c07be90ccd29ea43869ad2bc66c2427fb7f62c0b96df5a3ed3a820",
+    "bif/ground_truth.csv": "94f71a0580591718de43ae6713eee4b5af0ab6edf7e6cf6b498bd25a249281d3",
+    "bif/net.json": "8c96599b3e5e59e7fc95fbcddac2658044043ff07a276ccf63669227d5bc81bb",
+    "bif/schema.json": "967b7bb6c567e23ea57bb2f2e7a4b25aab221bf94f28988012291bff5e7d120a",
+    "bif/test.csv": "15bd14399cb3d75b77b50034ecb7b767ff6ad851e9f4d8a73ca1f39a205df324",
+    "bif/test_truth.csv": "d8b5ed167c358110e206b4386cd7159fbda3d8f62c2a864eab84f6b50d6b05c2",
+    "bif/train.csv": "d177d5b59d1c805302595d8528cdf46632a97a16cc8847b0ca6839d95ee1ef38",
+    "bif/train_truth.csv": "cb6c5b7b54bdf9186634f3627aa36716aa851000838a01ed7ec0180a0bb9759d",
+    "forest.json": "b748e9311a04a50803b88d8988ec8c6e6f0c0d42325282b12e47a584537cdd2a",
+    "forest_curve.csv": "497385a136cc72001b9f94c6b4dff4fa73666a8cdb76214ab5651008d72ae7d4",
+    "forest_eval.json": "ff4e0e64e68d0cbd84ee023354177341f3abd7c9bce4c0b6fc79eb4338e8dccb",
+    "forest_preds.csv": "94e78f74330d1ec52ce063e59277c3606c520adf9f4603426dd333ec7be30a3e",
+    "gen/data.csv": "9812a9bd1b45cdd4c83ec3adb6f4045a50fc8d5445924d2205bfed9ce3e8abdc",
+    "gen/ground_truth.csv": "93fedfb2a727e89e435aee001a2e660ebf2604199255e395bb00d748d51ab0d5",
+    "gen/net.json": "9d0cc2a9856611dfebb08faca003832532c7200cc59dcb6656a4aa5e8dad1955",
+    "gen/schema.json": "b172ea5812e7032f1c5096e64157b041594bd2b32272d1114b1232b59eed6a82",
+    "gen/test.csv": "793571e25bff8014d895d8d3be04fe3a07301b0b1a13cdf5d1e10949a15783f9",
+    "gen/test_truth.csv": "96fac1ba1a6ba0ea75b7c3251cc765f005234bb45e907fd270a8dfbf5f68a11e",
+    "gen/train.csv": "6c53725ab4f16b8ef6ea2d30d6782c70ec6bd230d9241ca660841157adbf825b",
+    "gen/train_truth.csv": "f290495ab73f1707d78fe143e69b0e7e233facc347b6157e211991be61f11b3f",
+    "logistic.json": "db68486804a0648e01cf3de0f141aff664c4cf1907d40ab670cc95c9d6811f07",
+    "logistic_curve.csv": "359c8476938cbc17c3caa79f62d9da3dac90fc0477c6b7f8202cf301a17c9dc4",
+    "logistic_eval.json": "c54b65ef748c199d0e3197f40b3006f8f7624c9d2a8a0c06cbaffe0f2f9959a7",
+    "logistic_preds.csv": "59a7c5abe4c67f0226c8eda99756bf5fbf065df8699f8a00f746c03806c6a8f7",
+    "parents.json": "5585e33b70538e701b8fdfccb0ee1586381daac22a79d398a0d35cc11d04978e",
+    "qini/folds.csv": "7180fc2a3d590569fc713258c0c778587452e3344c746406e4a4a817b93b43b2",
+    "qini/mean_curve.csv": "04a0c1e28c6b3ee0586687c3c322c56b02a761f3b34785f7c581bc354ade54fb",
+    "qini/metrics.json": "f2a705a41112f7c734fddee3135b705fca0e07caf4fcbc73c7e17a78aed08d1a",
+}
+
+
+def _run(*argv):
+    assert cli.main([str(a) for a in argv]) == 0, argv
+
+
+def pipeline_hashes(root):
+    """Run generate (bundled group and BIF), discover, train, predict, eval
+    and qini under ``root``; return {relative path: sha256 hex}."""
+    root = Path(root)
+    gen, bif_gen = root / "gen", root / "bif"
+    _run(
+        "generate", "--group", "group1", "--samples", 400, "--noise-vars", 6,
+        "--seed", 11, "--split", 0.5, "--out", gen,
+    )
+    bif = root / "clinic20.bif"
+    bif.write_text(
+        resources.files("causaluplift").joinpath("fixtures/clinic20.bif").read_text()
+    )
+    _run(
+        "generate", "--bif", bif, "--treatment", "ChestPain", "--outcome", "Referral",
+        "--samples", 300, "--seed", 4, "--split", 0.3, "--out", bif_gen,
+    )
+    train, test, schema = gen / "train.csv", gen / "test.csv", gen / "schema.json"
+    _run("discover", "--data", train, "--target", "Y", "--out", root / "parents.json")
+    _run(
+        "train", "--data", train, "--treatment", "T", "--outcome", "Y",
+        "--out", root / "logistic.json",
+    )
+    _run(
+        "train", "--data", train, "--treatment", "T", "--outcome", "Y",
+        "--classifier", "forest", "--seed", 3, "--n-trees", 5, "--max-depth", 6,
+        "--out", root / "forest.json",
+    )
+    for kind in ("logistic", "forest"):
+        _run(
+            "predict", "--model", root / f"{kind}.json", "--data", test,
+            "--theta", 0.01, "--out", root / f"{kind}_preds.csv",
+        )
+        _run(
+            "eval", "--predictions", root / f"{kind}_preds.csv",
+            "--ground-truth", gen / "test_truth.csv", "--data", test, "--schema", schema,
+            "--curve-out", root / f"{kind}_curve.csv", "--out", root / f"{kind}_eval.json",
+        )
+    _run(
+        "qini", "--data", gen / "data.csv", "--treatment", "T", "--outcome", "Y",
+        "--folds", 3, "--points", 5, "--seed", 2, "--out-dir", root / "qini",
+    )
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path != bif
+    }
+
+
+def test_cli_outputs_match_goldens(tmp_path):
+    got = pipeline_hashes(tmp_path)
+    assert sorted(got) == sorted(GOLDEN)
+    changed = sorted(name for name in GOLDEN if got[name] != GOLDEN[name])
+    assert not changed, f"output bytes changed: {changed}"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, digest in pipeline_hashes(tmp).items():
+            print(f'    "{name}": "{digest}",')

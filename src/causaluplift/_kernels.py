@@ -1,33 +1,16 @@
-"""Hot numeric kernels: numba-jitted loops with a pure-numpy fallback.
+"""Hot numeric kernels in numpy: contingency counting, histogram-CART tree
+growth and tree traversal.
 
-The numba path is the default. Set ``CAUSALUPLIFT_NO_NUMBA=1`` to force the
-numpy fallback (also used automatically when numba is not importable). The
-two paths are interchangeable: counting kernels return identical integers,
-and tree growth computes its float split scores with the same elementwise
-formula and draws per-node feature subsets from the same xorshift stream,
-so the grown trees are identical as well.
-
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+Counting returns exact int64 counts. Tree growth scores splits from integer
+(count, positives) histograms and draws each node's candidate features from
+a 32-bit xorshift stream, so a tree depends only on its inputs and seed.
 """
-
-import os
 
 import numpy as np
 
-_DISABLE = os.environ.get("CAUSALUPLIFT_NO_NUMBA", "").strip().lower() in {
-    "1",
-    "true",
-    "yes",
-}
-
+# Always False: the package has one numpy kernel path. Kept because the
+# benchmark's machine probe reports it.
 USE_NUMBA = False
-if not _DISABLE:
-    try:
-        from numba import njit
-
-        USE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USE_NUMBA = False
 
 _MASK32 = 0xFFFFFFFF
 
@@ -37,16 +20,10 @@ _MASK32 = 0xFFFFFFFF
 # ---------------------------------------------------------------------------
 
 
-def _joint_counts_np(xc, yc, zf, nx, ny, nz):
+def joint_counts(xc, yc, zf, nx, ny, nz):
+    """Count of each (x, y, z) code triple, as an (nx, ny, nz) int64 array."""
     flat = (xc.astype(np.int64) * ny + yc) * nz + zf
     return np.bincount(flat, minlength=nx * ny * nz).reshape(nx, ny, nz)
-
-
-def _joint_counts_loop(xc, yc, zf, nx, ny, nz):
-    out = np.zeros((nx, ny, nz), dtype=np.int64)
-    for i in range(xc.shape[0]):
-        out[xc[i], yc[i], zf[i]] += 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +35,8 @@ def _joint_counts_loop(xc, yc, zf, nx, ny, nz):
 # left. Split scores come from integer (count, positives) histograms, so
 # the only floats are the per-split Gini terms. Candidate features at each
 # node are a partial Fisher-Yates draw from a 32-bit xorshift stream seeded
-# by (tree_seed, node id), written with explicit masking so the jitted and
-# fallback paths see the same integers.
+# by (tree_seed, node id); every shift is masked to 32 bits, since Python
+# integers do not wrap.
 
 
 def _node_rng_seed(tree_seed, node):
@@ -73,7 +50,12 @@ def _node_rng_seed(tree_seed, node):
     return s
 
 
-def _grow_tree_py(codes, labels, rows, mtry, n_bins, max_depth, min_leaf, tree_seed):
+def grow_tree(codes, labels, rows, mtry, n_bins, max_depth, min_leaf, tree_seed):
+    """Grow one tree depth-first on ``rows`` (indices into ``codes``).
+
+    Returns per-node arrays ``(child_left, child_right, split_feat,
+    split_bin, leaf_pos, leaf_n)``; a leaf has ``split_feat == -1``.
+    """
     n_rows = rows.shape[0]
     n_feats = codes.shape[1]
     cap = 2 * n_rows + 3
@@ -166,157 +148,13 @@ def _grow_tree_py(codes, labels, rows, mtry, n_bins, max_depth, min_leaf, tree_s
     )
 
 
-def _grow_tree_loop(codes, labels, rows, mtry, n_bins, max_depth, min_leaf, tree_seed):
-    n_rows = rows.shape[0]
-    n_feats = codes.shape[1]
-    cap = 2 * n_rows + 3
-    child_left = np.full(cap, -1, dtype=np.int32)
-    child_right = np.full(cap, -1, dtype=np.int32)
-    split_feat = np.full(cap, -1, dtype=np.int32)
-    split_bin = np.full(cap, -1, dtype=np.int32)
-    leaf_pos = np.zeros(cap, dtype=np.int64)
-    leaf_n = np.zeros(cap, dtype=np.int64)
-
-    cnt = np.zeros((mtry, n_bins), dtype=np.int64)
-    pos = np.zeros((mtry, n_bins), dtype=np.int64)
-    pool = np.empty(n_feats, dtype=np.int64)
-    work = rows.copy()
-    tmp = np.empty(n_rows, dtype=rows.dtype)
-
-    stack = np.empty((4 * n_rows + 64, 4), dtype=np.int64)
-    stack[0, 0] = 0
-    stack[0, 1] = 0
-    stack[0, 2] = n_rows
-    stack[0, 3] = 0
-    top = 1
-    n_nodes = 1
-
-    while top > 0:
-        top -= 1
-        node = stack[top, 0]
-        lo = stack[top, 1]
-        hi = stack[top, 2]
-        depth = stack[top, 3]
-        m = hi - lo
-
-        pos_total = 0
-        for i in range(lo, hi):
-            pos_total += labels[work[i]]
-        leaf_pos[node] = pos_total
-        leaf_n[node] = m
-        if pos_total == 0 or pos_total == m or depth >= max_depth or m < 2 * min_leaf:
-            continue
-
-        s = (tree_seed + node * 2654435761) & _MASK32
-        if s == 0:
-            s = 0x9E3779B9
-        for _ in range(2):
-            s = (s ^ ((s << 13) & _MASK32)) & _MASK32
-            s = s ^ (s >> 17)
-            s = (s ^ ((s << 5) & _MASK32)) & _MASK32
-        for j in range(n_feats):
-            pool[j] = j
-        for j in range(mtry):
-            s = (s ^ ((s << 13) & _MASK32)) & _MASK32
-            s = s ^ (s >> 17)
-            s = (s ^ ((s << 5) & _MASK32)) & _MASK32
-            r = j + s % (n_feats - j)
-            swap = pool[j]
-            pool[j] = pool[r]
-            pool[r] = swap
-
-        for j in range(mtry):
-            for b in range(n_bins):
-                cnt[j, b] = 0
-                pos[j, b] = 0
-        for i in range(lo, hi):
-            r = work[i]
-            lab = labels[r]
-            for j in range(mtry):
-                c = codes[r, pool[j]]
-                cnt[j, c] += 1
-                pos[j, c] += lab
-
-        best = -1.0
-        best_j = -1
-        best_b = -1
-        mf = float(m)
-        pf = float(pos_total)
-        qf = mf - pf
-        parent_score = (pf * pf + qf * qf) / mf
-        for j in range(mtry):
-            acc_n = 0
-            acc_p = 0
-            for b in range(n_bins - 1):
-                acc_n += cnt[j, b]
-                acc_p += pos[j, b]
-                right_n = m - acc_n
-                if acc_n < min_leaf or right_n < min_leaf:
-                    continue
-                ln = float(acc_n)
-                lp = float(acc_p)
-                lq = ln - lp
-                rn = float(right_n)
-                rp = float(pos_total - acc_p)
-                rq = rn - rp
-                sc = (lp * lp + lq * lq) / ln + (rp * rp + rq * rq) / rn
-                if sc > best:
-                    best = sc
-                    best_j = j
-                    best_b = b
-        if best_j < 0 or best <= parent_score:
-            continue
-
-        feat = pool[best_j]
-        t = 0
-        for i in range(lo, hi):
-            r = work[i]
-            if codes[r, feat] <= best_b:
-                tmp[t] = r
-                t += 1
-        mid = lo + t
-        for i in range(lo, hi):
-            r = work[i]
-            if codes[r, feat] > best_b:
-                tmp[t] = r
-                t += 1
-        for i in range(m):
-            work[lo + i] = tmp[i]
-
-        split_feat[node] = feat
-        split_bin[node] = best_b
-        id_left = n_nodes
-        id_right = n_nodes + 1
-        n_nodes += 2
-        child_left[node] = id_left
-        child_right[node] = id_right
-        stack[top, 0] = id_right
-        stack[top, 1] = mid
-        stack[top, 2] = hi
-        stack[top, 3] = depth + 1
-        top += 1
-        stack[top, 0] = id_left
-        stack[top, 1] = lo
-        stack[top, 2] = mid
-        stack[top, 3] = depth + 1
-        top += 1
-
-    return (
-        child_left[:n_nodes],
-        child_right[:n_nodes],
-        split_feat[:n_nodes],
-        split_bin[:n_nodes],
-        leaf_pos[:n_nodes],
-        leaf_n[:n_nodes],
-    )
-
-
 # ---------------------------------------------------------------------------
 # tree traversal
 # ---------------------------------------------------------------------------
 
 
-def _tree_leaves_np(codes, child_left, child_right, split_feat, split_bin):
+def tree_leaves(codes, child_left, child_right, split_feat, split_bin):
+    """Id of the leaf each row of ``codes`` reaches."""
     n = codes.shape[0]
     node = np.zeros(n, dtype=np.int64)
     active = split_feat[node] >= 0
@@ -327,27 +165,3 @@ def _tree_leaves_np(codes, child_left, child_right, split_feat, split_bin):
         node[idx] = np.where(go_left, child_left[cur], child_right[cur])
         active[idx] = split_feat[node[idx]] >= 0
     return node
-
-
-def _tree_leaves_loop(codes, child_left, child_right, split_feat, split_bin):
-    n = codes.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        node = 0
-        while split_feat[node] >= 0:
-            if codes[i, split_feat[node]] <= split_bin[node]:
-                node = child_left[node]
-            else:
-                node = child_right[node]
-        out[i] = node
-    return out
-
-
-if USE_NUMBA:
-    joint_counts = njit(cache=True)(_joint_counts_loop)
-    grow_tree = njit(cache=True)(_grow_tree_loop)
-    tree_leaves = njit(cache=True)(_tree_leaves_loop)
-else:
-    joint_counts = _joint_counts_np
-    grow_tree = _grow_tree_py
-    tree_leaves = _tree_leaves_np

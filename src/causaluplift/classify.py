@@ -133,10 +133,13 @@ class FeatureEncoder:
 
 @dataclass(frozen=True)
 class UpliftPrediction:
-    effect: float
-    assign: int
-    p1: float
-    p0: float
+    """Per-row arm probabilities, their difference and the 0/1 assignment,
+    as equal-length arrays."""
+
+    p1: np.ndarray
+    p0: np.ndarray
+    effect: np.ndarray
+    assign: np.ndarray
 
 
 @dataclass
@@ -250,25 +253,13 @@ def predict_cctm(pair, rows, theta=0.0):
     X = pair.encoder.encode(rows)
     p1 = pair.m1.predict_proba(X)
     p0 = pair.m0.predict_proba(X)
-    effects = p1 - p0
-    return [
-        UpliftPrediction(
-            effect=float(e),
-            assign=int(e > theta),
-            p1=float(a),
-            p0=float(b),
-        )
-        for e, a, b in zip(effects, p1, p0)
-    ]
+    effect = p1 - p0
+    return UpliftPrediction(p1, p0, effect, (effect > theta).astype(np.int64))
 
 
-def effects_of(preds):
-    return np.array([p.effect for p in preds], dtype=np.float64)
-
-
-def rank_by_effect(preds):
+def rank_by_effect(effects):
     """Stable descending order of predicted effects (indices into input)."""
-    effects = preds if isinstance(preds, np.ndarray) else effects_of(preds)
+    effects = np.asarray(effects, dtype=np.float64)
     if not np.isfinite(effects).all():
         raise ValueError("effects must be finite")
     return np.argsort(-effects, kind="stable")
@@ -283,14 +274,6 @@ _MODEL_TYPES = {
 }
 
 
-def _model_to_dict(model):
-    return model.to_dict()
-
-
-def _model_from_dict(payload):
-    return _MODEL_TYPES[payload["type"]].from_dict(payload)
-
-
 def model_payload(pair, extra=None):
     payload = {
         "format": MODEL_FORMAT,
@@ -300,8 +283,8 @@ def model_payload(pair, extra=None):
         "parents_excl_t": list(pair.parents_excl_t),
         "encoder": pair.encoder.to_dict(),
         "metadata": pair.metadata,
-        "m1": _model_to_dict(pair.m1),
-        "m0": _model_to_dict(pair.m0),
+        "m1": pair.m1.to_dict(),
+        "m0": pair.m0.to_dict(),
     }
     if extra:
         payload.update(extra)
@@ -319,9 +302,14 @@ def load_model(path):
         payload = json.load(fh)
     if payload.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path} is not a {MODEL_FORMAT} file")
+    if payload.get("version") != MODEL_FORMAT_VERSION:
+        raise ValueError(
+            f"{path} is {MODEL_FORMAT} version {payload.get('version')!r};"
+            f" this build reads version {MODEL_FORMAT_VERSION}"
+        )
     return TwoModelPair(
-        m1=_model_from_dict(payload["m1"]),
-        m0=_model_from_dict(payload["m0"]),
+        m1=_MODEL_TYPES[payload["m1"]["type"]].from_dict(payload["m1"]),
+        m0=_MODEL_TYPES[payload["m0"]["type"]].from_dict(payload["m0"]),
         parents_excl_t=payload["parents_excl_t"],
         encoder=FeatureEncoder.from_dict(payload["encoder"]),
         treatment=payload["treatment"],

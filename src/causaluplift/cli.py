@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__, csvio
 from .classify import (
     ClassifierSpec,
+    UpliftPrediction,
     load_model,
     predict_cctm,
     save_model,
@@ -262,27 +263,28 @@ def cmd_predict(args):
         "model": os.path.basename(args.model),
         "theta": args.theta,
     }
+    n = len(preds.effect)
     columns = [
-        (csvio.int_cells, np.arange(len(preds))),
-        (csvio.float_cells, [p.p1 for p in preds]),
-        (csvio.float_cells, [p.p0 for p in preds]),
-        (csvio.float_cells, [p.effect for p in preds]),
-        (csvio.int_cells, [p.assign for p in preds]),
+        (csvio.int_cells, np.arange(n)),
+        (csvio.float_cells, preds.p1),
+        (csvio.float_cells, preds.p0),
+        (csvio.float_cells, preds.effect),
+        (csvio.int_cells, preds.assign),
     ]
     csvio.write(
         args.out,
         ["row_id", "p1", "p0", "effect", "assign"],
-        csvio.encode_lines(columns, len(preds)),
+        csvio.encode_lines(columns, n),
         _meta_line(config),
     )
-    print(f"wrote {len(preds)} predictions to {args.out}")
+    print(f"wrote {n} predictions to {args.out}")
     return 0
 
 
 def read_predictions(path):
-    """Load a predictions CSV back into (p1, p0, effect, assign) arrays."""
+    """Load a predictions CSV back into the record ``predict_cctm`` returns."""
     columns = csvio.read(path)
-    return (
+    return UpliftPrediction(
         csvio.floats(columns, "p1"),
         csvio.floats(columns, "p0"),
         csvio.floats(columns, "effect"),
@@ -294,7 +296,7 @@ def read_predictions(path):
 
 
 def cmd_eval(args):
-    p1, p0, effect, assign = read_predictions(args.predictions)
+    preds = read_predictions(args.predictions)
     if args.ground_truth is None and args.data is None:
         raise ValueError("eval needs --ground-truth or --data")
     config = {
@@ -303,16 +305,16 @@ def cmd_eval(args):
         "theta": args.theta,
         "points": args.points,
     }
-    payload = {"tool": _tool_block(config), "n_rows": int(effect.shape[0])}
+    payload = {"tool": _tool_block(config), "n_rows": len(preds.effect)}
     if args.ground_truth is not None:
         truth = GroundTruth.read_csv(args.ground_truth)
-        payload["causal_accuracy"] = causal_accuracy(assign, truth, theta=args.theta)
+        payload["causal_accuracy"] = causal_accuracy(preds.assign, truth, theta=args.theta)
         payload["theta"] = args.theta
     if args.data is not None:
         data = _load_dataset(args)
         outcomes = data.values(args.outcome)
         treatments = data.values(args.treatment)
-        curve = qini_curve(effect, outcomes, treatments, n_points=args.points)
+        curve = qini_curve(preds.effect, outcomes, treatments, n_points=args.points)
         payload["qini_coefficient"] = qini_coefficient(outcomes, treatments)
         payload["coefficient_area"] = curve.coefficient_area
         payload["curve"] = [[f, u] for f, u in curve.points]
@@ -380,7 +382,7 @@ def cmd_qini(args):
         )
         preds = predict_cctm(pair, test, theta=0.0)
         curve = qini_curve(
-            preds,
+            preds.effect,
             test.values(args.outcome),
             test.values(args.treatment),
             n_points=args.points,

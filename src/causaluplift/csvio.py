@@ -94,10 +94,17 @@ def encode_lines(columns, n_rows):
 
 
 def write(path, header, lines, meta=None):
-    """Write a ``# meta`` comment, the header and the encoded lines."""
+    """Write a ``# meta`` comment, the header and the encoded lines.
+
+    A first header cell starting with ``#`` is quoted, so that ``read``
+    does not take the header for a comment.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if meta:
             fh.write(f"# {meta}\n")
+        if header and header[0].startswith("#"):
+            first, header = header[0].replace('"', '""'), header[1:]
+            fh.write(f'"{first}",' if header else f'"{first}"')
         csv.writer(fh, lineterminator="\n").writerow(header)
         fh.writelines(lines)
 

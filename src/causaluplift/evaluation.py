@@ -54,25 +54,9 @@ def prf(found, truth):
     return PrfScore(precision, recall, f1)
 
 
-def _effects(preds):
-    if isinstance(preds, np.ndarray):
-        return preds.astype(np.float64)
-    if len(preds) and hasattr(preds[0], "effect"):
-        return np.array([p.effect for p in preds], dtype=np.float64)
-    return np.asarray(preds, dtype=np.float64)
-
-
-def _assigns(preds):
-    if isinstance(preds, np.ndarray):
-        return preds.astype(np.int64)
-    if len(preds) and hasattr(preds[0], "assign"):
-        return np.array([p.assign for p in preds], dtype=np.int64)
-    return np.asarray(preds, dtype=np.int64)
-
-
-def causal_accuracy(preds, truth, theta=0.0):
-    """Fraction of rows whose assignment matches ``truth.effect > theta``."""
-    assign = _assigns(preds)
+def causal_accuracy(assign, truth, theta=0.0):
+    """Fraction of rows whose 0/1 assignment matches ``truth.effect > theta``."""
+    assign = np.asarray(assign, dtype=np.int64)
     true_effect = np.asarray(truth.effect if hasattr(truth, "effect") else truth)
     if assign.shape[0] != true_effect.shape[0]:
         raise LengthMismatch(
@@ -103,17 +87,8 @@ class QiniCurve:
     coefficient_area: float
     gaps: list
 
-    def defined_points(self):
-        return [(f, u) for f, u in self.points if u is not None]
 
-    def to_rows(self):
-        return [
-            (f, "" if u is None else u)
-            for f, u in self.points
-        ]
-
-
-def qini_curve(preds, outcomes, treatments, n_points=10):
+def qini_curve(effects, outcomes, treatments, n_points=10):
     """Cumulative uplift against fraction treated, in predicted-effect order.
 
     ``coefficient_area`` is the trapezoidal area between the curve and the
@@ -124,7 +99,7 @@ def qini_curve(preds, outcomes, treatments, n_points=10):
         raise ValueError("n_points must be >= 2")
     outcomes = np.asarray(outcomes)
     treatments = np.asarray(treatments)
-    effects = _effects(preds)
+    effects = np.asarray(effects, dtype=np.float64)
     n = effects.shape[0]
     if outcomes.shape[0] != n or treatments.shape[0] != n:
         raise LengthMismatch("predictions, outcomes and treatments must align")

@@ -15,7 +15,6 @@ import pytest
 from causaluplift import cli
 from causaluplift.classify import (
     ClassifierSpec,
-    effects_of,
     load_model,
     predict_cctm,
     train_cctm,
@@ -238,12 +237,12 @@ def test_criterion_06_cctm_efficacy():
                 train, test, test_truth = _half_split(data, truth, seed)
                 pair = train_cctm(train, "T", "Y", spec=FOREST_SPEC)
                 acc_parents.append(
-                    causal_accuracy(predict_cctm(pair, test, 0.0), test_truth, 0.0)
+                    causal_accuracy(predict_cctm(pair, test, 0.0).assign, test_truth, 0.0)
                 )
                 covariates = [c for c in data.columns if c not in ("T", "Y")]
                 pair_all = train_cctm(train, "T", "Y", parents=covariates, spec=FOREST_SPEC)
                 acc_all.append(
-                    causal_accuracy(predict_cctm(pair_all, test, 0.0), test_truth, 0.0)
+                    causal_accuracy(predict_cctm(pair_all, test, 0.0).assign, test_truth, 0.0)
                 )
             gap = float(np.mean(acc_parents) - np.mean(acc_all))
             _, p_value = paired_t_test(acc_parents, acc_all)
@@ -296,7 +295,7 @@ def test_criterion_08_ordering_dominance():
                     assert oracle_area >= shuffled.coefficient_area
             pair = train_cctm(train, "T", "Y", spec=FOREST_SPEC)
             model_area = qini_curve(
-                effects_of(predict_cctm(pair, test, 0.0)), out, trt
+                predict_cctm(pair, test, 0.0).effect, out, trt
             ).coefficient_area
             ratios.append(model_area / oracle_area)
         mean_ratio = float(np.mean(ratios))
@@ -360,8 +359,8 @@ def test_criterion_09_determinism_and_persistence(tmp_path):
         gen = tmp_path / "a" / "gen"
         test = Dataset.read_csv(gen / "test.csv", gen / "schema.json")
         pair = load_model(tmp_path / "a" / "model.json")
-        in_memory = effects_of(predict_cctm(pair, test, 0.0))
-        reloaded = effects_of(predict_cctm(load_model(tmp_path / "b" / "model.json"), test, 0.0))
+        in_memory = predict_cctm(pair, test, 0.0).effect
+        reloaded = predict_cctm(load_model(tmp_path / "b" / "model.json"), test, 0.0).effect
         assert np.max(np.abs(in_memory - reloaded)) <= 1e-12
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from causaluplift.classify import (
     ClassifierSpec,
     FeatureEncoder,
     TwoModelPair,
-    effects_of,
+    UpliftPrediction,
     load_model,
     model_payload,
     predict_cctm,
@@ -71,9 +73,9 @@ class TestTrain:
         with pytest.warns(DegenerateLabelsWarning):
             pair = train_cctm(data, "T", "Y", parents=["A"])
         preds = predict_cctm(pair, data)
-        effects = effects_of(preds)
+        effects = preds.effect
         assert np.all(effects > 0.9)
-        assert all(p.assign == 1 for p in preds)
+        assert np.all(preds.assign == 1)
 
     def test_empty_parent_set_constant_models(self):
         rng = np.random.default_rng(71)
@@ -84,7 +86,7 @@ class TestTrain:
             pair = train_cctm(data, "T", "Y", parents=[])
         assert isinstance(pair.m1, ConstantModel)
         preds = predict_cctm(pair, data)
-        effects = effects_of(preds)
+        effects = preds.effect
         assert np.ptp(effects) == 0.0
         p1_hat = (y[t == 1].sum() + 1) / ((t == 1).sum() + 2)
         p0_hat = (y[t == 0].sum() + 1) / ((t == 0).sum() + 2)
@@ -144,30 +146,41 @@ class TestPredict:
     def test_identical_models_strict_threshold(self):
         pair = self.constant_pair(0.4, 0.4)
         preds = predict_cctm(pair, self.probe(), theta=0.0)
-        assert all(p.effect == 0.0 and p.assign == 0 for p in preds)
+        assert np.all(preds.effect == 0.0) and np.all(preds.assign == 0)
 
     def test_known_probability_gap(self):
         pair = self.constant_pair(0.9, 0.2)
         preds = predict_cctm(pair, self.probe(), theta=0.5)
-        assert all(p.effect == pytest.approx(0.7, abs=1e-12) for p in preds)
-        assert all(p.assign == 1 for p in preds)
+        assert all(e == pytest.approx(0.7, abs=1e-12) for e in preds.effect)
+        assert np.all(preds.assign == 1)
         at_boundary = predict_cctm(pair, self.probe(), theta=0.7)
-        assert all(p.assign == 0 for p in at_boundary)  # strict inequality
+        assert np.all(at_boundary.assign == 0)  # strict inequality
 
     def test_theta_above_max_effect(self):
         data = uplift_data(seed=75, n=1000)
         pair = train_cctm(data, "T", "Y", parents=["A", "B"])
         preds = predict_cctm(pair, data, theta=0.99)
-        assert all(p.assign == 0 for p in preds)
+        assert np.all(preds.assign == 0)
 
     def test_theta_monotonicity(self):
         data = uplift_data(seed=76, n=1500)
         pair = train_cctm(data, "T", "Y", parents=["A", "B"])
         counts = [
-            sum(p.assign for p in predict_cctm(pair, data, theta=th))
+            int(predict_cctm(pair, data, theta=th).assign.sum())
             for th in (0.0, 0.1, 0.25, 0.5, 1.0)
         ]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+    def test_prediction_is_one_record_of_arrays(self):
+        data = uplift_data(seed=84, n=300)
+        pair = train_cctm(data, "T", "Y", parents=["A", "B"])
+        preds = predict_cctm(pair, data, theta=0.1)
+        assert isinstance(preds, UpliftPrediction)
+        for column in (preds.p1, preds.p0, preds.effect, preds.assign):
+            assert column.shape == (300,)
+        assert preds.assign.dtype == np.int64
+        assert np.array_equal(preds.effect, preds.p1 - preds.p0)
+        assert np.array_equal(preds.assign, (preds.effect > 0.1).astype(np.int64))
 
     def test_negative_theta_rejected(self):
         with pytest.raises(ValueError):
@@ -183,8 +196,8 @@ class TestPredict:
     def test_projection_invariance(self):
         data = uplift_data(seed=78, n=1500)
         pair = train_cctm(data, "T", "Y", parents=["A", "B"])
-        full = effects_of(predict_cctm(pair, data))
-        trimmed = effects_of(predict_cctm(pair, data.select(["A", "B"])))
+        full = predict_cctm(pair, data).effect
+        trimmed = predict_cctm(pair, data.select(["A", "B"])).effect
         assert np.array_equal(full, trimmed)
 
     def test_effect_bounds(self):
@@ -195,9 +208,9 @@ class TestPredict:
         ):
             pair = train_cctm(data, "T", "Y", parents=["A", "B"], spec=spec)
             preds = predict_cctm(pair, data)
-            for p in preds:
-                assert 0.0 <= p.p1 <= 1.0 and 0.0 <= p.p0 <= 1.0
-                assert -1.0 <= p.effect <= 1.0
+            for p1, p0, effect in zip(preds.p1, preds.p0, preds.effect):
+                assert 0.0 <= p1 <= 1.0 and 0.0 <= p0 <= 1.0
+                assert -1.0 <= effect <= 1.0
 
 
 class TestArmSymmetry:
@@ -218,8 +231,8 @@ class TestArmSymmetry:
         data = uplift_data(seed=80, n=2000)
         pair = train_cctm(data, "T", "Y", parents=["A", "B"], spec=spec)
         flipped = train_cctm(self.swap(data), "T", "Y", parents=["A", "B"], spec=spec)
-        e = effects_of(predict_cctm(pair, data))
-        e_flip = effects_of(predict_cctm(flipped, data))
+        e = predict_cctm(pair, data).effect
+        e_flip = predict_cctm(flipped, data).effect
         assert np.max(np.abs(e + e_flip)) <= 1e-12
 
 
@@ -284,8 +297,8 @@ class TestEncoderAndPersistence:
             path = tmp_path / f"{spec.kind}.json"
             save_model(pair, path)
             again = load_model(path)
-            e0 = effects_of(predict_cctm(pair, data))
-            e1 = effects_of(predict_cctm(again, data))
+            e0 = predict_cctm(pair, data).effect
+            e1 = predict_cctm(again, data).effect
             assert np.max(np.abs(e0 - e1)) <= 1e-12
             assert again.parents_excl_t == pair.parents_excl_t
 
@@ -295,3 +308,19 @@ class TestEncoderAndPersistence:
         payload = model_payload(pair)
         assert payload["format"] == "causaluplift-model"
         assert payload["version"] == 1
+
+    @pytest.mark.parametrize("version", [99, 0, None])
+    def test_other_version_refused(self, tmp_path, version):
+        pair = train_cctm(uplift_data(seed=83, n=300), "T", "Y", parents=["A"])
+        payload = model_payload(pair)
+        if version is None:
+            del payload["version"]
+        else:
+            payload["version"] = version
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        message = str(info.value)
+        assert str(path) in message
+        assert f"version {version!r}" in message and "version 1" in message

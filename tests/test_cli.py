@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from causaluplift import cli
-from causaluplift.classify import effects_of, load_model, predict_cctm
+from causaluplift.classify import load_model, predict_cctm
 from causaluplift.data import Dataset
 
 TINY_BIF = """
@@ -206,11 +206,11 @@ class TestTrainPredictEval:
             "--theta", 0.0, "--out", preds_path,
         )
         assert code == 0
-        p1, p0, effect, assign = cli.read_predictions(preds_path)
+        preds = cli.read_predictions(preds_path)
         pair = load_model(model_path)
         test = Dataset.read_csv(workspace / "test.csv", workspace / "schema.json")
-        want = effects_of(predict_cctm(pair, test, theta=0.0))
-        assert np.max(np.abs(effect - want)) <= 1e-12
+        want = predict_cctm(pair, test, theta=0.0).effect
+        assert np.max(np.abs(preds.effect - want)) <= 1e-12
 
     def test_theta_sweep_monotone(self, workspace, model_path, tmp_path):
         counts = []
@@ -222,8 +222,24 @@ class TestTrainPredictEval:
                 "--schema", workspace / "schema.json",
                 "--theta", theta, "--out", path,
             )
-            counts.append(int(cli.read_predictions(path)[3].sum()))
+            counts.append(int(cli.read_predictions(path).assign.sum()))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+    def test_predict_other_model_version_exits_2(self, workspace, model_path, tmp_path, capsys):
+        payload = json.loads(model_path.read_text())
+        payload["version"] = 99
+        future = tmp_path / "future.json"
+        future.write_text(json.dumps(payload))
+        assert run(
+            "predict", "--model", future,
+            "--data", workspace / "test.csv",
+            "--schema", workspace / "schema.json",
+            "--out", tmp_path / "preds.csv",
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "version 99" in err
+        assert err.count("\n") == 1  # one line, no traceback
+        assert not (tmp_path / "preds.csv").exists()
 
     def test_predict_empty_input_header_only(self, workspace, model_path, tmp_path):
         empty_csv = tmp_path / "empty.csv"

@@ -155,6 +155,24 @@ class TestCsvRoundTrip:
         assert again.values("tag").tolist() == [0, 1, 0, 0]
         assert again.values("T").tolist() == [1, 0, 1, 0]
 
+    @pytest.mark.parametrize("names", [["#id", "T"], ['#"q"'], ["#", ""]])
+    @pytest.mark.parametrize("meta", [None, "v=1"])
+    def test_hash_first_column_name_round_trips(self, tmp_path, names, meta):
+        specs = [ColumnSpec(names[0], "continuous")]
+        arrays = {names[0]: np.array([1.5, -2.0])}
+        if len(names) > 1:
+            specs.append(ColumnSpec(names[1], "binary"))
+            arrays[names[1]] = np.array([0, 1])
+        data = Dataset(specs, arrays)
+        data.write_csv(tmp_path / "d.csv", meta=meta)
+        write_schema(tmp_path / "s.json", data)
+        header = (tmp_path / "d.csv").read_text().splitlines()[1 if meta else 0]
+        assert header.startswith('"#')
+        again = Dataset.read_csv(tmp_path / "d.csv", tmp_path / "s.json")
+        assert again.columns == names
+        for name in names:
+            assert np.array_equal(again.values(name), data.values(name))
+
     def test_line_separator_inside_label_survives(self, tmp_path):
         labels = ("a\u2028b", "c\x85d", "e\nf", "g\rh")
         data = Dataset(

@@ -1,7 +1,9 @@
-"""Cross-checks between the jitted kernels and the pure-numpy fallbacks.
+"""The numpy kernels against scalar oracles written here as explicit loops.
 
-Whichever path is active, the other implementation runs uncompiled here on
-small inputs; results must match exactly (integer counts, identical trees).
+The oracles share no code with the kernels: counts and positives are summed
+as Python ints, the feature draw is re-derived from its definition, and
+trees are walked one row at a time. Results must match exactly (integer
+counts, identical trees).
 """
 
 import numpy as np
@@ -9,10 +11,99 @@ import pytest
 
 from causaluplift import _kernels as K
 
+MASK32 = 0xFFFFFFFF
+
 
 @pytest.fixture(scope="module")
 def rng():
     return np.random.default_rng(1234)
+
+
+def joint_counts_oracle(xc, yc, zf, nx, ny, nz):
+    out = [[[0] * nz for _ in range(ny)] for _ in range(nx)]
+    for x, y, z in zip(xc.tolist(), yc.tolist(), zf.tolist()):
+        out[x][y][z] += 1
+    return np.array(out, dtype=np.int64)
+
+
+def xorshift(s):
+    s = (s ^ (s << 13)) & MASK32
+    s ^= s >> 17
+    return (s ^ (s << 5)) & MASK32
+
+
+def candidate_features(tree_seed, node, n_feats, mtry):
+    """Partial Fisher-Yates draw of ``mtry`` features for one node."""
+    s = (tree_seed + node * 2654435761) & MASK32 or 0x9E3779B9
+    s = xorshift(xorshift(s))
+    pool = list(range(n_feats))
+    for j in range(mtry):
+        s = xorshift(s)
+        r = j + s % (n_feats - j)
+        pool[j], pool[r] = pool[r], pool[j]
+    return pool[:mtry]
+
+
+def grow_tree_oracle(codes, labels, rows, mtry, n_bins, max_depth, min_leaf, tree_seed):
+    """Depth-first histogram CART, one row and one candidate split at a time."""
+    codes = codes.tolist()
+    labels = labels.tolist()  # Python ints, so sums never wrap
+    n_feats = len(codes[0])
+    tree = [[-1, -1, -1, -1, 0, 0]]  # left, right, feature, bin, positives, rows
+    stack = [(0, rows.tolist(), 0)]
+    while stack:
+        node, members, depth = stack.pop()
+        m = len(members)
+        pos_total = 0
+        for r in members:
+            pos_total += labels[r]
+        tree[node][4:] = [pos_total, m]
+        if pos_total in (0, m) or depth >= max_depth or m < 2 * min_leaf:
+            continue
+
+        best, best_feat, best_bin = -1.0, -1, -1
+        for f in candidate_features(tree_seed, node, n_feats, mtry):
+            cnt = [0] * n_bins
+            pos = [0] * n_bins
+            for r in members:
+                cnt[codes[r][f]] += 1
+                pos[codes[r][f]] += labels[r]
+            acc_n = acc_p = 0
+            for b in range(n_bins - 1):
+                acc_n += cnt[b]
+                acc_p += pos[b]
+                if acc_n < min_leaf or m - acc_n < min_leaf:
+                    continue
+                lp, lq = float(acc_p), float(acc_n - acc_p)
+                rp, rq = float(pos_total - acc_p), float(m - acc_n - pos_total + acc_p)
+                score = (lp * lp + lq * lq) / acc_n + (rp * rp + rq * rq) / (m - acc_n)
+                if score > best:
+                    best, best_feat, best_bin = score, f, b
+        pf, qf = float(pos_total), float(m - pos_total)
+        if best_feat < 0 or best <= (pf * pf + qf * qf) / m:
+            continue
+
+        child = len(tree)
+        tree[node][:4] = [child, child + 1, best_feat, best_bin]
+        tree += [[-1, -1, -1, -1, 0, 0], [-1, -1, -1, -1, 0, 0]]
+        stack.append((child + 1, [r for r in members if codes[r][best_feat] > best_bin], depth + 1))
+        stack.append((child, [r for r in members if codes[r][best_feat] <= best_bin], depth + 1))
+    return tuple(map(list, zip(*tree)))
+
+
+def tree_leaves_oracle(codes, child_left, child_right, split_feat, split_bin):
+    out = []
+    for row in codes.tolist():
+        node = 0
+        while split_feat[node] >= 0:
+            node = child_left[node] if row[split_feat[node]] <= split_bin[node] else child_right[node]
+        out.append(int(node))
+    return np.array(out, dtype=np.int64)
+
+
+def assert_same_tree(got, want):
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y)
 
 
 def test_joint_counts_paths_agree(rng):
@@ -22,8 +113,8 @@ def test_joint_counts_paths_agree(rng):
         xc = rng.integers(0, nx, n)
         yc = rng.integers(0, ny, n)
         zf = rng.integers(0, nz, n)
-        a = K._joint_counts_np(xc, yc, zf, nx, ny, nz)
-        b = K._joint_counts_loop(xc, yc, zf, nx, ny, nz)
+        a = K.joint_counts(xc, yc, zf, nx, ny, nz)
+        b = joint_counts_oracle(xc, yc, zf, nx, ny, nz)
         assert np.array_equal(a, b)
         assert a.sum() == n
 
@@ -39,10 +130,23 @@ def test_grow_tree_paths_agree(rng):
         mtry = int(rng.integers(1, n_feats + 1))
         depth = int(rng.integers(1, 12))
         seed = int(rng.integers(1, 2**31))
-        a = K._grow_tree_py(codes, labels, rows, mtry, n_bins, depth, 1, seed)
-        b = K.grow_tree(codes, labels, rows, mtry, n_bins, depth, 1, seed)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+        a = K.grow_tree(codes, labels, rows, mtry, n_bins, depth, 1, seed)
+        b = grow_tree_oracle(codes, labels, rows, mtry, n_bins, depth, 1, seed)
+        assert_same_tree(a, b)
+
+
+def test_grow_tree_counts_past_uint8():
+    # uint8 labels, as the forest passes them: nodes holding more than 255
+    # positive rows catch an accumulator that wraps at 256
+    rng = np.random.default_rng(255)
+    n, n_feats, n_bins = 1200, 5, 6
+    codes = rng.integers(0, n_bins, size=(n, n_feats)).astype(np.uint8)
+    labels = (rng.random(n) < 0.6).astype(np.uint8)
+    rows = rng.integers(0, n, n).astype(np.int64)
+    a = K.grow_tree(codes, labels, rows, 2, n_bins, 6, 3, 77)
+    b = grow_tree_oracle(codes, labels, rows, 2, n_bins, 6, 3, 77)
+    assert (np.asarray(b[4]) > 255).sum() >= 3
+    assert_same_tree(a, b)
 
 
 def test_tree_leaves_paths_agree(rng):
@@ -52,12 +156,12 @@ def test_tree_leaves_paths_agree(rng):
     rows = np.arange(n, dtype=np.int64)
     tree = K.grow_tree(codes, labels, rows, 3, n_bins, 8, 2, 99)
     fresh = rng.integers(0, n_bins, size=(300, n_feats)).astype(np.uint8)
-    a = K._tree_leaves_np(fresh, *tree[:4])
-    b = K._tree_leaves_loop(fresh, *tree[:4])
+    a = K.tree_leaves(fresh, *tree[:4])
+    b = tree_leaves_oracle(fresh, *tree[:4])
     assert np.array_equal(a, b)
     # every reached node is a leaf
     assert (tree[2][a] < 0).all()
 
 
-def test_env_flag_is_reported():
-    assert isinstance(K.USE_NUMBA, bool)
+def test_use_numba_is_false():
+    assert K.USE_NUMBA is False

@@ -241,8 +241,7 @@ def parse_bif(text):
         arity = len(values[node])
         parent_arities = [len(values[par]) for par in parents]
         n_rows = int(np.prod(parent_arities)) if parents else 1
-        table = np.empty((n_rows, arity))
-        filled = np.zeros(n_rows, dtype=bool)
+        table = np.full((n_rows, arity), np.nan)  # BayesNet rejects NaN rows
         for key, (probs, row_tok) in rows.items():
             if len(probs) != arity:
                 raise BifSyntaxError(
@@ -253,18 +252,6 @@ def parse_bif(text):
             for code, a in zip(key, parent_arities):
                 flat = flat * a + code
             table[flat] = probs
-            filled[flat] = True
-        if not filled.all():
-            missing = int(np.nonzero(~filled)[0][0])
-            config = []
-            rest = missing
-            for a in reversed(parent_arities):
-                config.append(rest % a)
-                rest //= a
-            labels = tuple(
-                values[par][c] for par, c in zip(parents, reversed(config))
-            )
-            raise MissingCptRow(node, labels)
         cpts[node] = table
         cpt_parents[node] = parents
 

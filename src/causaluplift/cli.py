@@ -106,11 +106,17 @@ def _discovery_config(args):
 
 
 def cmd_generate(args):
-    os.makedirs(args.out, exist_ok=True)
+    if args.split is not None and not 0.0 < args.split < 1.0:
+        raise ValueError("--split must be in (0, 1)")
+    if args.bif and bool(args.treatment) != bool(args.outcome):
+        missing = "--outcome" if args.treatment else "--treatment"
+        raise ValueError(
+            f"--treatment and --outcome go together with --bif; {missing} is missing"
+        )
     if args.bif:
         with open(args.bif, "r", encoding="utf-8") as fh:
             net = parse_bif(fh.read())
-        if args.treatment and args.outcome:
+        if args.treatment:
             rng = np.random.default_rng(args.seed)
             codes, truth = sample_with_ground_truth(
                 net, args.treatment, args.outcome, args.samples, rng
@@ -147,6 +153,7 @@ def cmd_generate(args):
             "split": args.split,
         }
 
+    os.makedirs(args.out, exist_ok=True)
     meta = _meta_line(config)
     lines = dataset.write_csv(os.path.join(args.out, "data.csv"), meta)
     write_schema(
@@ -158,8 +165,6 @@ def cmd_generate(args):
         truth.write_csv(os.path.join(args.out, "ground_truth.csv"), meta=meta)
 
     if args.split is not None:
-        if not 0.0 < args.split < 1.0:
-            raise ValueError("--split must be in (0, 1)")
         rng = np.random.default_rng([args.seed, 1])
         perm = rng.permutation(dataset.n_rows)
         n_train = int(round(args.split * dataset.n_rows))

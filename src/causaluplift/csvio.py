@@ -96,8 +96,9 @@ def encode_lines(columns, n_rows):
 def write(path, header, lines, meta=None):
     """Write a ``# meta`` comment, the header and the encoded lines.
 
-    A first header cell starting with ``#`` is quoted, so that ``read``
-    does not take the header for a comment.
+    Header cells are quoted as labels are. A first header cell starting
+    with ``#`` is always quoted, so that ``read`` does not take the header
+    for a comment.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if meta:
@@ -105,7 +106,7 @@ def write(path, header, lines, meta=None):
         if header and header[0].startswith("#"):
             first, header = header[0].replace('"', '""'), header[1:]
             fh.write(f'"{first}",' if header else f'"{first}"')
-        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(join_rows([[quote(name)] for name in header]) or ["\n"])
         fh.writelines(lines)
 
 

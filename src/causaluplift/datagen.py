@@ -69,6 +69,9 @@ class BayesNet:
                 n_rows *= len(self.categories[p])
             if table.shape != (n_rows, len(self.categories[v])):
                 raise MissingCptRow(v)
+            missing = np.nonzero(np.isnan(table).any(axis=1))[0]
+            if missing.size:
+                raise MissingCptRow(v, self._unflatten(order, int(missing[0])))
             sums = table.sum(axis=1)
             bad = np.nonzero(np.abs(sums - 1.0) > _ROW_SUM_TOL)[0]
             if bad.size:
@@ -165,45 +168,48 @@ def sample(net, n, seed):
     return dataset_from_codes(net, _forward_sample(net, n, rng))
 
 
-def _forward_sample(net, n, rng, skip=(), forced=None):
-    """Sample every node (except ``skip``) given optional forced columns."""
-    codes = {} if forced is None else dict(forced)
+def _forward_sample(net, n, rng, skip=()):
+    """Sample every node except ``skip``, in topological order."""
+    codes = {}
     for v in net.dag.topological_order():
-        if v in codes:
-            continue
         if v in skip:
             continue
-        cpt = net.cpts[v]
-        idx = net.flat_index(v, codes) if net.cpt_parents[v] else 0
-        cdf = np.cumsum(cpt, axis=1)
-        rows = cdf[idx] if net.cpt_parents[v] else np.broadcast_to(cdf[0], (n, cpt.shape[1]))
+        cdf = np.cumsum(net.cpts[v], axis=1)
+        rows = np.broadcast_to(cdf[net.flat_index(v, codes)], (n, cdf.shape[1]))
         u = rng.random(n)
         codes[v] = (rows[:, :-1] <= u[:, None]).sum(axis=1).astype(np.int64)
     return codes
 
 
-def _conditional_effects(net, t, y, observed, n):
-    """Exact conditional effect of ``t`` on ``y`` given observed pretreatment
-    values, marginalizing hidden nodes by enumeration."""
+def _arm_probabilities(net, t, y, code_of):
+    """P(y=1 | t=1, ...) and P(y=1 | t=0, ...) at the other parents' codes."""
+    with_t = dict(code_of)
+    with_t[t] = 1
+    p1 = net.cpts[y][net.flat_index(y, with_t), 1]
+    with_t[t] = 0
+    return p1, net.cpts[y][net.flat_index(y, with_t), 1]
+
+
+def _conditional_effects(net, t, y, codes, n):
+    """Exact conditional effect of ``t`` on ``y`` given the observed
+    pretreatment codes in ``codes``, marginalizing hidden nodes by
+    enumeration."""
     if t not in net.dag.parents(y):
         raise TNotParent(t, y)
     if net.arity(y) != 2:
         raise NonBinary(y)
     pre_nodes = [v for v in net.dag.nodes if v not in (t, y)]
     hidden = [v for v in pre_nodes if v in net.hidden]
+    observed = {}
     for v in pre_nodes:
-        if v not in hidden and v not in observed:
-            raise UnknownNode(v)
-
-    cpt_y = net.cpts[y]
+        if v not in hidden:
+            if v not in codes:
+                raise UnknownNode(v)
+            observed[v] = codes[v]
 
     def delta(code_of):
-        with_t = dict(code_of)
-        with_t[t] = 1
-        idx1 = net.flat_index(y, with_t)
-        with_t[t] = 0
-        idx0 = net.flat_index(y, with_t)
-        return cpt_y[idx1, 1] - cpt_y[idx0, 1]
+        p1, p0 = _arm_probabilities(net, t, y, code_of)
+        return p1 - p0
 
     if not hidden:
         out = np.asarray(delta(observed), dtype=np.float64)
@@ -217,9 +223,7 @@ def _conditional_effects(net, t, y, observed, n):
             code_of[h] = c
         w = np.ones(n)
         for v in pre_nodes:
-            idx = net.flat_index(v, code_of) if net.cpt_parents[v] else 0
-            vc = code_of[v]
-            w = w * np.asarray(net.cpts[v][idx, vc])
+            w = w * np.asarray(net.cpts[v][net.flat_index(v, code_of), code_of[v]])
         num += w * delta(code_of)
         den += w
     return num / den
@@ -227,28 +231,14 @@ def _conditional_effects(net, t, y, observed, n):
 
 def true_effect(net, t, y, row):
     """Conditional effect for one row (a mapping of node name to code)."""
-    observed = {
-        v: np.asarray([row[v]], dtype=np.int64)
-        for v in net.dag.nodes
-        if v not in (t, y) and v not in net.hidden
-    }
-    return float(_conditional_effects(net, t, y, observed, 1)[0])
+    codes = {v: np.asarray([c], dtype=np.int64) for v, c in row.items()}
+    return float(_conditional_effects(net, t, y, codes, 1)[0])
 
 
 def true_effects(net, t, y, data):
-    """Vectorized conditional effects for every row of a dataset (or a
-    mapping of node name to code array)."""
-    if isinstance(data, Dataset):
-        n = data.n_rows
-        observed = {
-            v: data.values(v)
-            for v in net.dag.nodes
-            if v not in (t, y) and v not in net.hidden and v in data
-        }
-    else:
-        observed = dict(data)
-        n = len(next(iter(observed.values())))
-    return _conditional_effects(net, t, y, observed, n)
+    """Vectorized conditional effects for every row of a dataset."""
+    codes = {v: data.values(v) for v in data.columns}
+    return _conditional_effects(net, t, y, codes, data.n_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -319,44 +309,33 @@ def _bernoulli_cpt(parent_arities, p_of):
     return np.array(rows)
 
 
-def _binary_categories(names):
-    return {v: ("0", "1") for v in names}
+def _binary_net(nodes, spec, hidden=()):
+    """BayesNet over binary ``nodes`` from ``(node, parents, p_of)``
+    triples, ``p_of`` giving P(node=1) from the parent codes. The edges are
+    read off the parents."""
+    cpts, cpt_parents = {}, {}
+    for v, parents, p_of in spec:
+        cpts[v] = _bernoulli_cpt((2,) * len(parents), p_of)
+        cpt_parents[v] = parents
+    dag = Dag(nodes, [(u, v) for v, parents, _ in spec for u in parents])
+    return BayesNet(dag, {v: ("0", "1") for v in nodes}, cpts, cpt_parents, hidden)
+
+
+# the roots and the treatment side both groups share
+_TREATMENT_SIDE = (
+    ("X1", (), lambda: 0.45),
+    ("X2", (), lambda: 0.55),
+    ("X3", (), lambda: 0.5),
+    ("X7", (), lambda: 0.5),
+    ("X5", ("X1", "X7"), lambda x1, x7: 0.2 + 0.35 * x1 + 0.3 * x7),
+    ("X6", ("X3",), lambda x3: 0.3 + 0.4 * x3),
+    ("T", ("X5", "X6"), lambda x5, x6: 0.25 + 0.3 * x5 + 0.2 * x6),
+)
 
 
 def group1_network():
     """Fully observed generator: T has observed causes, Y depends on
     (T, X8, X9) with cell effects +0.18 / +0.50 / -0.37 / -0.05."""
-    nodes = ["T", "Y"] + [f"X{i}" for i in range(1, 11)]
-    edges = [
-        ("X1", "X5"),
-        ("X7", "X5"),
-        ("X3", "X6"),
-        ("X5", "T"),
-        ("X6", "T"),
-        ("X4", "X8"),
-        ("X10", "X8"),
-        ("X2", "X9"),
-        ("X8", "Y"),
-        ("X9", "Y"),
-        ("T", "Y"),
-    ]
-    dag = Dag(nodes, edges)
-    roots = {"X1": 0.45, "X2": 0.55, "X3": 0.5, "X4": 0.4, "X7": 0.5, "X10": 0.6}
-    cpts = {}
-    cpt_parents = {}
-    for v, p in roots.items():
-        cpts[v] = np.array([[1.0 - p, p]])
-        cpt_parents[v] = ()
-    cpts["X5"] = _bernoulli_cpt((2, 2), lambda x1, x7: 0.2 + 0.35 * x1 + 0.3 * x7)
-    cpt_parents["X5"] = ("X1", "X7")
-    cpts["X6"] = _bernoulli_cpt((2,), lambda x3: 0.3 + 0.4 * x3)
-    cpt_parents["X6"] = ("X3",)
-    cpts["X8"] = _bernoulli_cpt((2, 2), lambda x4, x10: 0.15 + 0.35 * x4 + 0.35 * x10)
-    cpt_parents["X8"] = ("X4", "X10")
-    cpts["X9"] = _bernoulli_cpt((2,), lambda x2: 0.3 + 0.45 * x2)
-    cpt_parents["X9"] = ("X2",)
-    cpts["T"] = _bernoulli_cpt((2, 2), lambda x5, x6: 0.25 + 0.3 * x5 + 0.2 * x6)
-    cpt_parents["T"] = ("X5", "X6")
 
     # cell effects by (x8, x9): +0.18 / +0.50 / -0.37 / -0.05; heterogeneous
     # signs, no knife-edge zero atom, and margins large enough that no
@@ -367,63 +346,42 @@ def group1_network():
         lift = 0.18 + 0.32 * x9 - 0.55 * x8
         return base + t * lift
 
-    cpts["Y"] = _bernoulli_cpt((2, 2, 2), outcome_p)
-    cpt_parents["Y"] = ("T", "X8", "X9")
-    return BayesNet(dag, _binary_categories(nodes), cpts, cpt_parents)
+    return _binary_net(
+        ["T", "Y"] + [f"X{i}" for i in range(1, 11)],
+        _TREATMENT_SIDE + (
+            ("X4", (), lambda: 0.4),
+            ("X10", (), lambda: 0.6),
+            ("X8", ("X4", "X10"), lambda x4, x10: 0.15 + 0.35 * x4 + 0.35 * x10),
+            ("X9", ("X2",), lambda x2: 0.3 + 0.45 * x2),
+            ("Y", ("T", "X8", "X9"), outcome_p),
+        ),
+    )
 
 
 def group2_network():
     """Hidden-variable generator: U1 confounds X8/X10, U2 and U3 are hidden
     parents of Y, X4 is a strong proxy of U3. The hidden paths never touch
     T, so its propensity stays unconfounded."""
-    nodes = ["T", "Y"] + [f"X{i}" for i in range(1, 11)] + ["U1", "U2", "U3"]
-    edges = [
-        ("X1", "X5"),
-        ("X7", "X5"),
-        ("X3", "X6"),
-        ("X5", "T"),
-        ("X6", "T"),
-        ("U1", "X8"),
-        ("U1", "X10"),
-        ("X2", "X9"),
-        ("U2", "X9"),
-        ("U3", "X4"),
-        ("X8", "Y"),
-        ("X9", "Y"),
-        ("U2", "Y"),
-        ("U3", "Y"),
-        ("T", "Y"),
-    ]
-    dag = Dag(nodes, edges)
-    roots = {"X1": 0.45, "X2": 0.55, "X3": 0.5, "X7": 0.5, "U1": 0.5, "U2": 0.45, "U3": 0.55}
-    cpts = {}
-    cpt_parents = {}
-    for v, p in roots.items():
-        cpts[v] = np.array([[1.0 - p, p]])
-        cpt_parents[v] = ()
-    cpts["X4"] = _bernoulli_cpt((2,), lambda u3: 0.15 + 0.7 * u3)
-    cpt_parents["X4"] = ("U3",)
-    cpts["X5"] = _bernoulli_cpt((2, 2), lambda x1, x7: 0.2 + 0.35 * x1 + 0.3 * x7)
-    cpt_parents["X5"] = ("X1", "X7")
-    cpts["X6"] = _bernoulli_cpt((2,), lambda x3: 0.3 + 0.4 * x3)
-    cpt_parents["X6"] = ("X3",)
-    cpts["X8"] = _bernoulli_cpt((2,), lambda u1: 0.25 + 0.5 * u1)
-    cpt_parents["X8"] = ("U1",)
-    cpts["X9"] = _bernoulli_cpt((2, 2), lambda x2, u2: 0.1 + 0.3 * x2 + 0.4 * u2)
-    cpt_parents["X9"] = ("X2", "U2")
-    cpts["X10"] = _bernoulli_cpt((2,), lambda u1: 0.3 + 0.4 * u1)
-    cpt_parents["X10"] = ("U1",)
-    cpts["T"] = _bernoulli_cpt((2, 2), lambda x5, x6: 0.25 + 0.3 * x5 + 0.2 * x6)
-    cpt_parents["T"] = ("X5", "X6")
 
     def outcome_p(t, x8, x9, u2, u3):
         base = 0.12 + 0.22 * x8 + 0.14 * u2 + 0.10 * u3
         lift = 0.04 + 0.30 * x9 - 0.26 * x8 + 0.08 * u3
         return base + t * lift
 
-    cpts["Y"] = _bernoulli_cpt((2, 2, 2, 2, 2), outcome_p)
-    cpt_parents["Y"] = ("T", "X8", "X9", "U2", "U3")
-    return BayesNet(dag, _binary_categories(nodes), cpts, cpt_parents, hidden=("U1", "U2", "U3"))
+    return _binary_net(
+        ["T", "Y"] + [f"X{i}" for i in range(1, 11)] + ["U1", "U2", "U3"],
+        _TREATMENT_SIDE + (
+            ("U1", (), lambda: 0.5),
+            ("U2", (), lambda: 0.45),
+            ("U3", (), lambda: 0.55),
+            ("X4", ("U3",), lambda u3: 0.15 + 0.7 * u3),
+            ("X8", ("U1",), lambda u1: 0.25 + 0.5 * u1),
+            ("X9", ("X2", "U2"), lambda x2, u2: 0.1 + 0.3 * x2 + 0.4 * u2),
+            ("X10", ("U1",), lambda u1: 0.3 + 0.4 * u1),
+            ("Y", ("T", "X8", "X9", "U2", "U3"), outcome_p),
+        ),
+        hidden=("U1", "U2", "U3"),
+    )
 
 
 @dataclass(frozen=True)
@@ -463,24 +421,14 @@ def sample_with_ground_truth(net, t, y, n, rng):
     if net.dag.descendants(y):
         raise ValueError(f"outcome {y!r} has descendants; ground truth undefined")
     codes = _forward_sample(net, n, rng, skip=(y,))
-
-    cpt_y = net.cpts[y]
-    with_t = dict(codes)
-    with_t[t] = 1
-    p1 = cpt_y[net.flat_index(y, with_t), 1]
-    with_t[t] = 0
-    p0 = cpt_y[net.flat_index(y, with_t), 1]
+    p1, p0 = _arm_probabilities(net, t, y, codes)
     u_y = rng.random(n)
     y1 = (u_y < p1).astype(np.int64)
     y0 = (u_y < p0).astype(np.int64)
     codes[y] = np.where(codes[t] == 1, y1, y0)
 
-    observed = {
-        v: codes[v] for v in net.dag.nodes if v not in (t, y) and v not in net.hidden
-    }
-    effect = _conditional_effects(net, t, y, observed, n)
     truth = GroundTruth(
-        effect=effect,
+        effect=_conditional_effects(net, t, y, codes, n),
         response=response_labels(y0, y1),
         potential_y0=y0,
         potential_y1=y1,
@@ -499,16 +447,10 @@ def generate_group(cfg):
     rng = np.random.default_rng(cfg.seed)
     codes, truth = sample_with_ground_truth(net, "T", "Y", n, rng)
 
+    observed = dataset_from_codes(net, codes, {"T": "treatment", "Y": "outcome"})
+    specs = [observed.spec(v) for v in observed.columns]
+    arrays = {v: observed.values(v) for v in observed.columns}
     n_cont = int(round(cfg.continuous_fraction * cfg.n_noise_vars))
-    specs = [
-        ColumnSpec("T", "binary", "treatment"),
-        ColumnSpec("Y", "binary", "outcome"),
-    ]
-    arrays = {"T": codes["T"], "Y": codes["Y"]}
-    for i in range(1, 11):
-        name = f"X{i}"
-        specs.append(ColumnSpec(name, "binary", "covariate"))
-        arrays[name] = codes[name]
     for i in range(1, cfg.n_noise_vars + 1):
         name = f"N{i}"
         if i <= n_cont:

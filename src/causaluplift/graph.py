@@ -7,6 +7,7 @@ of the two arm-conditional outcome probabilities is a valid causal
 classification rule for a given treatment/outcome pair.
 """
 
+import heapq
 import json
 from dataclasses import dataclass, field
 
@@ -36,7 +37,7 @@ class Dag:
     duplicate edges and directed cycles are all rejected.
     """
 
-    __slots__ = ("nodes", "edges", "_index", "_parents", "_children")
+    __slots__ = ("nodes", "edges", "_index", "_parents", "_children", "_order")
 
     def __init__(self, nodes, edges=()):
         nodes = tuple(nodes)
@@ -63,35 +64,36 @@ class Dag:
         self.edges = tuple(
             sorted(seen_edges, key=lambda e: (self._index[e[0]], self._index[e[1]]))
         )
-        cycle = self._find_cycle()
-        if cycle is not None:
-            raise CycleDetected(cycle)
+        self._order = self._kahn()
 
-    def _find_cycle(self):
-        WHITE, GREY, BLACK = 0, 1, 2
-        color = {n: WHITE for n in self.nodes}
-        trail = []
-
-        def visit(n):
-            color[n] = GREY
-            trail.append(n)
-            for c in sorted(self._children[n], key=self._index.__getitem__):
-                if color[c] == GREY:
-                    return trail[trail.index(c):] + [c]
-                if color[c] == WHITE:
-                    found = visit(c)
-                    if found:
-                        return found
-            trail.pop()
-            color[n] = BLACK
-            return None
-
-        for n in self.nodes:
-            if color[n] == WHITE:
-                found = visit(n)
-                if found:
-                    return found
-        return None
+    def _kahn(self):
+        """Kahn's algorithm, ties broken by declaration order; raises
+        ``CycleDetected`` naming one cycle when nodes are left over."""
+        in_deg = {n: len(self._parents[n]) for n in self.nodes}
+        ready = [i for i, n in enumerate(self.nodes) if not in_deg[n]]
+        order = []
+        while ready:
+            n = self.nodes[heapq.heappop(ready)]
+            order.append(n)
+            for c in self._children[n]:
+                in_deg[c] -= 1
+                if not in_deg[c]:
+                    heapq.heappush(ready, self._index[c])
+        if len(order) == len(self.nodes):
+            return order
+        # every leftover node has a leftover parent: walk parents until a
+        # node repeats, then report that loop in edge direction
+        walk = [next(n for n in self.nodes if in_deg[n])]
+        step = {walk[0]: 0}
+        while True:
+            n = min(
+                (p for p in self._parents[walk[-1]] if in_deg[p]),
+                key=self._index.__getitem__,
+            )
+            if n in step:
+                raise CycleDetected([n] + walk[step[n]:][::-1])
+            step[n] = len(walk)
+            walk.append(n)
 
     def _check(self, v):
         if v not in self._index:
@@ -108,42 +110,16 @@ class Dag:
     def descendants(self, v):
         """All nodes reachable from ``v`` along edge direction, excluding ``v``."""
         self._check(v)
-        out = set()
-        stack = [v]
-        while stack:
-            for c in self._children[stack.pop()]:
-                if c not in out:
-                    out.add(c)
-                    stack.append(c)
-        out.discard(v)
-        return out
+        return _reach([v], self._children) - {v}
 
     def ancestors(self, v):
+        """All nodes from which ``v`` is reachable, excluding ``v``."""
         self._check(v)
-        out = set()
-        stack = [v]
-        while stack:
-            for p in self._parents[stack.pop()]:
-                if p not in out:
-                    out.add(p)
-                    stack.append(p)
-        out.discard(v)
-        return out
+        return _reach([v], self._parents) - {v}
 
     def topological_order(self):
-        """Kahn's algorithm; ties broken by declaration order."""
-        in_deg = {n: len(self._parents[n]) for n in self.nodes}
-        ready = [n for n in self.nodes if in_deg[n] == 0]
-        order = []
-        while ready:
-            n = min(ready, key=self._index.__getitem__)
-            ready.remove(n)
-            order.append(n)
-            for c in self._children[n]:
-                in_deg[c] -= 1
-                if in_deg[c] == 0:
-                    ready.append(c)
-        return order
+        """Kahn's order; ties broken by declaration order."""
+        return list(self._order)
 
     def mutilate(self, spec):
         """New DAG with the specified incoming/outgoing edges removed."""
@@ -187,6 +163,18 @@ class Dag:
         return cls(payload["nodes"], [tuple(e) for e in payload["edges"]])
 
 
+def _reach(starts, adjacency):
+    """``starts`` plus every node reachable from them through ``adjacency``."""
+    out = set(starts)
+    stack = list(out)
+    while stack:
+        for m in adjacency[stack.pop()]:
+            if m not in out:
+                out.add(m)
+                stack.append(m)
+    return out
+
+
 def build_dag(nodes, edges):
     """Construct a validated DAG; fails with a cycle/duplicate diagnosis."""
     return Dag(nodes, edges)
@@ -222,13 +210,7 @@ def d_separated(g, x, y, z):
     if not x or not y:
         return True
 
-    anc_z = set(z)
-    stack = list(z)
-    while stack:
-        for p in g._parents[stack.pop()]:
-            if p not in anc_z:
-                anc_z.add(p)
-                stack.append(p)
+    anc_z = _reach(z, g._parents)
 
     visited = set()
     frontier = [(s, _UP) for s in x]

@@ -109,6 +109,47 @@ class TestGenerate:
         want = np.where(data.values("T") == 1, truth.potential_y1, truth.potential_y0)
         assert np.array_equal(data.values("Y"), want)
 
+    @pytest.mark.parametrize("split", [1.5, 0, 1, -0.2])
+    def test_bad_split_writes_nothing(self, tmp_path, capsys, split):
+        out = tmp_path / "g"
+        assert run(
+            "generate", "--samples", 50, "--seed", 1, "--split", split, "--out", out,
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "given, missing", [(("--treatment", "T"), "--outcome"), (("--outcome", "Y"), "--treatment")]
+    )
+    def test_bif_needs_treatment_and_outcome_together(self, tmp_path, capsys, given, missing):
+        bif = tmp_path / "tiny.bif"
+        bif.write_text(TINY_BIF)
+        out = tmp_path / "g"
+        assert run("generate", "--bif", bif, *given, "--seed", 1, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert missing in err
+        assert not out.exists()
+
+    def test_bif_long_chain(self, tmp_path):
+        n = 1200
+        lines = ["network chain {", "}"]
+        for i in range(n):
+            lines.append(f"variable V{i} {{ type discrete [ 2 ] {{ 0, 1 }}; }}")
+        lines.append("probability ( V0 ) { table 0.5, 0.5; }")
+        for i in range(1, n):
+            lines.append(f"probability ( V{i} | V{i - 1} ) {{ ( 0 ) 0.9, 0.1; ( 1 ) 0.1, 0.9; }}")
+        bif = tmp_path / "chain.bif"
+        bif.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "g"
+        assert run(
+            "generate", "--bif", bif, "--treatment", f"V{n - 2}", "--outcome", f"V{n - 1}",
+            "--samples", 20, "--seed", 1, "--out", out,
+        ) == 0
+        data = Dataset.read_csv(out / "data.csv", out / "schema.json")
+        assert data.columns == [f"V{i}" for i in range(n)]
+
     def test_tool_stamp_embedded(self, workspace):
         first_line = (workspace / "data.csv").read_text().splitlines()[0]
         assert first_line.startswith("# causaluplift=")

@@ -173,6 +173,19 @@ class TestCsvRoundTrip:
         for name in names:
             assert np.array_equal(again.values(name), data.values(name))
 
+    @pytest.mark.parametrize("names", [["T", "a\rb"], ["a\rb"], ["#\r", "\r"], ["x", "\r\n"]])
+    def test_carriage_return_in_column_name_round_trips(self, tmp_path, names):
+        data = Dataset(
+            [ColumnSpec(name, "binary") for name in names],
+            {name: np.array([0, 1, 1]) for name in names},
+        )
+        data.write_csv(tmp_path / "d.csv", meta="v=1")
+        write_schema(tmp_path / "s.json", data)
+        again = Dataset.read_csv(tmp_path / "d.csv", tmp_path / "s.json")
+        assert again.columns == names
+        for name in names:
+            assert again.values(name).tolist() == [0, 1, 1]
+
     def test_line_separator_inside_label_survives(self, tmp_path):
         labels = ("a\u2028b", "c\x85d", "e\nf", "g\rh")
         data = Dataset(

@@ -53,6 +53,20 @@ class TestBayesNetValidation:
                 {"A": ()},
             )
 
+    def test_nan_row_is_missing_row(self):
+        dag = Dag(["A", "B", "C"], [("A", "C"), ("B", "C")])
+        table = np.full((6, 2), 0.5)
+        table[4] = np.nan
+        with pytest.raises(MissingCptRow) as exc:
+            BayesNet(
+                dag,
+                {"A": ("lo", "mid", "hi"), "B": ("no", "yes"), "C": ("0", "1")},
+                {"A": np.full((1, 3), 1 / 3), "B": np.array([[0.5, 0.5]]), "C": table},
+                {"A": (), "B": (), "C": ("A", "B")},
+            )
+        assert exc.value.node == "C"
+        assert exc.value.config == ("hi", "no")
+
     def test_wrong_shape_is_missing_rows(self):
         dag = Dag(["A", "B"], [("A", "B")])
         with pytest.raises(MissingCptRow):

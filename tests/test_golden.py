@@ -24,6 +24,9 @@ GOLDEN = {
     "bif/test_truth.csv": "d8b5ed167c358110e206b4386cd7159fbda3d8f62c2a864eab84f6b50d6b05c2",
     "bif/train.csv": "d177d5b59d1c805302595d8528cdf46632a97a16cc8847b0ca6839d95ee1ef38",
     "bif/train_truth.csv": "cb6c5b7b54bdf9186634f3627aa36716aa851000838a01ed7ec0180a0bb9759d",
+    "bif_plain/data.csv": "ba5ddc5500419534e5d70c805e76576e07ab32e853e33657f70eaa97bef78c53",
+    "bif_plain/net.json": "8c96599b3e5e59e7fc95fbcddac2658044043ff07a276ccf63669227d5bc81bb",
+    "bif_plain/schema.json": "72936fdc5f4c11c9678a8834f0aa3e8907070cc64c680e03168dd5abc78cec72",
     "forest.json": "b748e9311a04a50803b88d8988ec8c6e6f0c0d42325282b12e47a584537cdd2a",
     "forest_curve.csv": "497385a136cc72001b9f94c6b4dff4fa73666a8cdb76214ab5651008d72ae7d4",
     "forest_eval.json": "ff4e0e64e68d0cbd84ee023354177341f3abd7c9bce4c0b6fc79eb4338e8dccb",
@@ -36,6 +39,14 @@ GOLDEN = {
     "gen/test_truth.csv": "96fac1ba1a6ba0ea75b7c3251cc765f005234bb45e907fd270a8dfbf5f68a11e",
     "gen/train.csv": "6c53725ab4f16b8ef6ea2d30d6782c70ec6bd230d9241ca660841157adbf825b",
     "gen/train_truth.csv": "f290495ab73f1707d78fe143e69b0e7e233facc347b6157e211991be61f11b3f",
+    "gen2/data.csv": "fee0b2b4eb82dcf3442737a065021965bde69eb1d8b08d3657e3d98983c900b9",
+    "gen2/ground_truth.csv": "afdbdee358f8757984fdcd827929f76f1c08cdeed819b6a7cb6f20413906d9e6",
+    "gen2/net.json": "3832e86e6dbf4f7428fa9997012e4f5555cfb6fc711de1693ed2ce21b86254c8",
+    "gen2/schema.json": "0bf66d6b4858d0d6ffa8c7260e29a5b0907b06b778bc1e8dd620106b6b35488f",
+    "gen2/test.csv": "b536ea32127bef5fc8b340139f93c5b958cecc0c601e891163a83dfa81d586be",
+    "gen2/test_truth.csv": "887a66677b1f42a6f51c060791534ddeb5ca021c4d46899927e5a422b375bfa4",
+    "gen2/train.csv": "d737f1749d2cec29cab56d32e12f9ff92bcf939048862dbe6e5e3d34fd70b86f",
+    "gen2/train_truth.csv": "547876e0c6c9407e22b68514f407efdf900252563d177e3e620a1a41bec9f3cd",
     "logistic.json": "db68486804a0648e01cf3de0f141aff664c4cf1907d40ab670cc95c9d6811f07",
     "logistic_curve.csv": "359c8476938cbc17c3caa79f62d9da3dac90fc0477c6b7f8202cf301a17c9dc4",
     "logistic_eval.json": "c54b65ef748c199d0e3197f40b3006f8f7624c9d2a8a0c06cbaffe0f2f9959a7",
@@ -52,7 +63,8 @@ def _run(*argv):
 
 
 def pipeline_hashes(root):
-    """Run generate (bundled group and BIF), discover, train, predict, eval
+    """Run generate (both bundled groups, and BIF with and without ground
+    truth), discover, train, predict, eval
     and qini under ``root``; return {relative path: sha256 hex}."""
     root = Path(root)
     gen, bif_gen = root / "gen", root / "bif"
@@ -68,6 +80,11 @@ def pipeline_hashes(root):
         "generate", "--bif", bif, "--treatment", "ChestPain", "--outcome", "Referral",
         "--samples", 300, "--seed", 4, "--split", 0.3, "--out", bif_gen,
     )
+    _run(
+        "generate", "--group", "group2", "--samples", 300, "--noise-vars", 4,
+        "--seed", 7, "--split", 0.4, "--out", root / "gen2",
+    )
+    _run("generate", "--bif", bif, "--samples", 200, "--seed", 5, "--out", root / "bif_plain")
     train, test, schema = gen / "train.csv", gen / "test.csv", gen / "schema.json"
     _run("discover", "--data", train, "--target", "Y", "--out", root / "parents.json")
     _run(

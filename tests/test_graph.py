@@ -42,6 +42,30 @@ class TestBuildDag:
             build_dag(list("ABCD"), [("A", "B"), ("B", "C"), ("C", "A")])
         assert set(exc.value.path) >= {"A", "B", "C"}
 
+    def test_cycle_path_follows_edges(self):
+        edges = [("D", "X"), ("A", "B"), ("B", "C"), ("C", "A"), ("C", "D")]
+        with pytest.raises(CycleDetected) as exc:
+            build_dag(list("XABCD"), edges)
+        path = exc.value.path
+        assert path[0] == path[-1] and set(path) == {"A", "B", "C"}
+        assert all(e in edges for e in zip(path, path[1:]))
+        assert str(exc.value) == "directed cycle: " + " -> ".join(path)
+
+    def test_long_chain_builds_in_order(self):
+        nodes = [f"N{i}" for i in range(3000)]
+        g = build_dag(nodes, list(zip(nodes, nodes[1:])))
+        assert g.topological_order() == nodes
+        assert g.descendants("N0") == set(nodes[1:])
+        assert g.ancestors("N2999") == set(nodes[:-1])
+
+    def test_long_cycle_names_every_node(self):
+        nodes = [f"N{i}" for i in range(3000)]
+        with pytest.raises(CycleDetected) as exc:
+            build_dag(nodes, list(zip(nodes, nodes[1:] + nodes[:1])))
+        path = exc.value.path
+        assert len(path) == 3001 and path[0] == path[-1]
+        assert set(path) == set(nodes)
+
     def test_unknown_node(self):
         with pytest.raises(UnknownNode):
             build_dag(["A"], [("A", "B")])
@@ -84,6 +108,11 @@ class TestQueries:
     def test_descendants_isolated(self):
         g = build_dag(list("AB"), [])
         assert g.descendants("A") == set()
+
+    def test_topological_order_is_a_copy(self):
+        g = build_dag(list("ABC"), [("C", "A")])
+        g.topological_order().clear()
+        assert g.topological_order() == ["B", "C", "A"]
 
     def test_descendants_match_dfs_oracle(self):
         rng = np.random.default_rng(5)

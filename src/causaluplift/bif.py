@@ -11,19 +11,24 @@ import re
 import numpy as np
 
 from .datagen import BayesNet
-from .errors import BifSyntaxError, MissingCptRow, UnknownVariable
+from .errors import BifError, BifSyntaxError, MissingCptRow, UnknownVariable
 from .graph import Dag
 
+_NUMBER = r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?"
+_NAME = r"[A-Za-z_][A-Za-z0-9_.\-]*"
+
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
   | (?P<comment>//[^\n]*|/\*.*?\*/)
-  | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_.\-]*)
-  | (?P<punct>[{}()\[\]|,;])
+  | (?P<number>{_NUMBER})
+  | (?P<name>{_NAME})
+  | (?P<punct>[{{}}()\[\]|,;])
     """,
     re.VERBOSE | re.DOTALL,
 )
+_NAME_RE = re.compile(_NAME)
+_LABEL_RE = re.compile(f"{_NUMBER}|{_NAME}")
 
 
 class _Token:
@@ -269,11 +274,20 @@ def _read_numbers(p):
 
 
 def emit_bif(net, name="network"):
-    """Canonical BIF text; parse(emit(net)) reproduces the net exactly."""
+    """Canonical BIF text; parse(emit(net)) reproduces the net exactly.
+
+    Raises ``BifError`` for a node name that is not a BIF name token, or a
+    label that is not a name or number token, since neither would read back.
+    """
     from itertools import product
 
     lines = [f"network {name} {{", "}"]
     for v in net.dag.nodes:
+        if not _NAME_RE.fullmatch(v):
+            raise BifError(f"node {v!r} is not a BIF name")
+        for label in net.categories[v]:
+            if not _LABEL_RE.fullmatch(label):
+                raise BifError(f"node {v!r} has label {label!r}, not a BIF name or number")
         cats = ", ".join(net.categories[v])
         lines.append(f"variable {v} {{")
         lines.append(f"  type discrete [ {net.arity(v)} ] {{ {cats} }};")

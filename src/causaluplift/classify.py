@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discovery import DiscoveryConfig, ParentSet, discover_parents
+from .discovery import DiscoveryConfig, discover_parents
 from .errors import (
     EmptyArm,
     EmptyParentSetWarning,
@@ -22,14 +22,14 @@ from .errors import (
     UnknownColumn,
     UnseenCategoryWarning,
 )
-from .forest import FOREST_DEFAULTS, ForestModel, fit_forest
-from .logistic import LOGISTIC_DEFAULTS, ConstantModel, LogisticModel, fit_logistic
+from .forest import ForestModel, fit_forest, forest_hyperparameters
+from .logistic import ConstantModel, LogisticModel, fit_logistic, logistic_hyperparameters
 from .stats import discretize_dataset
 
 MODEL_FORMAT = "causaluplift-model"
 MODEL_FORMAT_VERSION = 1
 
-_KINDS = {"logistic", "forest"}
+_HYPERPARAMETERS = {"logistic": logistic_hyperparameters, "forest": forest_hyperparameters}
 
 
 @dataclass(frozen=True)
@@ -38,24 +38,14 @@ class ClassifierSpec:
     hyperparameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown classifier kind {self.kind!r}")
-        defaults = LOGISTIC_DEFAULTS if self.kind == "logistic" else FOREST_DEFAULTS
-        unknown = set(self.hyperparameters) - set(defaults) - {"seed"}
-        if unknown:
-            raise ValueError(f"unknown hyperparameters: {sorted(unknown)}")
-        for key, value in self.hyperparameters.items():
-            if key == "seed" or value is None:
-                continue
-            if value <= 0:
-                raise ValueError(f"hyperparameter {key} must be positive")
-        if self.kind == "forest" and self.hyperparameters.get("seed") is None:
-            raise ValueError("forest classifier requires a seed")
+        self.resolved()
 
     def resolved(self):
-        out = dict(LOGISTIC_DEFAULTS if self.kind == "logistic" else FOREST_DEFAULTS)
-        out.update(self.hyperparameters)
-        return out
+        """The kind's defaults updated with the hyperparameters, each checked
+        as the kind's fit function checks it."""
+        if self.kind not in _HYPERPARAMETERS:
+            raise ValueError(f"unknown classifier kind {self.kind!r}")
+        return _HYPERPARAMETERS[self.kind](self.hyperparameters)
 
 
 class FeatureEncoder:
@@ -76,10 +66,7 @@ class FeatureEncoder:
             spec = data.spec(name)
             entry = {"name": name, "kind": spec.kind}
             if spec.kind == "categorical":
-                cats = spec.categories
-                if cats is None:
-                    cats = tuple(str(i) for i in range(data.arity(name)))
-                entry["categories"] = list(cats)
+                entry["categories"] = list(_labels(data, name))
             entries.append(entry)
         return cls(entries)
 
@@ -99,13 +86,10 @@ class FeatureEncoder:
             values = data.values(name)
             if entry["kind"] == "categorical":
                 vocab = {c: i for i, c in enumerate(entry["categories"])}
-                spec = data.spec(name)
-                if spec.kind == "continuous":
+                if data.spec(name).kind == "continuous":
                     raise NonBinary(name)
-                cats = spec.categories or tuple(
-                    str(i) for i in range(int(values.max()) + 1 if values.size else 0)
-                )
-                mapped = np.array([vocab.get(c, -1) for c in cats], dtype=np.int64)
+                labels = _labels(data, name)
+                mapped = np.array([vocab.get(c, -1) for c in labels], dtype=np.int64)
                 idx = mapped[values]
                 if (idx < 0).any():
                     warnings.warn(
@@ -131,6 +115,12 @@ class FeatureEncoder:
         return cls(payload["entries"])
 
 
+def _labels(data, name):
+    """A discrete column's labels: its declared categories, else its codes as text."""
+    cats = data.spec(name).categories
+    return cats if cats is not None else tuple(str(i) for i in range(data.arity(name)))
+
+
 @dataclass(frozen=True)
 class UpliftPrediction:
     """Per-row arm probabilities, their difference and the 0/1 assignment,
@@ -154,19 +144,16 @@ class TwoModelPair:
 
 
 def _binary_values(data, name):
-    spec = data.spec(name)
-    if spec.kind == "binary":
-        return data.values(name)
-    if spec.kind == "categorical" and data.arity(name) == 2:
+    kind = data.spec(name).kind
+    if kind == "binary" or (kind == "categorical" and data.arity(name) == 2):
         return data.values(name)
     raise NonBinary(name)
 
 
 def _fit(spec, X, y):
-    hp = spec.resolved()
-    if spec.kind == "logistic":
-        return fit_logistic(X, y, hp)
-    return fit_forest(X, y, hp)
+    # looked up at each call, so a wrapper installed at the module global is used
+    fit = fit_logistic if spec.kind == "logistic" else fit_forest
+    return fit(X, y, spec.hyperparameters)
 
 
 def train_cctm(
@@ -195,8 +182,6 @@ def train_cctm(
         found = discover_parents(discretize_dataset(data, bins), y, cfg)
         members = found.members
         discovery_info = found.to_dict(include_trace=False)
-    elif isinstance(parents, ParentSet):
-        members = parents.members
     else:
         members = list(parents)
     parents_excl_t = [m for m in members if m != t]
@@ -222,8 +207,8 @@ def train_cctm(
     X = encoder.encode(data)
     if encoder.width == 0:
         # no covariates to model; each arm collapses to its smoothed rate
-        m1 = ConstantModel((int(y_values[treated].sum()) + 1) / (n1 + 2))
-        m0 = ConstantModel((int(y_values[~treated].sum()) + 1) / (n0 + 2))
+        m1 = ConstantModel.smoothed(int(y_values[treated].sum()), n1)
+        m0 = ConstantModel.smoothed(int(y_values[~treated].sum()), n0)
     else:
         m1 = _fit(spec, X[treated], y_values[treated])
         m0 = _fit(spec, X[~treated], y_values[~treated])

@@ -74,32 +74,68 @@ def _load_dataset(args):
     return Dataset.read_csv(args.data, schema)
 
 
+_CLASSIFIER_FLAGS = (
+    "n_trees", "max_depth", "min_leaf", "feature_subsample",  # forest
+    "max_iterations", "l2_penalty",  # logistic
+)
+
+
 def _classifier_spec(args):
-    hp = {}
-    if args.classifier == "forest":
-        hp["seed"] = args.seed
-        if args.n_trees is not None:
-            hp["n_trees"] = args.n_trees
-        if args.max_depth is not None:
-            hp["max_depth"] = args.max_depth
-        if args.min_leaf is not None:
-            hp["min_leaf"] = args.min_leaf
-        if args.feature_subsample is not None:
-            hp["feature_subsample"] = args.feature_subsample
-    else:
-        if args.max_iterations is not None:
-            hp["max_iterations"] = args.max_iterations
-        if args.l2_penalty is not None:
-            hp["l2_penalty"] = args.l2_penalty
+    # a flag of the other classifier kind reaches ClassifierSpec, which refuses it
+    hp = {"seed": args.seed} if args.classifier == "forest" else {}
+    for name in _CLASSIFIER_FLAGS:
+        if getattr(args, name) is not None:
+            hp[name] = getattr(args, name)
     return ClassifierSpec(args.classifier, hp)
 
 
-def _discovery_config(args):
-    return DiscoveryConfig(
+def _discovery(args):
+    """The discovery config of ``args``, and the entries that every command
+    which discovers parents stamps into its config."""
+    cfg = DiscoveryConfig(
         alpha=args.alpha,
         max_cond_size=args.max_cond_size,
         symmetric=not args.no_symmetric,
     )
+    entries = {
+        "alpha": cfg.alpha,
+        "max_cond_size": cfg.max_cond_size,
+        "symmetric": cfg.symmetric,
+        "bins": args.bins,
+    }
+    return cfg, entries
+
+
+def _training(args, command, **entries):
+    """The config that ``train`` and ``qini`` stamp (``entries`` go between
+    the model entries and the discovery entries), and a function that trains
+    the pair that ``args`` asks for on a dataset."""
+    spec = _classifier_spec(args)
+    cfg, discovery_entries = _discovery(args)
+    parents = args.parents.split(",") if args.parents else None
+    config = {
+        "command": command,
+        "treatment": args.treatment,
+        "outcome": args.outcome,
+        "classifier": spec.kind,
+        "hyperparameters": spec.resolved(),
+        "parents": parents,
+        **entries,
+        **discovery_entries,
+    }
+
+    def fit_pair(data):
+        return train_cctm(
+            data,
+            args.treatment,
+            args.outcome,
+            parents=parents,
+            spec=spec,
+            cfg=cfg,
+            bins=args.bins,
+        )
+
+    return config, fit_pair
 
 
 # ---------------------------------------------------------------- generate
@@ -108,7 +144,9 @@ def _discovery_config(args):
 def cmd_generate(args):
     if args.split is not None and not 0.0 < args.split < 1.0:
         raise ValueError("--split must be in (0, 1)")
-    if args.bif and bool(args.treatment) != bool(args.outcome):
+    if (args.treatment or args.outcome) and not args.bif:
+        raise ValueError("--treatment and --outcome are only for --bif")
+    if bool(args.treatment) != bool(args.outcome):
         missing = "--outcome" if args.treatment else "--treatment"
         raise ValueError(
             f"--treatment and --outcome go together with --bif; {missing} is missing"
@@ -189,15 +227,8 @@ def cmd_discover(args):
     from .stats import discretize_dataset
 
     data = _load_dataset(args)
-    cfg = _discovery_config(args)
-    config = {
-        "command": "discover",
-        "target": args.target,
-        "alpha": cfg.alpha,
-        "max_cond_size": cfg.max_cond_size,
-        "symmetric": cfg.symmetric,
-        "bins": args.bins,
-    }
+    cfg, entries = _discovery(args)
+    config = {"command": "discover", "target": args.target, **entries}
     found = discover_parents(discretize_dataset(data, args.bins), args.target, cfg)
     payload = {
         "tool": _tool_block(config),
@@ -218,30 +249,8 @@ def cmd_discover(args):
 
 def cmd_train(args):
     data = _load_dataset(args)
-    spec = _classifier_spec(args)
-    cfg = _discovery_config(args)
-    parents = args.parents.split(",") if args.parents else None
-    config = {
-        "command": "train",
-        "treatment": args.treatment,
-        "outcome": args.outcome,
-        "classifier": spec.kind,
-        "hyperparameters": spec.resolved(),
-        "parents": parents,
-        "alpha": cfg.alpha,
-        "max_cond_size": cfg.max_cond_size,
-        "symmetric": cfg.symmetric,
-        "bins": args.bins,
-    }
-    pair = train_cctm(
-        data,
-        args.treatment,
-        args.outcome,
-        parents=parents,
-        spec=spec,
-        cfg=cfg,
-        bins=args.bins,
-    )
+    config, fit_pair = _training(args, "train")
+    pair = fit_pair(data)
     save_model(pair, args.out, extra={"tool": _tool_block(config)})
     print(
         json.dumps(
@@ -351,23 +360,9 @@ def _fmt(value):
 
 def cmd_qini(args):
     data = _load_dataset(args)
-    spec = _classifier_spec(args)
-    cfg = _discovery_config(args)
-    parents = args.parents.split(",") if args.parents else None
-    config = {
-        "command": "qini",
-        "treatment": args.treatment,
-        "outcome": args.outcome,
-        "classifier": spec.kind,
-        "hyperparameters": spec.resolved(),
-        "parents": parents,
-        "folds": args.folds,
-        "points": args.points,
-        "seed": args.seed,
-        "alpha": args.alpha,
-        "max_cond_size": args.max_cond_size,
-        "bins": args.bins,
-    }
+    config, fit_pair = _training(
+        args, "qini", folds=args.folds, points=args.points, seed=args.seed
+    )
     os.makedirs(args.out_dir, exist_ok=True)
     folds = kfold_split(data.n_rows, args.folds, args.seed)
     rows = []
@@ -376,16 +371,7 @@ def cmd_qini(args):
     for fold_id, (train_idx, test_idx) in enumerate(folds):
         train = data.take(train_idx)
         test = data.take(test_idx)
-        pair = train_cctm(
-            train,
-            args.treatment,
-            args.outcome,
-            parents=parents,
-            spec=spec,
-            cfg=cfg,
-            bins=args.bins,
-        )
-        preds = predict_cctm(pair, test, theta=0.0)
+        preds = predict_cctm(fit_pair(train), test, theta=0.0)
         curve = qini_curve(
             preds.effect,
             test.values(args.outcome),

@@ -19,7 +19,6 @@ from .stats import g2_test
 class DiscoveryConfig:
     alpha: float = 0.01
     max_cond_size: int = 3
-    candidate_cap: int = None
     symmetric: bool = True
 
     def __post_init__(self):
@@ -27,8 +26,6 @@ class DiscoveryConfig:
             raise ValueError("alpha must be in (0, 1)")
         if self.max_cond_size < 0:
             raise ValueError("max_cond_size must be >= 0")
-        if self.candidate_cap is not None and self.candidate_cap < 1:
-            raise ValueError("candidate_cap must be >= 1 when given")
 
 
 @dataclass(frozen=True)
@@ -125,8 +122,6 @@ def mmpc(data, target, cfg=DiscoveryConfig()):
                 best = c
         cpc.append(best)
         del floor[best]
-        if cfg.candidate_cap is not None and len(cpc) >= cfg.candidate_cap:
-            break
         # subsets of the grown set that involve the newest member
         rest = [m for m in cpc if m != best]
         new_subsets = [

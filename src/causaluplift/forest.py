@@ -10,13 +10,10 @@ seeded generator and per-node feature draws from a counter-based xorshift,
 so repeated fits are byte-identical.
 """
 
-import warnings
-
 import numpy as np
 
 from ._kernels import grow_tree, tree_leaves
-from .errors import DegenerateLabelsWarning
-from .logistic import ConstantModel
+from .logistic import merge_hyperparameters, single_class_model
 
 MAX_BINS = 64
 
@@ -25,7 +22,21 @@ FOREST_DEFAULTS = {
     "max_depth": None,
     "min_leaf": 1,
     "feature_subsample": None,  # None -> sqrt(n_features) per split
+    "seed": None,  # required
 }
+
+
+def forest_hyperparameters(hyperparameters=None):
+    """The forest defaults updated with ``hyperparameters``, every value checked."""
+    hp = merge_hyperparameters(FOREST_DEFAULTS, hyperparameters)
+    if hp["seed"] is None:
+        raise ValueError("forest classifier requires a seed")
+    if hp["feature_subsample"] is not None and hp["feature_subsample"] > 1:
+        raise ValueError("feature_subsample must be in (0, 1]")
+    for key in ("n_trees", "min_leaf"):
+        if hp[key] < 1:
+            raise ValueError(f"{key} must be >= 1")
+    return hp
 
 
 def _feature_cuts(column):
@@ -47,8 +58,6 @@ def _encode(X, cuts):
 
 
 class ForestModel:
-    kind = "forest"
-
     def __init__(self, cuts, trees, params):
         self.cuts = cuts
         self.trees = trees
@@ -66,10 +75,7 @@ class ForestModel:
     def to_dict(self):
         return {
             "type": "forest",
-            "params": {
-                k: self.params[k]
-                for k in ("n_trees", "max_depth", "min_leaf", "feature_subsample", "seed")
-            },
+            "params": {k: self.params[k] for k in FOREST_DEFAULTS},
             "cuts": [[float(v) for v in c] for c in self.cuts],
             "trees": [
                 {
@@ -103,24 +109,15 @@ class ForestModel:
 
 def fit_forest(X, y, hyperparameters=None):
     """Grow a seeded bagged forest; single-class labels give a constant model."""
-    hp = dict(FOREST_DEFAULTS)
-    hp.update(hyperparameters or {})
-    if "seed" not in hp or hp["seed"] is None:
-        raise ValueError("forest training requires an explicit seed")
+    hp = forest_hyperparameters(hyperparameters)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n, n_feats = X.shape
     if n < 1:
         raise ValueError("need at least one training row")
-    n_pos = int(y.sum())
-    if n_pos == 0 or n_pos == n:
-        warnings.warn(
-            f"labels are single-class ({n_pos}/{n} positive); "
-            "fitting a constant-probability model",
-            DegenerateLabelsWarning,
-            stacklevel=2,
-        )
-        return ConstantModel((n_pos + 1) / (n + 2))
+    constant = single_class_model(y)
+    if constant is not None:
+        return constant
 
     cuts = [_feature_cuts(X[:, j]) for j in range(n_feats)]
     n_bins = max(2, max(c.size for c in cuts) + 1)
@@ -130,17 +127,12 @@ def fit_forest(X, y, hyperparameters=None):
     if hp["feature_subsample"] is None:
         mtry = max(1, int(round(n_feats**0.5)))
     else:
-        frac = float(hp["feature_subsample"])
-        if not 0.0 < frac <= 1.0:
-            raise ValueError("feature_subsample must be in (0, 1]")
-        mtry = max(1, int(round(frac * n_feats)))
+        mtry = max(1, int(round(float(hp["feature_subsample"]) * n_feats)))
     mtry = min(mtry, n_feats)
     max_depth = hp["max_depth"]
     if max_depth is None:
         max_depth = 10**9
     min_leaf = int(hp["min_leaf"])
-    if min_leaf < 1:
-        raise ValueError("min_leaf must be >= 1")
 
     rng = np.random.default_rng(int(hp["seed"]))
     trees = []

@@ -18,13 +18,36 @@ LOGISTIC_DEFAULTS = {
 }
 
 
+def merge_hyperparameters(defaults, hyperparameters):
+    """``defaults`` updated with ``hyperparameters``, refusing unknown names
+    and values that are not positive (``seed`` and ``None`` are exempt)."""
+    hyperparameters = hyperparameters or {}
+    unknown = set(hyperparameters) - set(defaults)
+    if unknown:
+        raise ValueError(f"unknown hyperparameters: {sorted(unknown)}")
+    hp = dict(defaults)
+    hp.update(hyperparameters)
+    for key, value in hp.items():
+        if key != "seed" and value is not None and not value > 0:
+            raise ValueError(f"hyperparameter {key} must be positive")
+    return hp
+
+
+def logistic_hyperparameters(hyperparameters=None):
+    """The logistic defaults updated with ``hyperparameters``, every value checked."""
+    return merge_hyperparameters(LOGISTIC_DEFAULTS, hyperparameters)
+
+
 class ConstantModel:
     """Degenerate model predicting a fixed smoothed probability."""
 
-    kind = "constant"
-
     def __init__(self, p):
         self.p = float(p)
+
+    @classmethod
+    def smoothed(cls, positives, rows):
+        """The Laplace-smoothed rate (positives + 1) / (rows + 2)."""
+        return cls((positives + 1) / (rows + 2))
 
     def predict_proba(self, X):
         return np.full(np.asarray(X).shape[0], self.p)
@@ -59,28 +82,37 @@ def log_likelihood(weights, X, y, l2_penalty):
     return float(ll - 0.5 * l2_penalty * np.sum(weights[1:] ** 2))
 
 
-def log_likelihood_grad(weights, X, y, l2_penalty):
-    Xd = _design(X)
+def _score(Xd, y, weights, l2_penalty):
+    """Penalized log-likelihood gradient and probabilities for design ``Xd``."""
     p = _sigmoid(Xd @ weights)
-    grad = Xd.T @ (np.asarray(y, dtype=np.float64) - p)
+    grad = Xd.T @ (y - p)
     grad[1:] -= l2_penalty * weights[1:]
-    return grad
+    return grad, p
+
+
+def log_likelihood_grad(weights, X, y, l2_penalty):
+    return _score(_design(X), np.asarray(y, dtype=np.float64), weights, l2_penalty)[0]
+
+
+def single_class_model(y):
+    """The smoothed constant, with a warning, when ``y`` holds one class;
+    otherwise None."""
+    n_pos = int(y.sum())
+    if 0 < n_pos < y.shape[0]:
+        return None
+    warnings.warn(
+        f"labels are single-class ({n_pos}/{y.shape[0]} positive); "
+        "fitting a constant-probability model",
+        DegenerateLabelsWarning,
+        stacklevel=3,
+    )
+    return ConstantModel.smoothed(n_pos, y.shape[0])
 
 
 class LogisticModel:
-    kind = "logistic"
-
     def __init__(self, weights, converged):
         self.weights = np.asarray(weights, dtype=np.float64)
         self.converged = bool(converged)
-
-    @property
-    def intercept(self):
-        return float(self.weights[0])
-
-    @property
-    def coefficients(self):
-        return self.weights[1:]
 
     def predict_proba(self, X):
         return _sigmoid(_design(X) @ self.weights)
@@ -99,21 +131,14 @@ class LogisticModel:
 
 def fit_logistic(X, y, hyperparameters=None):
     """Newton/IRLS fit; falls back to a smoothed constant on one-class labels."""
-    hp = dict(LOGISTIC_DEFAULTS)
-    hp.update(hyperparameters or {})
+    hp = logistic_hyperparameters(hyperparameters)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.shape[0] < 1:
         raise ValueError("need at least one training row")
-    n_pos = int(y.sum())
-    if n_pos == 0 or n_pos == y.shape[0]:
-        warnings.warn(
-            f"labels are single-class ({n_pos}/{y.shape[0]} positive); "
-            "fitting a constant-probability model",
-            DegenerateLabelsWarning,
-            stacklevel=2,
-        )
-        return ConstantModel((n_pos + 1) / (y.shape[0] + 2))
+    constant = single_class_model(y)
+    if constant is not None:
+        return constant
 
     Xd = _design(X)
     l2 = float(hp["l2_penalty"])
@@ -122,8 +147,7 @@ def fit_logistic(X, y, hyperparameters=None):
     w = np.zeros(Xd.shape[1])
     converged = False
     for _ in range(int(hp["max_iterations"])):
-        p = _sigmoid(Xd @ w)
-        grad = Xd.T @ (y - p) - l2 * penalty_mask * w
+        grad, p = _score(Xd, y, w, l2)
         wdiag = np.maximum(p * (1.0 - p), 1e-12)
         hess = (Xd * wdiag[:, None]).T @ Xd + np.diag(l2 * penalty_mask + 1e-12)
         step = np.linalg.solve(hess, grad)

@@ -3,6 +3,7 @@ import pytest
 
 from causaluplift.bif import emit_bif, parse_bif
 from causaluplift.errors import (
+    BifError,
     BifSyntaxError,
     MissingCptRow,
     RowSumViolation,
@@ -139,6 +140,41 @@ class TestEmit:
         again = parse_bif(emit_bif(net, name="clinic20"))
         assert again == net
         assert emit_bif(again, name="clinic20") == emit_bif(net, name="clinic20")
+
+    def test_round_trip_numeric_labels(self):
+        text = TWO_NODE.replace("yes, no", "0, 1").replace("( yes )", "( 0 )")
+        net = parse_bif(text.replace("( no )", "( 1 )"))
+        assert net.categories["Rain"] == ("0", "1")
+        assert parse_bif(emit_bif(net)) == net
+
+    @pytest.mark.parametrize(
+        "rename, named",
+        [
+            ({"label": "low risk"}, "'low risk'"),
+            ({"label": "1st"}, "'1st'"),
+            ({"node": "Rain fall"}, "'Rain fall'"),
+        ],
+        ids=["spaced-label", "digit-led-label", "spaced-node"],
+    )
+    def test_name_or_label_outside_tokens_refused(self, rename, named):
+        from causaluplift.datagen import BayesNet
+        from causaluplift.graph import Dag
+
+        net = parse_bif(TWO_NODE)
+        rain = rename.get("node", "Rain")
+        categories = {
+            rain: (rename.get("label", "yes"), "no"),
+            "Sprinkler": net.categories["Sprinkler"],
+        }
+        bad = BayesNet(
+            Dag([rain, "Sprinkler"], [(rain, "Sprinkler")]),
+            categories,
+            {rain: net.cpts["Rain"], "Sprinkler": net.cpts["Sprinkler"]},
+            {"Sprinkler": [rain]},
+        )
+        with pytest.raises(BifError) as info:
+            emit_bif(bad)
+        assert repr(rain) in str(info.value) and named in str(info.value)
 
     def test_emitted_fixture_is_current(self):
         # the bundled file must match what the emitter produces for it

@@ -25,7 +25,8 @@ from causaluplift.errors import (
     UnknownColumn,
     UnseenCategoryWarning,
 )
-from causaluplift.logistic import ConstantModel
+from causaluplift.forest import fit_forest
+from causaluplift.logistic import ConstantModel, fit_logistic
 
 
 def binary_dataset(**cols):
@@ -48,7 +49,44 @@ def uplift_data(seed, n=4000):
     return binary_dataset(T=t, Y=y, A=a, B=b, R=noise)
 
 
+BAD_HYPERPARAMETERS = [
+    ("logistic", {"l2_penalty": -1.0}),
+    ("logistic", {"l2_penalty": float("nan")}),
+    ("logistic", {"max_iterations": 0}),
+    ("logistic", {"seed": 1}),
+    ("logistic", {"n_trees": 5}),
+    ("forest", {}),
+    ("forest", {"seed": None}),
+    ("forest", {"seed": 1, "n_trees": 0}),
+    ("forest", {"seed": 1, "n_trees": 0.5}),
+    ("forest", {"seed": 1, "min_leaf": 0}),
+    ("forest", {"seed": 1, "min_leaf": 0.5}),
+    ("forest", {"seed": 1, "feature_subsample": 0.0}),
+    ("forest", {"seed": 1, "feature_subsample": 1.5}),
+    ("forest", {"seed": 1, "max_depth": -2}),
+    ("forest", {"seed": 1, "l2_penalty": 1.0}),
+]
+
+
 class TestSpec:
+    @pytest.mark.parametrize(
+        "kind, hp",
+        BAD_HYPERPARAMETERS,
+        ids=[
+            "-".join([kind] + [f"{k}={v}" for k, v in hp.items()])
+            for kind, hp in BAD_HYPERPARAMETERS
+        ],
+    )
+    def test_spec_and_fit_refuse_alike(self, kind, hp):
+        rng = np.random.default_rng(0)
+        X, y = rng.random((20, 2)), np.array([0, 1] * 10)
+        fit = fit_logistic if kind == "logistic" else fit_forest
+        with pytest.raises(ValueError) as from_spec:
+            ClassifierSpec(kind, hp)
+        with pytest.raises(ValueError) as from_fit:
+            fit(X, y, hp)
+        assert str(from_fit.value) == str(from_spec.value)
+
     def test_forest_needs_seed(self):
         with pytest.raises(ValueError, match="seed"):
             ClassifierSpec("forest")

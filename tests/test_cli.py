@@ -132,6 +132,22 @@ class TestGenerate:
         assert missing in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "given",
+        [("--treatment", "Q", "--outcome", "Z"), ("--treatment", "T"), ("--outcome", "Y")],
+        ids=["both", "treatment", "outcome"],
+    )
+    def test_treatment_and_outcome_need_bif(self, tmp_path, capsys, given):
+        out = tmp_path / "g"
+        assert run(
+            "generate", "--group", "group1", *given, "--samples", 50,
+            "--noise-vars", 1, "--seed", 1, "--out", out,
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--bif" in err
+        assert not out.exists()
+
     def test_bif_long_chain(self, tmp_path):
         n = 1200
         lines = ["network chain {", "}"]
@@ -237,6 +253,25 @@ class TestTrainPredictEval:
             "--treatment", "T", "--outcome", "Y", "--parents", "A",
             "--out", tmp_path / "m.json",
         ) == 3
+
+    @pytest.mark.parametrize(
+        "kind, flag, value",
+        [("logistic", "--n-trees", 5), ("forest", "--l2-penalty", 1)],
+    )
+    def test_flag_of_other_classifier_exits_2(
+        self, workspace, tmp_path, capsys, kind, flag, value
+    ):
+        out = tmp_path / "m.json"
+        assert run(
+            "train", "--data", workspace / "train.csv",
+            "--schema", workspace / "schema.json",
+            "--treatment", "T", "--outcome", "Y", "--parents", "X8,X9",
+            "--classifier", kind, flag, value, "--out", out,
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "unknown hyperparameters" in err
+        assert not out.exists()
 
     def test_predict_matches_library(self, workspace, model_path, tmp_path):
         preds_path = tmp_path / "preds.csv"
@@ -406,6 +441,24 @@ class TestQiniCv:
             dirs.append(out_dir)
         for name in ("metrics.json", "folds.csv", "mean_curve.csv"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+    def test_symmetric_in_config(self, workspace, tmp_path):
+        stamps = {}
+        for flags in ((), ("--no-symmetric",)):
+            out_dir = tmp_path / ("no-symmetric" if flags else "default")
+            assert run(
+                "qini", "--data", workspace / "data.csv",
+                "--schema", workspace / "schema.json",
+                "--treatment", "T", "--outcome", "Y", "--parents", "X8,X9",
+                "--folds", 3, "--points", 5, "--seed", 2, *flags,
+                "--out-dir", out_dir,
+            ) == 0
+            tool = json.loads((out_dir / "metrics.json").read_text())["tool"]
+            stamps[flags] = tool["config_hash"]
+            assert tool["config"]["symmetric"] is not bool(flags)
+            first_line = (out_dir / "folds.csv").read_text().splitlines()[0]
+            assert first_line.endswith(f"config={tool['config_hash']}")
+        assert stamps[()] != stamps[("--no-symmetric",)]
 
 
 class TestConfigDir:

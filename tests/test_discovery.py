@@ -43,8 +43,6 @@ class TestConfig:
             DiscoveryConfig(alpha=0.0)
         with pytest.raises(ValueError):
             DiscoveryConfig(max_cond_size=-1)
-        with pytest.raises(ValueError):
-            DiscoveryConfig(candidate_cap=0)
 
 
 class TestMmpc:
@@ -99,11 +97,6 @@ class TestMmpc:
                 r.p_value > 0.01 or not r.reliable for r in runs
             )
             assert was_removed == saw_independence
-
-    def test_candidate_cap(self):
-        data = v_structure_data(seed=6, n=2000)
-        found = mmpc(data, "Y", DiscoveryConfig(candidate_cap=1, symmetric=False))
-        assert len(found.members) <= 1
 
     def test_max_cond_size_zero(self):
         data = v_structure_data(seed=7, n=2000)

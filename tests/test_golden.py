@@ -52,9 +52,9 @@ GOLDEN = {
     "logistic_eval.json": "c54b65ef748c199d0e3197f40b3006f8f7624c9d2a8a0c06cbaffe0f2f9959a7",
     "logistic_preds.csv": "59a7c5abe4c67f0226c8eda99756bf5fbf065df8699f8a00f746c03806c6a8f7",
     "parents.json": "5585e33b70538e701b8fdfccb0ee1586381daac22a79d398a0d35cc11d04978e",
-    "qini/folds.csv": "7180fc2a3d590569fc713258c0c778587452e3344c746406e4a4a817b93b43b2",
-    "qini/mean_curve.csv": "04a0c1e28c6b3ee0586687c3c322c56b02a761f3b34785f7c581bc354ade54fb",
-    "qini/metrics.json": "f2a705a41112f7c734fddee3135b705fca0e07caf4fcbc73c7e17a78aed08d1a",
+    "qini/folds.csv": "3567ff84eaeb7470ac097a04311e12926a99dcfdce71ed3e78db7a64e7c18454",
+    "qini/mean_curve.csv": "beee9c1f6322af7def0f30cd3c507ba82384174000742e7ffe065ca40f5d65cb",
+    "qini/metrics.json": "f99d4c41e2848070d03ffe7918ed4d760799cfaa9e9a6c78c6bff85ec79f25a0",
 }
 
 

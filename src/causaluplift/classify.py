@@ -8,6 +8,7 @@ and the assignment thresholds it strictly.
 """
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -233,8 +234,8 @@ def train_cctm(
 
 def predict_cctm(pair, rows, theta=0.0):
     """Score rows under both arm models; assign treatment iff effect > theta."""
-    if theta < 0:
-        raise ValueError("theta must be >= 0")
+    if not 0 <= theta < math.inf:
+        raise ValueError(f"theta must be finite and >= 0, got {theta}")
     X = pair.encoder.encode(rows)
     p1 = pair.m1.predict_proba(X)
     p0 = pair.m0.predict_proba(X)

@@ -13,6 +13,7 @@ maps subcommand names to flag defaults.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import traceback
@@ -313,6 +314,8 @@ def cmd_eval(args):
     preds = read_predictions(args.predictions)
     if args.ground_truth is None and args.data is None:
         raise ValueError("eval needs --ground-truth or --data")
+    if not math.isfinite(args.theta):  # it goes into the metrics file's config
+        raise ValueError(f"theta must be finite, got {args.theta}")
     config = {
         "command": "eval",
         "predictions": os.path.basename(args.predictions),

@@ -8,11 +8,17 @@ Laplace-smoothed as (positives + 1) / (samples + 2) and averaged over
 trees. Everything is deterministic given the seed: bootstraps come from a
 seeded generator and per-node feature draws from a counter-based xorshift,
 so repeated fits are byte-identical.
+
+All trees grow in one call of ``_kernels.grow_forest``: each round scores
+the newly numbered nodes of every tree with one array operation per step,
+then each tree moves on in depth-first order. Since a node's feature draw
+depends only on its own tree's seed and node id, every tree is the one it
+would be if grown alone.
 """
 
 import numpy as np
 
-from ._kernels import grow_tree, tree_leaves
+from ._kernels import grow_forest, tree_leaves
 from .logistic import merge_hyperparameters, single_class_model
 
 MAX_BINS = 64
@@ -135,11 +141,11 @@ def fit_forest(X, y, hyperparameters=None):
     min_leaf = int(hp["min_leaf"])
 
     rng = np.random.default_rng(int(hp["seed"]))
-    trees = []
+    bootstraps, tree_seeds = [], []
     for _ in range(int(hp["n_trees"])):
-        rows = rng.integers(0, n, size=n).astype(np.int64)
-        tree_seed = int(rng.integers(1, 2**32 - 1))
-        trees.append(
-            grow_tree(codes, labels, rows, mtry, n_bins, max_depth, min_leaf, tree_seed)
-        )
+        bootstraps.append(rng.integers(0, n, size=n))
+        tree_seeds.append(int(rng.integers(1, 2**32 - 1)))
+    trees = grow_forest(
+        codes, labels, bootstraps, tree_seeds, mtry, n_bins, max_depth, min_leaf
+    )
     return ForestModel(cuts, trees, dict(hp))

@@ -224,6 +224,11 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict_cctm(self.constant_pair(0.5, 0.5), self.probe(), theta=-0.1)
 
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_theta_rejected(self, theta):
+        with pytest.raises(ValueError, match="finite"):
+            predict_cctm(self.constant_pair(0.5, 0.5), self.probe(), theta=theta)
+
     def test_missing_column(self):
         data = uplift_data(seed=77, n=500)
         pair = train_cctm(data, "T", "Y", parents=["A", "B"])

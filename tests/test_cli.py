@@ -368,6 +368,35 @@ class TestTrainPredictEval:
         )
         assert json.loads(metrics.read_text())["causal_accuracy"] == 1.0
 
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+    def test_non_finite_theta_exits_2(self, workspace, model_path, tmp_path, capsys, theta):
+        preds_path = tmp_path / "preds.csv"
+        assert run(
+            "predict", "--model", model_path,
+            "--data", workspace / "test.csv", "--schema", workspace / "schema.json",
+            f"--theta={theta}", "--out", preds_path,
+        ) == 2
+        assert not preds_path.exists()
+        run(
+            "predict", "--model", model_path,
+            "--data", workspace / "test.csv", "--schema", workspace / "schema.json",
+            "--out", preds_path,
+        )
+        capsys.readouterr()
+        for reference in (
+            ["--ground-truth", workspace / "test_truth.csv"],
+            ["--data", workspace / "test.csv", "--schema", workspace / "schema.json"],
+        ):
+            metrics = tmp_path / "m.json"
+            assert run(
+                "eval", "--predictions", preds_path, *reference,
+                f"--theta={theta}", "--out", metrics,
+            ) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "finite" in err
+            assert err.count("\n") == 1
+            assert not metrics.exists()
+
     def test_eval_needs_some_reference(self, workspace, tmp_path):
         preds_path = tmp_path / "p.csv"
         preds_path.write_text("row_id,p1,p0,effect,assign\n0,0.5,0.5,0.0,0\n")

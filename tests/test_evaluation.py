@@ -77,6 +77,11 @@ class TestCausalAccuracy:
         with pytest.raises(LengthMismatch):
             causal_accuracy(np.zeros(3, dtype=int), truth_of([0.1, 0.2]))
 
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_theta_rejected(self, theta):
+        with pytest.raises(ValueError, match="finite"):
+            causal_accuracy(np.zeros(2, dtype=int), truth_of([0.1, -0.2]), theta=theta)
+
 
 class TestQiniCoefficient:
     def test_known_counts_fixture(self):

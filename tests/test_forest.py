@@ -81,6 +81,17 @@ class TestBehaviour:
             leaf_sizes = tree[5][tree[2] < 0]
             assert leaf_sizes.min() >= 25
 
+    def test_tree_arrays_own_exactly_their_nodes(self):
+        rng = np.random.default_rng(68)
+        X = rng.random((400, 5))
+        y = (X[:, 0] + 0.3 * rng.random(400) > 0.6).astype(int)
+        model = fit_forest(X, y, {"seed": 6, "n_trees": 8})
+        for tree in model.trees:
+            n_nodes = 1 + 2 * int(np.count_nonzero(tree[2] >= 0))
+            for array in tree:
+                assert array.flags.owndata
+                assert array.shape == (n_nodes,)
+
     def test_continuous_split_quantization(self):
         # >64 distinct values collapse to quantile cuts; monotone signal
         # must still be learnable

@@ -130,7 +130,7 @@ def test_grow_tree_paths_agree(rng):
         mtry = int(rng.integers(1, n_feats + 1))
         depth = int(rng.integers(1, 12))
         seed = int(rng.integers(1, 2**31))
-        a = K.grow_tree(codes, labels, rows, mtry, n_bins, depth, 1, seed)
+        (a,) = K.grow_forest(codes, labels, [rows], [seed], mtry, n_bins, depth, 1)
         b = grow_tree_oracle(codes, labels, rows, mtry, n_bins, depth, 1, seed)
         assert_same_tree(a, b)
 
@@ -143,10 +143,59 @@ def test_grow_tree_counts_past_uint8():
     codes = rng.integers(0, n_bins, size=(n, n_feats)).astype(np.uint8)
     labels = (rng.random(n) < 0.6).astype(np.uint8)
     rows = rng.integers(0, n, n).astype(np.int64)
-    a = K.grow_tree(codes, labels, rows, 2, n_bins, 6, 3, 77)
+    (a,) = K.grow_forest(codes, labels, [rows], [77], 2, n_bins, 6, 3)
     b = grow_tree_oracle(codes, labels, rows, 2, n_bins, 6, 3, 77)
     assert (np.asarray(b[4]) > 255).sum() >= 3
     assert_same_tree(a, b)
+
+
+def test_grow_forest_trees_as_grown_alone():
+    # one call grows trees of very different sizes: a pure bootstrap that
+    # stops at the root, tiny ones, depth-limited and unlimited ones, with
+    # min_leaf above 1
+    rng = np.random.default_rng(600)
+    n, n_feats, n_bins = 600, 7, 9
+    codes = rng.integers(0, n_bins, size=(n, n_feats)).astype(np.uint8)
+    labels = (rng.random(n) < 0.5).astype(np.uint8)
+    negatives = np.flatnonzero(labels == 0)
+    bootstraps = [
+        rng.integers(0, n, n).astype(np.int64),
+        negatives[:40],
+        rng.integers(0, n, 3).astype(np.int64),
+        rng.integers(0, n, 2 * n).astype(np.int64),
+        np.arange(n, dtype=np.int64),
+        rng.integers(0, n, 50).astype(np.int64),
+    ]
+    seeds = [int(s) for s in rng.integers(1, 2**32 - 1, len(bootstraps))]
+    for max_depth, min_leaf in [(10**9, 1), (4, 1), (10**9, 5)]:
+        trees = K.grow_forest(codes, labels, bootstraps, seeds, 3, n_bins, max_depth, min_leaf)
+        assert len(trees) == len(bootstraps)
+        for rows, seed, tree in zip(bootstraps, seeds, trees):
+            want = grow_tree_oracle(codes, labels, rows, 3, n_bins, max_depth, min_leaf, seed)
+            assert_same_tree(tree, want)
+        assert trees[1][0].size == 1  # all negatives: a leaf at the root
+        sizes = [t[0].size for t in trees]
+        assert max(sizes) > 10 * min(sizes)
+
+
+def test_grow_forest_past_round_budget(monkeypatch):
+    # more trees than one round's row budget holds, so a round scores only
+    # some of the numbered nodes; at this budget some right children are
+    # left unscored and then buried under their left sibling's children.
+    # uint8 labels with more than 255 positives per node; one-id draw blocks
+    monkeypatch.setattr(K, "ROUND_ROWS", 600)
+    monkeypatch.setattr(K, "DRAW_CELLS", 64)
+    rng = np.random.default_rng(256)
+    n, n_feats, n_bins = 500, 6, 5
+    codes = rng.integers(0, n_bins, size=(n, n_feats)).astype(np.uint8)
+    labels = (rng.random(n) < 0.7).astype(np.uint8)
+    bootstraps = [rng.integers(0, n, n).astype(np.int64) for _ in range(9)]
+    seeds = [int(s) for s in rng.integers(1, 2**32 - 1, 9)]
+    trees = K.grow_forest(codes, labels, bootstraps, seeds, 2, n_bins, 7, 2)
+    for rows, seed, tree in zip(bootstraps, seeds, trees):
+        want = grow_tree_oracle(codes, labels, rows, 2, n_bins, 7, 2, seed)
+        assert (np.asarray(want[4]) > 255).sum() >= 1
+        assert_same_tree(tree, want)
 
 
 def test_tree_leaves_paths_agree(rng):
@@ -154,7 +203,7 @@ def test_tree_leaves_paths_agree(rng):
     codes = rng.integers(0, n_bins, size=(n, n_feats)).astype(np.uint8)
     labels = (rng.random(n) < 0.4).astype(np.uint8)
     rows = np.arange(n, dtype=np.int64)
-    tree = K.grow_tree(codes, labels, rows, 3, n_bins, 8, 2, 99)
+    (tree,) = K.grow_forest(codes, labels, [rows], [99], 3, n_bins, 8, 2)
     fresh = rng.integers(0, n_bins, size=(300, n_feats)).astype(np.uint8)
     a = K.tree_leaves(fresh, *tree[:4])
     b = tree_leaves_oracle(fresh, *tree[:4])

@@ -232,10 +232,15 @@ def train_cctm(
     )
 
 
-def predict_cctm(pair, rows, theta=0.0):
-    """Score rows under both arm models; assign treatment iff effect > theta."""
+def check_theta(theta):
+    """Refuse an assignment threshold that is negative or not finite."""
     if not 0 <= theta < math.inf:
         raise ValueError(f"theta must be finite and >= 0, got {theta}")
+
+
+def predict_cctm(pair, rows, theta=0.0):
+    """Score rows under both arm models; assign treatment iff effect > theta."""
+    check_theta(theta)
     X = pair.encoder.encode(rows)
     p1 = pair.m1.predict_proba(X)
     p0 = pair.m0.predict_proba(X)

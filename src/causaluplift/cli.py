@@ -7,13 +7,13 @@ Exit codes: 0 success, 2 input/validation error, 3 statistical degeneracy
 (an empty treatment arm), 1 internal error.
 
 ``CAUSALUPLIFT_CONFIG_DIR`` may point to a directory whose ``defaults.json``
-maps subcommand names to flag defaults.
+maps subcommand names to flag defaults, each checked against ``_FLAGS``.
 """
 
 import argparse
+import collections
 import hashlib
 import json
-import math
 import os
 import sys
 import traceback
@@ -75,18 +75,12 @@ def _load_dataset(args):
     return Dataset.read_csv(args.data, schema)
 
 
-_CLASSIFIER_FLAGS = (
-    "n_trees", "max_depth", "min_leaf", "feature_subsample",  # forest
-    "max_iterations", "l2_penalty",  # logistic
-)
-
-
 def _classifier_spec(args):
     # a flag of the other classifier kind reaches ClassifierSpec, which refuses it
     hp = {"seed": args.seed} if args.classifier == "forest" else {}
-    for name in _CLASSIFIER_FLAGS:
-        if getattr(args, name) is not None:
-            hp[name] = getattr(args, name)
+    for flag in _CLASSIFIER_GROUP[2:]:
+        if getattr(args, flag.name) is not None:
+            hp[flag.name] = getattr(args, flag.name)
     return ClassifierSpec(args.classifier, hp)
 
 
@@ -113,7 +107,8 @@ def _training(args, command, **entries):
     the pair that ``args`` asks for on a dataset."""
     spec = _classifier_spec(args)
     cfg, discovery_entries = _discovery(args)
-    parents = args.parents.split(",") if args.parents else None
+    # no --parents asks for discovery; an empty one is the empty parent set
+    parents = None if args.parents is None else [p for p in args.parents.split(",") if p]
     config = {
         "command": command,
         "treatment": args.treatment,
@@ -139,10 +134,8 @@ def _training(args, command, **entries):
     return config, fit_pair
 
 
-# ---------------------------------------------------------------- generate
-
-
 def cmd_generate(args):
+    """synthesize benchmark data with ground truth"""
     if args.split is not None and not 0.0 < args.split < 1.0:
         raise ValueError("--split must be in (0, 1)")
     if (args.treatment or args.outcome) and not args.bif:
@@ -221,10 +214,8 @@ def cmd_generate(args):
     return 0
 
 
-# ---------------------------------------------------------------- discover
-
-
 def cmd_discover(args):
+    """find the outcome's parent set"""
     from .stats import discretize_dataset
 
     data = _load_dataset(args)
@@ -245,10 +236,8 @@ def cmd_discover(args):
     return 0
 
 
-# ---------------------------------------------------------------- train
-
-
 def cmd_train(args):
+    """fit the two-model pair"""
     data = _load_dataset(args)
     config, fit_pair = _training(args, "train")
     pair = fit_pair(data)
@@ -266,10 +255,8 @@ def cmd_train(args):
     return 0
 
 
-# ---------------------------------------------------------------- predict
-
-
 def cmd_predict(args):
+    """score rows with a trained model"""
     data = _load_dataset(args)
     pair = load_model(args.model)
     preds = predict_cctm(pair, data, theta=args.theta)
@@ -307,15 +294,11 @@ def read_predictions(path):
     )
 
 
-# ---------------------------------------------------------------- eval
-
-
 def cmd_eval(args):
+    """score predictions against truth or outcomes"""
     preds = read_predictions(args.predictions)
     if args.ground_truth is None and args.data is None:
         raise ValueError("eval needs --ground-truth or --data")
-    if not math.isfinite(args.theta):  # it goes into the metrics file's config
-        raise ValueError(f"theta must be finite, got {args.theta}")
     config = {
         "command": "eval",
         "predictions": os.path.basename(args.predictions),
@@ -346,22 +329,12 @@ def cmd_eval(args):
 
 def _write_curve_csv(path, points, config, fold=None):
     header = ["fraction", "uplift"] if fold is None else ["fold", "fraction", "uplift"]
-    columns = [list(map(_fmt, column)) for column in zip(*points)]
+    columns = [["" if v is None else str(v) for v in column] for column in zip(*points)]
     csvio.write(path, header, csvio.join_rows(columns), _meta_line(config))
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-# ---------------------------------------------------------------- qini (CV)
-
-
 def cmd_qini(args):
+    """cross-validated Qini curves"""
     data = _load_dataset(args)
     config, fit_pair = _training(
         args, "qini", folds=args.folds, points=args.points, seed=args.seed
@@ -405,23 +378,88 @@ def cmd_qini(args):
 
 # ---------------------------------------------------------------- parser
 
-
-def _add_discovery_flags(sp):
-    sp.add_argument("--alpha", type=float, default=0.01)
-    sp.add_argument("--max-cond-size", type=int, default=3)
-    sp.add_argument("--no-symmetric", action="store_true")
-    sp.add_argument("--bins", type=int, default=3, help="bins for continuous columns")
+_REQUIRED = object()  # the default of a flag that must be given on the command line
+_DISCOVERING = ("discover", "train", "qini")
+_TRAINING = ("train", "qini")
+_Flag = collections.namedtuple("_Flag", "name option kind defaults help")
 
 
-def _add_classifier_flags(sp):
-    sp.add_argument("--classifier", choices=["logistic", "forest"], default="logistic")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--n-trees", type=int)
-    sp.add_argument("--max-depth", type=int)
-    sp.add_argument("--min-leaf", type=int)
-    sp.add_argument("--feature-subsample", type=float)
-    sp.add_argument("--max-iterations", type=int)
-    sp.add_argument("--l2-penalty", type=float)
+def _flag(name, kind=None, help=None, **defaults):
+    if kind is None:
+        kind = next((type(d) for d in defaults.values() if d not in (None, _REQUIRED)), str)
+    return _Flag(name, "--" + name.replace("_", "-"), kind, defaults, help)
+
+
+# the classifier kind, its seed, then the hyperparameters handed to it
+_CLASSIFIER_GROUP = (
+    _flag("classifier", ("logistic", "forest"), **dict.fromkeys(_TRAINING, "logistic")),
+    _flag("seed", generate=_REQUIRED, **dict.fromkeys(_TRAINING, 0)),
+    _flag("n_trees", int, **dict.fromkeys(_TRAINING)),
+    _flag("max_depth", int, **dict.fromkeys(_TRAINING)),
+    _flag("min_leaf", int, **dict.fromkeys(_TRAINING)),
+    _flag("feature_subsample", float, **dict.fromkeys(_TRAINING)),
+    _flag("max_iterations", int, **dict.fromkeys(_TRAINING)),
+    _flag("l2_penalty", float, **dict.fromkeys(_TRAINING)),
+)
+
+# Every command flag, once. Its keyword arguments map each command that takes
+# it to its default or ``_REQUIRED``. ``kind`` is a type (``bool`` is a
+# switch) or a tuple of choices; when left out it is the type of the defaults
+# that are set, else ``str``. A command lists its flags in this order.
+_FLAGS = (
+    _flag("model", predict=_REQUIRED),
+    _flag("predictions", eval=_REQUIRED),
+    _flag("ground_truth", eval=None),
+    _flag("group", ("group1", "group2"), generate="group1"),
+    _flag("bif", help="sample from a BIF network instead of a bundled group", generate=None),
+    _flag("data", **dict.fromkeys(_DISCOVERING + ("predict",), _REQUIRED), eval=None),
+    _flag("schema", **dict.fromkeys(_DISCOVERING + ("predict", "eval"))),
+    _flag("target", discover=_REQUIRED),
+    _flag("theta", predict=0.0, eval=0.0),
+    _flag("treatment", generate=None, **dict.fromkeys(_TRAINING, _REQUIRED), eval="T"),
+    _flag("outcome", generate=None, **dict.fromkeys(_TRAINING, _REQUIRED), eval="Y"),
+    _flag("parents", help="comma-separated; skips discovery", **dict.fromkeys(_TRAINING)),
+    _flag("samples", generate=10000),
+    _flag("noise_vars", generate=90),
+    _flag("continuous_fraction", generate=0.5),
+    _flag("folds", qini=10),
+    _flag("points", eval=10, qini=10),
+    _flag("curve_out", eval=None),
+    _flag("alpha", **dict.fromkeys(_DISCOVERING, 0.01)),
+    _flag("max_cond_size", **dict.fromkeys(_DISCOVERING, 3)),
+    _flag("no_symmetric", **dict.fromkeys(_DISCOVERING, False)),
+    _flag("bins", help="bins for continuous columns", **dict.fromkeys(_DISCOVERING, 3)),
+    _flag("explain", help="include all CI test records", discover=False),
+    *_CLASSIFIER_GROUP,
+    _flag("split", float, generate=None),
+    _flag("out", generate=_REQUIRED, discover=None, train=_REQUIRED, predict=_REQUIRED, eval=None),
+    _flag("out_dir", qini=_REQUIRED),
+)
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _flags_of(command):
+    return [flag for flag in _FLAGS if command in flag.defaults]
+
+
+def _checked(flag, value, where, nullable):
+    """``value`` if it is of the flag's kind (a float must be finite, and is
+    returned as one) or None where ``nullable``; else a ValueError."""
+    kind = flag.kind
+    if value is None and nullable:
+        return None
+    if kind is bool or isinstance(value, bool):
+        ok = kind is bool and isinstance(value, bool)
+    elif isinstance(kind, tuple):
+        ok = value in kind
+    elif kind is float:
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        expected = _EXPECTED.get(kind) or "one of " + ", ".join(kind)
+        raise ValueError(f"{where} must be {expected}, got {json.dumps(value)}")
+    return float(value) if kind is float else value
 
 
 def build_parser():
@@ -431,79 +469,27 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("generate", help="synthesize benchmark data with ground truth")
-    sp.add_argument("--group", choices=["group1", "group2"], default="group1")
-    sp.add_argument("--bif", help="sample from a BIF network instead of a bundled group")
-    sp.add_argument("--treatment")
-    sp.add_argument("--outcome")
-    sp.add_argument("--samples", type=int, default=10000)
-    sp.add_argument("--noise-vars", type=int, default=90)
-    sp.add_argument("--continuous-fraction", type=float, default=0.5)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--split", type=float)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_generate)
-
-    sp = sub.add_parser("discover", help="find the outcome's parent set")
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--schema")
-    sp.add_argument("--target", required=True)
-    _add_discovery_flags(sp)
-    sp.add_argument("--explain", action="store_true", help="include all CI test records")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_discover)
-
-    sp = sub.add_parser("train", help="fit the two-model pair")
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--schema")
-    sp.add_argument("--treatment", required=True)
-    sp.add_argument("--outcome", required=True)
-    sp.add_argument("--parents", help="comma-separated; skips discovery")
-    _add_discovery_flags(sp)
-    _add_classifier_flags(sp)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_train)
-
-    sp = sub.add_parser("predict", help="score rows with a trained model")
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--schema")
-    sp.add_argument("--theta", type=float, default=0.0)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_predict)
-
-    sp = sub.add_parser("eval", help="score predictions against truth or outcomes")
-    sp.add_argument("--predictions", required=True)
-    sp.add_argument("--ground-truth")
-    sp.add_argument("--theta", type=float, default=0.0)
-    sp.add_argument("--data")
-    sp.add_argument("--schema")
-    sp.add_argument("--treatment", default="T")
-    sp.add_argument("--outcome", default="Y")
-    sp.add_argument("--points", type=int, default=10)
-    sp.add_argument("--curve-out")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_eval)
-
-    sp = sub.add_parser("qini", help="cross-validated Qini curves")
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--schema")
-    sp.add_argument("--treatment", required=True)
-    sp.add_argument("--outcome", required=True)
-    sp.add_argument("--parents")
-    sp.add_argument("--folds", type=int, default=10)
-    sp.add_argument("--points", type=int, default=10)
-    _add_discovery_flags(sp)
-    _add_classifier_flags(sp)
-    sp.add_argument("--out-dir", required=True)
-    sp.set_defaults(func=cmd_qini)
-
-    _apply_config_dir(parser, sub)
+    for func in (cmd_generate, cmd_discover, cmd_train, cmd_predict, cmd_eval, cmd_qini):
+        command = func.__name__.removeprefix("cmd_")
+        sp = sub.add_parser(command, help=func.__doc__)
+        for flag in _flags_of(command):
+            default = flag.defaults[command]
+            spec = {"required": True} if default is _REQUIRED else {"default": default}
+            if flag.kind is bool:
+                spec["action"] = "store_true"
+            elif isinstance(flag.kind, tuple):
+                spec["choices"] = flag.kind
+            else:
+                spec["type"] = flag.kind
+            sp.add_argument(flag.option, help=flag.help, **spec)
+        sp.set_defaults(func=func)
+    _apply_config_dir(sub)
     return parser
 
 
-def _apply_config_dir(parser, sub):
+def _apply_config_dir(sub):
+    """Install ``defaults.json``'s values as command defaults, each checked
+    against the flag table."""
     config_dir = os.environ.get("CAUSALUPLIFT_CONFIG_DIR")
     if not config_dir:
         return
@@ -519,16 +505,27 @@ def _apply_config_dir(parser, sub):
         isinstance(v, dict) for v in defaults.values()
     ):
         raise ValueError(f"{path}: expected an object of per-command objects")
-    for name, overrides in defaults.items():
-        if name in sub.choices:
-            sub.choices[name].set_defaults(
-                **{k.replace("-", "_"): v for k, v in overrides.items()}
-            )
+    for command, overrides in defaults.items():
+        if command not in sub.choices:
+            raise ValueError(f"{path}: unknown command {command!r}")
+        flags = {flag.name: flag for flag in _flags_of(command)}
+        values = {}
+        for key, value in overrides.items():
+            flag = flags.get(key.replace("-", "_"))
+            if flag is None:
+                raise ValueError(f"{path}: {command}: {key!r} is not a flag of {command}")
+            default = flag.defaults[command]
+            if default is _REQUIRED:
+                raise ValueError(f"{path}: {command}: {key} is required on the command line")
+            values[flag.name] = _checked(flag, value, f"{path}: {command}: {key}", default is None)
+        sub.choices[command].set_defaults(**values)
 
 
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        for flag in _flags_of(args.command):  # argparse knows no finite floats
+            _checked(flag, getattr(args, flag.name), flag.option, nullable=True)
         return args.func(args)
     except EmptyArm as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import rank_by_effect
+from .classify import check_theta, rank_by_effect
 from .errors import (
     EmptyControl,
     InvalidK,
@@ -56,8 +56,7 @@ def prf(found, truth):
 
 def causal_accuracy(assign, truth, theta=0.0):
     """Fraction of rows whose 0/1 assignment matches ``truth.effect > theta``."""
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
+    check_theta(theta)
     assign = np.asarray(assign, dtype=np.int64)
     true_effect = np.asarray(truth.effect if hasattr(truth, "effect") else truth)
     if assign.shape[0] != true_effect.shape[0]:

@@ -5,6 +5,7 @@ the analytic gradient can be checked against finite differences. The
 intercept is unpenalized.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -20,7 +21,8 @@ LOGISTIC_DEFAULTS = {
 
 def merge_hyperparameters(defaults, hyperparameters):
     """``defaults`` updated with ``hyperparameters``, refusing unknown names
-    and values that are not positive (``seed`` and ``None`` are exempt)."""
+    and values that are not positive and finite (``seed`` and ``None`` are
+    exempt)."""
     hyperparameters = hyperparameters or {}
     unknown = set(hyperparameters) - set(defaults)
     if unknown:
@@ -28,8 +30,8 @@ def merge_hyperparameters(defaults, hyperparameters):
     hp = dict(defaults)
     hp.update(hyperparameters)
     for key, value in hp.items():
-        if key != "seed" and value is not None and not value > 0:
-            raise ValueError(f"hyperparameter {key} must be positive")
+        if key != "seed" and value is not None and not 0 < value < math.inf:
+            raise ValueError(f"hyperparameter {key} must be positive and finite")
     return hp
 
 

@@ -1,7 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causaluplift.classify import (
     ClassifierSpec,
@@ -52,6 +55,8 @@ def uplift_data(seed, n=4000):
 BAD_HYPERPARAMETERS = [
     ("logistic", {"l2_penalty": -1.0}),
     ("logistic", {"l2_penalty": float("nan")}),
+    ("logistic", {"l2_penalty": float("inf")}),
+    ("logistic", {"max_iterations": float("inf")}),
     ("logistic", {"max_iterations": 0}),
     ("logistic", {"seed": 1}),
     ("logistic", {"n_trees": 5}),
@@ -367,3 +372,34 @@ class TestEncoderAndPersistence:
         message = str(info.value)
         assert str(path) in message
         assert f"version {version!r}" in message and "version 1" in message
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(40, 200),
+    forest=st.booleans(),
+    parents=st.sampled_from([["A"], ["A", "B"], ["A", "B", "R"]]),
+)
+def test_save_load_round_trip_property(tmp_path_factory, seed, n, forest, parents):
+    data = uplift_data(seed=seed, n=n)
+    spec = (
+        ClassifierSpec("forest", {"seed": seed, "n_trees": 3, "max_depth": 4})
+        if forest
+        else ClassifierSpec("logistic")
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # single-class arms and slow convergence
+        pair = train_cctm(data, "T", "Y", parents=parents, spec=spec)
+    path = tmp_path_factory.mktemp("prop") / "model.json"
+    save_model(pair, path)
+    json.loads(path.read_text(), parse_constant=_refuse_constant)  # strict JSON
+    again = load_model(path)
+    want, got = predict_cctm(pair, data), predict_cctm(again, data)
+    for name in ("p1", "p0", "effect", "assign"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert again.parents_excl_t == pair.parents_excl_t

@@ -7,6 +7,7 @@ import pytest
 from causaluplift import cli
 from causaluplift.classify import load_model, predict_cctm
 from causaluplift.data import Dataset
+from causaluplift.errors import EmptyParentSetWarning
 
 TINY_BIF = """
 network tiny {
@@ -273,6 +274,35 @@ class TestTrainPredictEval:
         assert "unknown hyperparameters" in err
         assert not out.exists()
 
+    def test_non_finite_hyperparameter_exits_2(self, workspace, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert run(
+            "train", "--data", workspace / "train.csv",
+            "--schema", workspace / "schema.json",
+            "--treatment", "T", "--outcome", "Y", "--parents", "X8,X9",
+            "--l2-penalty", "inf", "--out", out,
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --l2-penalty ") and "finite" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_empty_parents_skip_discovery(self, workspace, tmp_path):
+        out, out_dir = tmp_path / "m.json", tmp_path / "qini"
+        common = (
+            "--data", workspace / "train.csv", "--schema", workspace / "schema.json",
+            "--treatment", "T", "--outcome", "Y", "--parents", "",
+        )
+        with pytest.warns(EmptyParentSetWarning):
+            assert run("train", *common, "--out", out) == 0
+        payload = json.loads(out.read_text())
+        assert payload["parents_excl_t"] == []
+        assert "discovery" not in payload["metadata"]
+        assert payload["tool"]["config"]["parents"] == []
+        with pytest.warns(EmptyParentSetWarning):
+            assert run("qini", *common, "--folds", 3, "--out-dir", out_dir) == 0
+        assert json.loads((out_dir / "metrics.json").read_text())["tool"]["config"]["parents"] == []
+
     def test_predict_matches_library(self, workspace, model_path, tmp_path):
         preds_path = tmp_path / "preds.csv"
         code = run(
@@ -490,6 +520,25 @@ class TestQiniCv:
         assert stamps[()] != stamps[("--no-symmetric",)]
 
 
+# defaults.json texts that must exit 2, each with the key or command its error names
+BAD_DEFAULTS = {
+    "unknown-command": ('{"trian": {"alpha": 0.2}}', "trian"),
+    "unknown-key": ('{"discover": {"alpah": 0.2}}', "alpah"),
+    "dispatch-key": ('{"train": {"func": "cmd_qini"}}', "func"),
+    "key-of-other-command": ('{"discover": {"n_trees": 5}}', "n_trees"),
+    "required-flag": ('{"train": {"out": "elsewhere.json"}}', "out"),
+    "list-for-int": ('{"train": {"classifier": "forest", "n_trees": [5]}}', "n_trees"),
+    "list-for-float": ('{"discover": {"alpha": [0.2]}}', "alpha"),
+    "null-for-float": ('{"discover": {"alpha": null}}', "alpha"),
+    "float-for-int": ('{"train": {"bins": 2.7}}', "bins"),
+    "string-for-switch": ('{"discover": {"no-symmetric": "no"}}', "no-symmetric"),
+    "string-for-float": ('{"eval": {"theta": "0.1"}}', "theta"),
+    "nan-for-float": ('{"predict": {"theta": NaN}}', "theta"),
+    "bool-for-int": ('{"qini": {"folds": true}}', "folds"),
+    "unknown-choice": ('{"train": {"classifier": "tree"}}', "classifier"),
+}
+
+
 class TestConfigDir:
     def test_defaults_from_env(self, workspace, tmp_path, monkeypatch):
         conf = tmp_path / "conf"
@@ -520,6 +569,35 @@ class TestConfigDir:
         (conf / "defaults.json").write_text('["discover"]')
         monkeypatch.setenv("CAUSALUPLIFT_CONFIG_DIR", str(conf))
         assert run("generate", "--seed", 1, "--out", tmp_path / "g") == 2
+
+    def test_dashed_key_applies(self, workspace, tmp_path, monkeypatch):
+        conf = tmp_path / "conf"
+        conf.mkdir()
+        (conf / "defaults.json").write_text(json.dumps({"discover": {"max-cond-size": 1}}))
+        monkeypatch.setenv("CAUSALUPLIFT_CONFIG_DIR", str(conf))
+        out = tmp_path / "parents.json"
+        assert run(
+            "discover", "--data", workspace / "train.csv",
+            "--schema", workspace / "schema.json", "--target", "Y", "--out", out,
+        ) == 0
+        assert json.loads(out.read_text())["tool"]["config"]["max_cond_size"] == 1
+
+    @pytest.mark.parametrize("text, named", BAD_DEFAULTS.values(), ids=list(BAD_DEFAULTS))
+    def test_bad_defaults_exit_2(self, workspace, tmp_path, monkeypatch, capsys, text, named):
+        conf = tmp_path / "conf"
+        conf.mkdir()
+        (conf / "defaults.json").write_text(text)
+        monkeypatch.setenv("CAUSALUPLIFT_CONFIG_DIR", str(conf))
+        out = tmp_path / "m.json"
+        assert run(
+            "train", "--data", workspace / "train.csv",
+            "--schema", workspace / "schema.json",
+            "--treatment", "T", "--outcome", "Y", "--parents", "X8,X9", "--out", out,
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "defaults.json" in err and named in err
+        assert not out.exists()
 
 
 class TestNonFiniteInput:

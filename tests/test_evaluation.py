@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causaluplift.datagen import GroundTruth
 from causaluplift.errors import (
@@ -77,7 +79,7 @@ class TestCausalAccuracy:
         with pytest.raises(LengthMismatch):
             causal_accuracy(np.zeros(3, dtype=int), truth_of([0.1, 0.2]))
 
-    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf"), -0.1])
     def test_non_finite_theta_rejected(self, theta):
         with pytest.raises(ValueError, match="finite"):
             causal_accuracy(np.zeros(2, dtype=int), truth_of([0.1, -0.2]), theta=theta)
@@ -252,3 +254,20 @@ class TestKfold:
             kfold_split(5, 1, seed=0)
         with pytest.raises(InvalidK):
             kfold_split(5, 6, seed=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 120), k_draw=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_kfold_split_property(n, k_draw, seed):
+    k = 2 + int(k_draw * (n - 2))
+    folds = kfold_split(n, k, seed)
+    assert len(folds) == k
+    tests = [test for _, test in folds]
+    assert np.array_equal(np.sort(np.concatenate(tests)), np.arange(n))  # disjoint, exhaustive
+    sizes = [len(test) for test in tests]
+    assert max(sizes) - min(sizes) <= 1
+    for train, test in folds:
+        assert np.array_equal(np.union1d(train, test), np.arange(n))
+        assert len(train) + len(test) == n
+    for (train_a, test_a), (train_b, test_b) in zip(folds, kfold_split(n, k, seed)):
+        assert np.array_equal(train_a, train_b) and np.array_equal(test_a, test_b)

@@ -285,13 +285,8 @@ def cmd_predict(args):
 
 def read_predictions(path):
     """Load a predictions CSV back into the record ``predict_cctm`` returns."""
-    columns = csvio.read(path)
-    return UpliftPrediction(
-        csvio.floats(columns, "p1"),
-        csvio.floats(columns, "p0"),
-        csvio.floats(columns, "effect"),
-        csvio.ints(columns, "assign"),
-    )
+    kinds = {"p1": "float", "p0": "float", "effect": "float", "assign": "int"}
+    return UpliftPrediction(**csvio.read_typed(path, lambda header: kinds))
 
 
 def cmd_eval(args):
@@ -339,7 +334,6 @@ def cmd_qini(args):
     config, fit_pair = _training(
         args, "qini", folds=args.folds, points=args.points, seed=args.seed
     )
-    os.makedirs(args.out_dir, exist_ok=True)
     folds = kfold_split(data.n_rows, args.folds, args.seed)
     rows = []
     per_point = {}
@@ -360,6 +354,8 @@ def cmd_qini(args):
             if uplift is not None:
                 per_point.setdefault(j, []).append(uplift)
 
+    # only now, so a run that fails leaves no directory behind
+    os.makedirs(args.out_dir, exist_ok=True)
     _write_curve_csv(os.path.join(args.out_dir, "folds.csv"), rows, config, fold=True)
     mean_points = [
         (j / args.points, float(np.mean(per_point[j]))) for j in sorted(per_point)

@@ -5,8 +5,19 @@ Writing encodes each column in one pass (shortest round-trip ``repr`` for
 floats, shared ``"0"``/``"1"`` cells for bits, each label quoted once by
 ``csv.writer``'s minimal-quoting rules) and joins the cells into lines,
 which are written as they are, never joined into one string of the whole
-file. Reading parses the file once with ``csv.reader``, transposes the rows
-into columns and decodes each column in one pass.
+file.
+
+``read_typed`` reads with the caller naming each column's kind: float,
+int, bit, a tuple of labels, or text. The header, which may be quoted and
+span lines, is always parsed by ``csv.reader``. A body with no quote, no
+carriage return, no blank line and none of a few control characters is
+decoded by one ``np.loadtxt`` pass with a structured dtype (``f8``, ``i8``,
+``S2`` bits checked against ``"0"``/``"1"``, labels as strings one
+character longer than the longest label, text as objects), then each float
+column is checked finite. Any other body, or one that pass refuses, falls
+back to ``read``: ``csv.reader`` over the whole file, transposed into
+columns, each decoded in one pass by ``decode``. Every error comes from that
+path, so both accept the same files with the same values, bit for bit.
 
 Lines starting with ``#`` are comments only before the header; after it,
 every line is data. Continuous cells must be finite.
@@ -14,6 +25,7 @@ every line is data. Continuous cells must be finite.
 
 import csv
 import io
+import os
 from itertools import chain
 
 import numpy as np
@@ -23,6 +35,7 @@ from .errors import (
     EmptyColumn,
     LengthMismatch,
     MissingValues,
+    NonBinary,
     NonFinite,
     UnknownColumn,
 )
@@ -113,14 +126,22 @@ def write(path, header, lines, meta=None):
 # ------------------------------------------------------------------ decode
 
 
+def _records(fh):
+    """``csv.reader`` over ``fh`` from its header on, and the number of
+    comment lines skipped before the header."""
+    comments = 0
+    for first in fh:
+        if not first.startswith("#"):
+            return csv.reader(chain([first], fh)), comments
+        comments += 1
+    raise EmptyColumn("CSV has no header row")
+
+
 def read(path):
     """Columns of a CSV file by header name, in header order; each column
     is a tuple of its cells. Rows must be as wide as the header."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        first = next((line for line in fh if not line.startswith("#")), None)
-        if first is None:
-            raise EmptyColumn("CSV has no header row")
-        reader = csv.reader(chain([first], fh))
+        reader, _ = _records(fh)
         try:
             header = next(reader)
             rows = list(reader)
@@ -162,7 +183,154 @@ def ints(columns, name):
 
 
 def codes(columns, name, labels):
-    """Each cell's position in ``labels``; an unknown cell raises KeyError."""
+    """Each cell's position in ``labels``; a cell outside them raises
+    ``UnknownColumn``."""
     values = cells(columns, name)
     index = {label: i for i, label in enumerate(labels)}
-    return np.fromiter(map(index.__getitem__, values), np.int64, len(values))
+    try:
+        return np.fromiter(map(index.__getitem__, values), np.int64, len(values))
+    except KeyError as exc:
+        raise UnknownColumn(
+            f"value {exc.args[0]!r} not in categories of {name!r}"
+        ) from None
+
+
+def bits(columns, name):
+    try:
+        return codes(columns, name, BITS)
+    except UnknownColumn:
+        if name not in columns:
+            raise
+        raise NonBinary(name) from None
+
+
+def texts(columns, name):
+    return np.array(cells(columns, name), dtype=object)
+
+
+def decode(columns, name, kind):
+    """One column of ``read``'s result as ``kind`` names it: ``"float"``
+    (finite float64), ``"int"`` (int64), ``"bit"`` (int64 codes of
+    ``"0"``/``"1"``), ``"text"`` (an object array of the cells) or a tuple
+    of labels (int64 positions in it)."""
+    if isinstance(kind, tuple):
+        return codes(columns, name, kind)
+    return {"float": floats, "int": ints, "bit": bits, "text": texts}[kind](columns, name)
+
+
+# ----------------------------------------------------------- typed reading
+
+
+def read_typed(path, kinds_of):
+    """Decoded columns of a CSV file.
+
+    ``kinds_of(header)`` maps the names to decode, in the order to decode
+    them, to their kinds (see ``decode``); other columns are parsed but not
+    returned. A quote-free body is decoded by one ``np.loadtxt`` pass
+    (``_quote_free_columns``); any other file, or one that pass refuses,
+    is read by ``read`` and decoded a column at a time by ``decode``, so
+    every file is accepted or refused, with the same error, as that path
+    would.
+    """
+    try:
+        return _quote_free_columns(path, kinds_of)
+    except Exception:
+        # whatever stopped the fast pass, ``read`` and ``decode`` decide
+        # whether the file is accepted and which error it gets, in their order
+        pass
+    columns = read(path)
+    kinds = kinds_of(list(columns))
+    return {name: decode(columns, name, kind) for name, kind in kinds.items()}
+
+
+def _quote_free_lines(fh):
+    """Read the rest of ``fh``; whether it holds a line.
+
+    Raises ``ValueError`` unless ``np.loadtxt`` splits it into the rows and
+    cells ``csv.reader`` does: no quote; no carriage return (a line end to
+    both, but ``csv.reader`` may see one inside a field); no NUL (numpy
+    drops one from the end of a string); none of the separators \\x1c-\\x1f,
+    which numpy strips around a number as whitespace and ``float``/``int``
+    refuse; no blank line, which ``np.loadtxt`` skips; and no line that
+    could hold a field longer than ``csv.reader`` takes. Reads whole lines
+    about a MB at a time, so the body is never held at once.
+    """
+    limit = csv.field_size_limit()
+    any_line = False
+    while chunk := fh.read(1 << 20) + fh.readline():
+        if any(c in chunk for c in '"\r\x00\x1c\x1d\x1e\x1f'):
+            raise ValueError("body is not quote-free")
+        start = 0
+        while start < len(chunk):
+            end = chunk.find("\n", start, start + limit + 1)
+            if end == start or (end < 0 and len(chunk) - start > limit):
+                raise ValueError("blank or overlong line")
+            start = len(chunk) if end < 0 else end + 1
+        any_line = True
+    return any_line
+
+
+def _quote_free_columns(path, kinds_of):
+    """``read_typed``'s result from one structured ``np.loadtxt`` pass over
+    a quote-free body; raises where it cannot give the values the ``read``
+    path would, which includes every file that path refuses."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader, comments = _records(fh)
+        header = next(reader)
+        kinds = kinds_of(header)
+        if not header or len(set(header)) != len(header) or set(kinds) - set(header):
+            raise ValueError("header left to the csv.reader path")
+        any_line = _quote_free_lines(fh)
+    position = {name: i for i, name in enumerate(header)}
+    formats = ["U1"] * len(header)  # columns not asked for: any cell goes
+    for name, kind in kinds.items():
+        formats[position[name]] = _loadtxt_format(kind)
+    dtype = np.dtype([(f"c{i}", f) for i, f in enumerate(formats)])
+    if any_line:
+        # by absolute path, so numpy's opener takes it for neither a URL nor
+        # an archive; it reads in chunks, with the header's lines skipped
+        table = np.loadtxt(
+            os.path.abspath(path),
+            dtype,
+            delimiter=",",
+            comments=None,
+            skiprows=comments + reader.line_num,
+            encoding="utf-8",
+            ndmin=1,
+        )
+    else:
+        table = np.empty(0, dtype)  # np.loadtxt warns on an empty body
+    return {
+        name: _checked(table[f"c{position[name]}"], kind)
+        for name, kind in kinds.items()
+    }
+
+
+def _loadtxt_format(kind):
+    if isinstance(kind, tuple):
+        # one longer than the longest label, so no longer cell is cut to one
+        return f"U{max(map(len, kind), default=0) + 1}"
+    return {"float": "f8", "int": "i8", "bit": "S2", "text": "O"}[kind]
+
+
+def _checked(column, kind):
+    """A ``np.loadtxt`` column as ``decode`` gives it; ``ValueError`` where
+    ``decode`` would refuse it."""
+    if isinstance(kind, tuple):
+        out = np.full(len(column), -1, np.int64)
+        for i, label in enumerate(kind):
+            if label:  # an empty cell is missing, even where "" is a label
+                out[column == label] = i
+        if (out < 0).any():
+            raise ValueError("cell outside the labels")
+        return out
+    if kind == "bit":
+        ones = column == b"1"
+        if not (ones | (column == b"0")).all():
+            raise ValueError("non-binary cell")
+        return ones.astype(np.int64)
+    if kind == "float" and not np.isfinite(column).all():
+        raise ValueError("non-finite cell")
+    if kind == "text" and (column == "").any():
+        raise ValueError("empty cell")
+    return np.ascontiguousarray(column)

@@ -156,43 +156,49 @@ class Dataset:
 
     @classmethod
     def read_csv(cls, path, schema):
-        """Load a CSV against a schema dict (or path to a schema JSON)."""
+        """Load a CSV against a schema dict (or path to a schema JSON).
+
+        The body is decoded by ``csvio.read_typed``: a quote-free body in one
+        typed ``np.loadtxt`` pass, any other (or one that pass refuses) by
+        ``csv.reader`` a column at a time. Every error comes from the
+        ``csv.reader`` path: ``LengthMismatch``, ``MissingValues``,
+        ``NonFinite``, ``NonBinary`` or ``UnknownColumn`` (a header name
+        outside the schema, or a cell outside a column's categories).
+        """
         if isinstance(schema, (str,)) or hasattr(schema, "read_text"):
             with open(schema, "r", encoding="utf-8") as fh:
                 schema = json.load(fh)
         by_name = {c["name"]: c for c in schema["columns"]}
 
-        columns = csvio.read(path)
-        unknown = [h for h in columns if h not in by_name]
-        if unknown:
-            raise UnknownColumn(unknown[0])
+        def kinds_of(header):
+            unknown = [h for h in header if h not in by_name]
+            if unknown:
+                raise UnknownColumn(unknown[0])
+            for h in header:  # a bad kind or role is refused before any cell
+                ColumnSpec(h, by_name[h]["kind"], by_name[h].get("role", "covariate"))
+            return {h: _csv_kind(by_name[h]) for h in header}
 
+        arrays = csvio.read_typed(path, kinds_of)
         specs = []
-        arrays = {}
-        for h, cells in columns.items():
+        for h, values in arrays.items():
             entry = by_name[h]
-            kind = entry["kind"]
-            role = entry.get("role", "covariate")
-            cats = None
-            if kind == "continuous":
-                arrays[h] = csvio.floats(columns, h)
-            elif kind == "binary":
-                try:
-                    arrays[h] = csvio.codes(columns, h, csvio.BITS)
-                except KeyError:
-                    raise NonBinary(h) from None
-            else:
-                cats = entry.get("categories")
-                if cats is None:
-                    cats = sorted(set(cells))
-                try:
-                    arrays[h] = csvio.codes(columns, h, cats)
-                except KeyError as exc:
-                    raise UnknownColumn(
-                        f"value {exc.args[0]!r} not in categories of {h!r}"
-                    ) from None
-            specs.append(ColumnSpec(h, kind, role, cats))
+            kind = _csv_kind(entry)
+            cats = kind if isinstance(kind, tuple) else None
+            if kind == "text":  # the vocabulary is the sorted distinct cells
+                cats, arrays[h] = np.unique(values, return_inverse=True)
+            specs.append(ColumnSpec(h, entry["kind"], entry.get("role", "covariate"), cats))
         return cls(specs, arrays)
+
+
+def _csv_kind(entry):
+    """The ``csvio`` kind of a schema column's cells."""
+    kind = entry["kind"]
+    if kind == "continuous":
+        return "float"
+    if kind == "binary":
+        return "bit"
+    cats = entry.get("categories")
+    return "text" if cats is None else tuple(cats)
 
 
 def write_schema(path, dataset, extra=None):

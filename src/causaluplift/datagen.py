@@ -278,13 +278,13 @@ class GroundTruth:
 
     @classmethod
     def read_csv(cls, path):
-        columns = csvio.read(path)
-        return cls(
-            csvio.floats(columns, "effect"),
-            np.array(csvio.cells(columns, "response"), dtype=object),
-            csvio.ints(columns, "potential_y0"),
-            csvio.ints(columns, "potential_y1"),
-        )
+        kinds = {
+            "effect": "float",
+            "response": "text",
+            "potential_y0": "int",
+            "potential_y1": "int",
+        }
+        return cls(**csvio.read_typed(path, lambda header: kinds))
 
 
 def response_labels(y0, y1):

@@ -6,8 +6,8 @@ import pytest
 
 from causaluplift import cli
 from causaluplift.classify import load_model, predict_cctm
-from causaluplift.data import Dataset
-from causaluplift.errors import EmptyParentSetWarning
+from causaluplift.data import ColumnSpec, Dataset, write_schema
+from causaluplift.errors import DegenerateLabelsWarning, EmptyParentSetWarning
 
 TINY_BIF = """
 network tiny {
@@ -518,6 +518,35 @@ class TestQiniCv:
             first_line = (out_dir / "folds.csv").read_text().splitlines()[0]
             assert first_line.endswith(f"config={tool['config_hash']}")
         assert stamps[()] != stamps[("--no-symmetric",)]
+
+    def test_bad_folds_leave_no_out_dir(self, workspace, tmp_path):
+        out_dir = tmp_path / "qq"
+        assert run(
+            "qini", "--data", workspace / "data.csv",
+            "--schema", workspace / "schema.json",
+            "--treatment", "T", "--outcome", "Y", "--parents", "X8,X9",
+            "--folds", 1, "--out-dir", out_dir,
+        ) == 2
+        assert not out_dir.exists()
+
+    def test_empty_arm_in_a_fold_leaves_no_out_dir(self, tmp_path):
+        # one treated row: the fold that tests it trains without a treated arm
+        rng = np.random.default_rng(4)
+        data = Dataset(
+            [ColumnSpec("T", "binary", "treatment"), ColumnSpec("Y", "binary", "outcome"),
+             ColumnSpec("A", "binary")],
+            {"T": np.eye(1, 30, dtype=int)[0], "Y": rng.integers(0, 2, 30),
+             "A": rng.integers(0, 2, 30)},
+        )
+        data.write_csv(tmp_path / "d.csv")
+        write_schema(tmp_path / "schema.json", data)
+        out_dir = tmp_path / "qq"
+        with pytest.warns(DegenerateLabelsWarning):  # the folds that train on it
+            assert run(
+                "qini", "--data", tmp_path / "d.csv", "--treatment", "T", "--outcome", "Y",
+                "--parents", "A", "--folds", 3, "--out-dir", out_dir,
+            ) == 3
+        assert not out_dir.exists()
 
 
 # defaults.json texts that must exit 2, each with the key or command its error names

@@ -4,6 +4,7 @@ plus its parse-time checks."""
 import csv
 import io
 import re
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -13,7 +14,14 @@ from hypothesis import strategies as st
 
 from causaluplift import csvio
 from causaluplift.data import ColumnSpec, Dataset
-from causaluplift.errors import DataError, EmptyColumn, MissingValues, UnknownColumn
+from causaluplift.errors import (
+    DataError,
+    EmptyColumn,
+    LengthMismatch,
+    MissingValues,
+    NonBinary,
+    UnknownColumn,
+)
 
 # the old writer left a bare "\r" unquoted, so it could not be read back;
 # labels without one must be written exactly as it wrote them
@@ -143,3 +151,203 @@ def test_csv_imported_by_one_module():
         and re.search(r"^\s*(import csv|from csv )", path.read_text(), re.M)
     )
     assert importers == ["csvio.py"]
+
+
+def test_loadtxt_called_by_one_module():
+    package = resources.files("causaluplift")
+    callers = sorted(
+        path.name
+        for path in package.iterdir()
+        if path.name.endswith(".py") and re.search(r"\bloadtxt\s*\(", path.read_text())
+    )
+    assert callers == ["csvio.py"]
+
+
+# ------------------------------------------------------------- typed read
+
+LABEL_KIND = ("a", "b\u2028", "c\x85d", "#x", "ab")
+
+
+def write_body(path, text):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def reference(path, kinds_of):
+    """The csv.reader path: ``read``, then one ``decode`` per column."""
+    columns = csvio.read(path)
+    return {name: csvio.decode(columns, name, kind) for name, kind in kinds_of(list(columns)).items()}
+
+
+def outcome(read, path, kinds_of):
+    try:
+        return read(path, kinds_of)
+    except Exception as exc:  # the error class is the outcome under test
+        return type(exc)
+
+
+def assert_same_columns(got, want):
+    assert list(got) == list(want)
+    for name, values in want.items():
+        assert got[name].dtype == values.dtype and got[name].shape == values.shape
+        if values.dtype == object:
+            assert got[name].tolist() == values.tolist()
+        else:
+            assert got[name].tobytes() == values.tobytes()
+
+
+def fast_pass_only(monkeypatch):
+    """Make the csv.reader path fail, so a read that succeeds took the
+    typed ``np.loadtxt`` pass."""
+
+    def refuse(path):
+        raise AssertionError("csv.reader path taken")
+
+    monkeypatch.setattr(csvio, "read", refuse)
+
+
+# cells either path must refuse, or read alike
+MALFORMED = [
+    "", " 1", "1 ", "1.0", "+1", "01", "2", "1_0", "1e5", "nan", "-Infinity",
+    "#x", "a\u2028", "\x85", "\x1c1", "1\x1f", "1\x00", "a\x00", "-0", " ", "ab",
+]
+VALID = {
+    "float": st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    "int": st.integers(-(2**63), 2**63 - 1).map(str),
+    "bit": st.sampled_from(csvio.BITS),
+    "text": st.text(alphabet=st.sampled_from(list("ab #\u2028\x85-")), min_size=1, max_size=4),
+    LABEL_KIND: st.sampled_from(LABEL_KIND),
+    None: st.text(alphabet=st.sampled_from(list("ab1 \u2028")), max_size=3),
+}
+
+
+@st.composite
+def quote_free_files(draw):
+    """A header, then quote-free rows over a mixed schema with some cells
+    and rows malformed; the kinds asked for, in a drawn order."""
+    kinds = draw(st.lists(st.sampled_from(list(VALID)), min_size=1, max_size=5))
+    names = [f"c{i}" for i in range(len(kinds))]
+    cell = {kind: st.one_of(VALID[kind], VALID[kind], st.sampled_from(MALFORMED)) for kind in VALID}
+    rows = [
+        ",".join(draw(cell[kind]) for kind in kinds)
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    if rows and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = draw(st.sampled_from(["", " ", rows[i] + ",1", rows[i].rpartition(",")[0]]))
+    text = "# meta\n" * draw(st.integers(0, 1)) + ",".join(names) + "\n" + "\n".join(rows)
+    if rows and draw(st.booleans()):
+        text += "\n"  # else the last row has no line end
+    asked = draw(st.permutations([(n, k) for n, k in zip(names, kinds) if k is not None]))
+    return text, dict(asked)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=quote_free_files())
+def test_typed_read_matches_csv_reader_path(drawn, tmp_path_factory):
+    text, kinds = drawn
+    path = tmp_path_factory.mktemp("typed") / "d.csv"
+    write_body(path, text)
+    kinds_of = lambda header: kinds  # noqa: E731
+    want = outcome(reference, path, kinds_of)
+    fast = outcome(csvio._quote_free_columns, path, kinds_of)
+    got = outcome(csvio.read_typed, path, kinds_of)
+    if isinstance(want, type):
+        assert isinstance(fast, type)  # the fast pass never accepts a refused file
+        assert got is want
+    else:
+        assert_same_columns(got, want)
+        if not isinstance(fast, type):
+            assert_same_columns(fast, want)
+
+
+class TestReadTyped:
+    """Where ``np.loadtxt`` and ``csv.reader`` differ, the typed read
+    behaves as the csv.reader path."""
+
+    KINDS = {"v": "float", "b": "bit", "c": LABEL_KIND, "t": "text", "n": "int"}
+
+    def read(self, path, kinds=None):
+        return csvio.read_typed(path, lambda header: kinds or self.KINDS)
+
+    def test_quote_free_body_read_in_one_loadtxt_pass(self, tmp_path, monkeypatch):
+        write_body(tmp_path / "d.csv", "# m\nv,b,c,t,n,row\n1.5,1,ab,x y,-3,0\n-0.0,0,a,#,7,1\n")
+        fast_pass_only(monkeypatch)
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        out = self.read(tmp_path / "d.csv")
+        assert calls == [1]
+        assert list(out) == list(self.KINDS)
+        assert out["v"].tobytes() == np.array([1.5, -0.0]).tobytes()
+        assert out["b"].tolist() == [1, 0] and out["b"].dtype == np.int64
+        assert out["c"].tolist() == [4, 0] and out["t"].tolist() == ["x y", "#"]
+        assert out["n"].tolist() == [-3, 7] and out["n"].dtype == np.int64
+
+    def test_blank_line_in_body_is_length_mismatch(self, tmp_path):
+        write_body(tmp_path / "d.csv", "a,b\n1,0\n\n0,1\n")
+        schema = {"columns": [{"name": "a", "kind": "binary"}, {"name": "b", "kind": "binary"}]}
+        with pytest.raises(LengthMismatch):
+            Dataset.read_csv(tmp_path / "d.csv", schema)
+
+    @pytest.mark.parametrize("text", ["v,t\n", "v,t", "# m\nv,t\n"])
+    def test_no_rows_read_without_warning(self, tmp_path, text):
+        write_body(tmp_path / "d.csv", text)
+        schema = {"columns": [{"name": "v", "kind": "continuous"}, {"name": "t", "kind": "binary"}]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = Dataset.read_csv(tmp_path / "d.csv", schema)
+            out = self.read(tmp_path / "d.csv", {"v": "float", "t": "text"})
+        assert data.n_rows == 0 and data.values("v").dtype == np.float64
+        assert out["v"].shape == out["t"].shape == (0,)
+
+    def test_hash_led_line_after_header_is_data(self, tmp_path, monkeypatch):
+        write_body(tmp_path / "d.csv", "c,t\n#x,#1\na,b\n")
+        fast_pass_only(monkeypatch)
+        out = self.read(tmp_path / "d.csv", {"c": LABEL_KIND, "t": "text"})
+        assert out["c"].tolist() == [3, 0] and out["t"].tolist() == ["#1", "b"]
+
+    @pytest.mark.parametrize("cell", ["1.0", "1e5", "-2.5"])
+    def test_float_text_in_int_column_fails(self, tmp_path, cell):
+        write_body(tmp_path / "d.csv", f"n\n1\n{cell}\n")
+        with pytest.raises(ValueError):
+            self.read(tmp_path / "d.csv", {"n": "int"})
+
+    def test_int_cells_read_as_int_reads_them(self, tmp_path):
+        # np.loadtxt refuses "1_0"; int() takes it, so the file still reads
+        write_body(tmp_path / "d.csv", "n\n+1\n01\n1_0\n -4 \n")
+        assert self.read(tmp_path / "d.csv", {"n": "int"})["n"].tolist() == [1, 1, 10, -4]
+
+    def test_line_separators_stay_inside_cells(self, tmp_path, monkeypatch):
+        write_body(tmp_path / "d.csv", "c,t,v\nb\u2028,x\u2028y,1\nc\x85d,\x85,2\n")
+        fast_pass_only(monkeypatch)
+        out = self.read(tmp_path / "d.csv", {"c": LABEL_KIND, "t": "text", "v": "float"})
+        assert out["c"].tolist() == [1, 2]
+        assert out["t"].tolist() == ["x\u2028y", "\x85"]
+        assert out["v"].tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "text, kinds, error",
+        [
+            ("v\n\x1c1\n", {"v": "float"}, ValueError),  # numpy strips \x1c, float() does not
+            ("n\n1\x1f\n", {"n": "int"}, ValueError),
+            ("b\n1\x00\n", {"b": "bit"}, NonBinary),  # numpy drops a trailing NUL
+            ("c\na\x00\n", {"c": LABEL_KIND}, UnknownColumn),
+            ("c\nc\x85dz\n", {"c": LABEL_KIND}, UnknownColumn),  # never cut to a label
+            ("c,b\n,1\n", {"c": ("", "a")}, MissingValues),
+            ("t,b\n,1\n", {"t": "text"}, MissingValues),
+        ],
+    )
+    def test_cells_numpy_would_misread(self, tmp_path, text, kinds, error):
+        write_body(tmp_path / "d.csv", text)
+        with pytest.raises(error):
+            self.read(tmp_path / "d.csv", kinds)
+
+    def test_overlong_field_is_a_data_error(self, tmp_path):
+        write_body(tmp_path / "d.csv", "t\nshort\n" + "x" * 20 + "\n")
+        old = csv.field_size_limit(8)
+        try:
+            with pytest.raises(DataError, match="line"):
+                self.read(tmp_path / "d.csv", {"t": "text"})
+        finally:
+            csv.field_size_limit(old)

@@ -67,7 +67,7 @@ class FeatureEncoder:
             spec = data.spec(name)
             entry = {"name": name, "kind": spec.kind}
             if spec.kind == "categorical":
-                entry["categories"] = list(_labels(data, name))
+                entry["categories"] = list(spec.categories)
             entries.append(entry)
         return cls(entries)
 
@@ -89,7 +89,8 @@ class FeatureEncoder:
                 vocab = {c: i for i, c in enumerate(entry["categories"])}
                 if data.spec(name).kind == "continuous":
                     raise NonBinary(name)
-                labels = _labels(data, name)
+                # a binary column has no labels; its codes are its labels
+                labels = data.spec(name).categories or ("0", "1")
                 mapped = np.array([vocab.get(c, -1) for c in labels], dtype=np.int64)
                 idx = mapped[values]
                 if (idx < 0).any():
@@ -114,12 +115,6 @@ class FeatureEncoder:
     @classmethod
     def from_dict(cls, payload):
         return cls(payload["entries"])
-
-
-def _labels(data, name):
-    """A discrete column's labels: its declared categories, else its codes as text."""
-    cats = data.spec(name).categories
-    return cats if cats is not None else tuple(str(i) for i in range(data.arity(name)))
 
 
 @dataclass(frozen=True)

@@ -255,6 +255,10 @@ def cmd_train(args):
     return 0
 
 
+# the cells of each prediction field, written after a ``row_id`` index
+_PREDICTION_KINDS = {"p1": "float", "p0": "float", "effect": "float", "assign": "int"}
+
+
 def cmd_predict(args):
     """score rows with a trained model"""
     data = _load_dataset(args)
@@ -266,27 +270,15 @@ def cmd_predict(args):
         "theta": args.theta,
     }
     n = len(preds.effect)
-    columns = [
-        (csvio.int_cells, np.arange(n)),
-        (csvio.float_cells, preds.p1),
-        (csvio.float_cells, preds.p0),
-        (csvio.float_cells, preds.effect),
-        (csvio.int_cells, preds.assign),
-    ]
-    csvio.write(
-        args.out,
-        ["row_id", "p1", "p0", "effect", "assign"],
-        csvio.encode_lines(columns, n),
-        _meta_line(config),
-    )
+    columns = {name: (kind, getattr(preds, name)) for name, kind in _PREDICTION_KINDS.items()}
+    csvio.write_typed(args.out, {"row_id": ("int", np.arange(n)), **columns}, _meta_line(config))
     print(f"wrote {n} predictions to {args.out}")
     return 0
 
 
 def read_predictions(path):
     """Load a predictions CSV back into the record ``predict_cctm`` returns."""
-    kinds = {"p1": "float", "p0": "float", "effect": "float", "assign": "int"}
-    return UpliftPrediction(**csvio.read_typed(path, lambda header: kinds))
+    return UpliftPrediction(**csvio.read_typed(path, lambda header: _PREDICTION_KINDS))
 
 
 def cmd_eval(args):
@@ -335,6 +327,12 @@ def cmd_qini(args):
         args, "qini", folds=args.folds, points=args.points, seed=args.seed
     )
     folds = kfold_split(data.n_rows, args.folds, args.seed)
+    smallest = min(len(test_idx) for _, test_idx in folds)
+    if not 2 <= args.points <= smallest:
+        # past the smallest fold, its curve would stop short, and the mean curve with it
+        raise ValueError(
+            f"--points must be in [2, {smallest}] (the smallest test fold), got {args.points}"
+        )
     rows = []
     per_point = {}
     areas = []

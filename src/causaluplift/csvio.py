@@ -1,26 +1,29 @@
 """The package's one CSV layer: every CSV file is written and read here,
 a column at a time.
 
-Writing encodes each column in one pass (shortest round-trip ``repr`` for
-floats, shared ``"0"``/``"1"`` cells for bits, each label quoted once by
-``csv.writer``'s minimal-quoting rules) and joins the cells into lines,
-which are written as they are, never joined into one string of the whole
-file.
+``write_typed`` takes each column as its kind and values, with the kinds
+``read_typed`` reads: ``"float"``, ``"int"``, ``"bit"``, a tuple of labels
+(integer codes into it), or ``"text"``. It encodes each column in one pass
+(shortest round-trip ``repr`` for floats, shared ``"0"``/``"1"`` cells for
+bits, each label quoted once by ``csv.writer``'s minimal-quoting rules) and
+joins the cells into lines, which are written as they are, never joined
+into one string of the whole file. ``write`` writes lines already encoded.
 
-``read_typed`` reads with the caller naming each column's kind: float,
-int, bit, a tuple of labels, or text. The header, which may be quoted and
-span lines, is always parsed by ``csv.reader``. A body with no quote, no
-carriage return, no blank line and none of a few control characters is
-decoded by one ``np.loadtxt`` pass with a structured dtype (``f8``, ``i8``,
-``S2`` bits checked against ``"0"``/``"1"``, labels as strings one
-character longer than the longest label, text as objects), then each float
-column is checked finite. Any other body, or one that pass refuses, falls
-back to ``read``: ``csv.reader`` over the whole file, transposed into
-columns, each decoded in one pass by ``decode``. Every error comes from that
-path, so both accept the same files with the same values, bit for bit.
+``read_typed`` reads with the caller naming each column's kind. The
+header, which may be quoted and span lines, is always parsed by
+``csv.reader``. A body with no quote, no carriage return, no blank line
+and none of a few control characters is decoded by one ``np.loadtxt`` pass
+with a structured dtype (``f8``, ``i8``, ``S2`` bits checked against
+``"0"``/``"1"``, labels as strings one character longer than the longest
+label, text as objects), then each float column is checked finite. Any
+other body, or one that pass refuses, falls back to ``read``:
+``csv.reader`` over the whole file, transposed into columns, each decoded
+in one pass by ``decode``. Every error comes from that path, so both
+accept the same files with the same values, bit for bit.
 
 Lines starting with ``#`` are comments only before the header; after it,
-every line is data. Continuous cells must be finite.
+every line is data. A byte-order mark before the first line is ignored
+(files are written without one). Continuous cells must be finite.
 """
 
 import csv
@@ -62,30 +65,33 @@ def quote(label):
     return buf.getvalue()[:-3]
 
 
-def float_cells(values):
+def _float_cells(values):
     """Shortest round-trip text of each value."""
     return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
 
 
-def int_cells(values):
+def _int_cells(values):
     return list(map(str, np.asarray(values).tolist()))
 
 
-def bit_cells(codes):
+def _bit_cells(codes):
     return list(map(BITS.__getitem__, np.asarray(codes).tolist()))
 
 
-def label_encoder(labels):
-    """Encoder of integer codes as the cells of ``labels[code]``."""
-    table = [quote(label) for label in labels]
-    return lambda codes: list(map(table.__getitem__, np.asarray(codes).tolist()))
-
-
-def text_cells(values):
+def _text_cells(values):
     """Strings as cells, each distinct string quoted once."""
     values = list(values)
     table = {value: quote(value) for value in set(values)}
     return list(map(table.__getitem__, values))
+
+
+def _encoder(kind):
+    """The encoder of values of ``kind`` (see ``decode``) as cells; a tuple
+    of labels encodes integer codes as the cells of ``labels[code]``."""
+    if isinstance(kind, tuple):
+        table = [quote(label) for label in kind]
+        return lambda codes: list(map(table.__getitem__, np.asarray(codes).tolist()))
+    return {"float": _float_cells, "int": _int_cells, "bit": _bit_cells, "text": _text_cells}[kind]
 
 
 def join_rows(columns):
@@ -94,16 +100,6 @@ def join_rows(columns):
         # csv.writer quotes an empty field when it is a row's only one
         return [(cell or '""') + "\n" for cell in columns[0]]
     return list(map("{}\n".format, map(",".join, zip(*columns))))
-
-
-def encode_lines(columns, n_rows):
-    """Lines of ``n_rows`` rows; ``columns`` pairs each column's encoder
-    with its values. Encodes ``CHUNK_ROWS`` rows at a time."""
-    lines = []
-    for start in range(0, n_rows, CHUNK_ROWS):
-        stop = start + CHUNK_ROWS
-        lines += join_rows([encode(values[start:stop]) for encode, values in columns])
-    return lines
 
 
 def write(path, header, lines, meta=None):
@@ -123,6 +119,26 @@ def write(path, header, lines, meta=None):
         fh.writelines(lines)
 
 
+def write_typed(path, columns, meta=None, lines=None):
+    """Write ``columns``, header name to ``(kind, values)`` with the kinds
+    ``read_typed`` takes, under a ``# meta`` comment; return the encoded row
+    lines.
+
+    Encodes ``CHUNK_ROWS`` rows at a time. ``lines`` may be (a subset of)
+    lines an earlier call returned for the same columns, which are then
+    written in place of encoding the values again.
+    """
+    if lines is None:
+        encoders = [(_encoder(kind), values) for kind, values in columns.values()]
+        n_rows = len(encoders[0][1]) if encoders else 0
+        lines = []
+        for start in range(0, n_rows, CHUNK_ROWS):
+            stop = start + CHUNK_ROWS
+            lines += join_rows([encode(values[start:stop]) for encode, values in encoders])
+    write(path, list(columns), lines, meta)
+    return lines
+
+
 # ------------------------------------------------------------------ decode
 
 
@@ -140,7 +156,7 @@ def _records(fh):
 def read(path):
     """Columns of a CSV file by header name, in header order; each column
     is a tuple of its cells. Rows must be as wide as the header."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader, _ = _records(fh)
         try:
             header = next(reader)
@@ -274,7 +290,7 @@ def _quote_free_columns(path, kinds_of):
     """``read_typed``'s result from one structured ``np.loadtxt`` pass over
     a quote-free body; raises where it cannot give the values the ``read``
     path would, which includes every file that path refuses."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader, comments = _records(fh)
         header = next(reader)
         kinds = kinds_of(header)

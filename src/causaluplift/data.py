@@ -8,8 +8,8 @@ with ``#`` before the header are comments (the CLI uses one to stamp tool
 version and config hash).
 """
 
+import dataclasses
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ KINDS = ("binary", "categorical", "continuous")
 ROLES = ("treatment", "outcome", "covariate", "noise")
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ColumnSpec:
     name: str
     kind: str
@@ -40,9 +40,23 @@ class ColumnSpec:
         if self.categories is not None:
             object.__setattr__(self, "categories", tuple(self.categories))
 
+    @property
+    def cells(self):
+        """The ``csvio`` kind of this column's cells. A categorical column
+        without labels, which no ``Dataset`` holds, is read as ``"text"``."""
+        if self.kind == "continuous":
+            return "float"
+        if self.kind == "binary":
+            return "bit"
+        return "text" if self.categories is None else self.categories
+
 
 class Dataset:
-    """Immutable-by-convention table; arrays are not copied on access."""
+    """Immutable-by-convention table; arrays are not copied on access.
+
+    A categorical column given without labels gets its codes as labels,
+    ``"0"`` to the largest; every categorical code must index its labels.
+    """
 
     def __init__(self, specs, arrays):
         self._specs = {}
@@ -58,8 +72,13 @@ class Dataset:
                 values = values.astype(np.int64)
                 if values.size and values.min() < 0:
                     raise MissingValues(spec.name)
-                if spec.kind == "binary" and values.size and values.max() > 1:
+                top = int(values.max()) if values.size else -1
+                if spec.kind == "binary" and top > 1:
                     raise NonBinary(spec.name)
+                if spec.kind == "categorical" and spec.categories is None:
+                    spec = dataclasses.replace(spec, categories=map(str, range(top + 1)))
+                elif spec.kind == "categorical" and top >= len(spec.categories):
+                    raise UnknownColumn(f"value {top} not in categories of {spec.name!r}")
             if n is None:
                 n = values.shape[0]
             elif values.shape[0] != n:
@@ -93,10 +112,7 @@ class Dataset:
             raise ValueError(f"column {name!r} is continuous; it has no arity")
         if spec.kind == "binary":
             return 2
-        if spec.categories is not None:
-            return len(spec.categories)
-        values = self._values[name]
-        return int(values.max()) + 1 if values.size else 0
+        return len(spec.categories)
 
     def role_of(self, role):
         """Names of columns carrying ``role``, in declaration order."""
@@ -132,27 +148,14 @@ class Dataset:
 
     # ---------------------------------------------------------------- csv io
 
-    def _encoder(self, name):
-        spec = self._specs[name]
-        if spec.kind == "continuous":
-            return csvio.float_cells
-        if spec.kind == "binary":
-            return csvio.bit_cells
-        if spec.categories is not None:
-            return csvio.label_encoder(spec.categories)
-        return csvio.int_cells
-
     def write_csv(self, path, meta=None, lines=None):
         """Write the header and rows; return the encoded row lines.
 
         ``lines`` may be (a subset of) lines an earlier call returned, so a
         caller writing several row subsets of one dataset encodes it once.
         """
-        if lines is None:
-            columns = [(self._encoder(n), v) for n, v in self._values.items()]
-            lines = csvio.encode_lines(columns, self.n_rows)
-        csvio.write(path, self.columns, lines, meta)
-        return lines
+        columns = {n: (self._specs[n].cells, v) for n, v in self._values.items()}
+        return csvio.write_typed(path, columns, meta, lines)
 
     @classmethod
     def read_csv(cls, path, schema):
@@ -170,35 +173,25 @@ class Dataset:
                 schema = json.load(fh)
         by_name = {c["name"]: c for c in schema["columns"]}
 
+        specs = {}
+
         def kinds_of(header):
             unknown = [h for h in header if h not in by_name]
             if unknown:
                 raise UnknownColumn(unknown[0])
             for h in header:  # a bad kind or role is refused before any cell
-                ColumnSpec(h, by_name[h]["kind"], by_name[h].get("role", "covariate"))
-            return {h: _csv_kind(by_name[h]) for h in header}
+                entry = by_name[h]
+                specs[h] = ColumnSpec(
+                    h, entry["kind"], entry.get("role", "covariate"), entry.get("categories")
+                )
+            return {h: specs[h].cells for h in header}
 
         arrays = csvio.read_typed(path, kinds_of)
-        specs = []
         for h, values in arrays.items():
-            entry = by_name[h]
-            kind = _csv_kind(entry)
-            cats = kind if isinstance(kind, tuple) else None
-            if kind == "text":  # the vocabulary is the sorted distinct cells
+            if specs[h].cells == "text":  # the vocabulary is the sorted distinct cells
                 cats, arrays[h] = np.unique(values, return_inverse=True)
-            specs.append(ColumnSpec(h, entry["kind"], entry.get("role", "covariate"), cats))
-        return cls(specs, arrays)
-
-
-def _csv_kind(entry):
-    """The ``csvio`` kind of a schema column's cells."""
-    kind = entry["kind"]
-    if kind == "continuous":
-        return "float"
-    if kind == "binary":
-        return "bit"
-    cats = entry.get("categories")
-    return "text" if cats is None else tuple(cats)
+                specs[h] = dataclasses.replace(specs[h], categories=cats)
+        return cls([specs[h] for h in arrays], arrays)
 
 
 def write_schema(path, dataset, extra=None):

@@ -34,7 +34,8 @@ _ROW_SUM_TOL = 1e-9
 
 RESPONSE_LABELS = ("nonresponse0", "positive", "negative", "nonresponse1")
 
-TRUTH_HEADER = ["row", "effect", "response", "potential_y0", "potential_y1"]
+# the cells of each ground-truth field, written after a ``row`` index
+_TRUTH_KINDS = {"effect": "float", "response": "text", "potential_y0": "int", "potential_y1": "int"}
 
 
 class BayesNet:
@@ -266,25 +267,12 @@ class GroundTruth:
         )
 
     def write_csv(self, path, meta=None):
-        n = len(self.effect)
-        columns = [
-            (csvio.int_cells, np.arange(n)),
-            (csvio.float_cells, self.effect),
-            (csvio.text_cells, self.response),
-            (csvio.int_cells, self.potential_y0),
-            (csvio.int_cells, self.potential_y1),
-        ]
-        csvio.write(path, TRUTH_HEADER, csvio.encode_lines(columns, n), meta)
+        columns = {name: (kind, getattr(self, name)) for name, kind in _TRUTH_KINDS.items()}
+        csvio.write_typed(path, {"row": ("int", np.arange(len(self))), **columns}, meta)
 
     @classmethod
     def read_csv(cls, path):
-        kinds = {
-            "effect": "float",
-            "response": "text",
-            "potential_y0": "int",
-            "potential_y1": "int",
-        }
-        return cls(**csvio.read_typed(path, lambda header: kinds))
+        return cls(**csvio.read_typed(path, lambda header: _TRUTH_KINDS))
 
 
 def response_labels(y0, y1):

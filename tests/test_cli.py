@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from causaluplift import cli
+from causaluplift import classify, cli
 from causaluplift.classify import load_model, predict_cctm
 from causaluplift.data import ColumnSpec, Dataset, write_schema
 from causaluplift.errors import DegenerateLabelsWarning, EmptyParentSetWarning
@@ -318,6 +318,21 @@ class TestTrainPredictEval:
         want = predict_cctm(pair, test, theta=0.0).effect
         assert np.max(np.abs(preds.effect - want)) <= 1e-12
 
+    def test_predictions_round_trip(self, workspace, model_path, tmp_path):
+        path = tmp_path / "preds.csv"
+        assert run(
+            "predict", "--model", model_path,
+            "--data", workspace / "test.csv",
+            "--schema", workspace / "schema.json",
+            "--theta", 0.1, "--out", path,
+        ) == 0
+        test = Dataset.read_csv(workspace / "test.csv", workspace / "schema.json")
+        want = predict_cctm(load_model(model_path), test, theta=0.1)
+        got = cli.read_predictions(path)
+        for name in ("p1", "p0", "effect", "assign"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert path.read_text().splitlines()[1] == "row_id,p1,p0,effect,assign"
+
     def test_theta_sweep_monotone(self, workspace, model_path, tmp_path):
         counts = []
         for theta in (0.0, 0.2, 0.5, 1.0):
@@ -528,6 +543,29 @@ class TestQiniCv:
             "--folds", 1, "--out-dir", out_dir,
         ) == 2
         assert not out_dir.exists()
+
+    def test_points_outside_a_test_fold_exit_2(self, tmp_path, capsys, monkeypatch):
+        # 300 rows in 10 folds: each test fold has 30 rows, too few for 50 points
+        rng = np.random.default_rng(5)
+        data = Dataset(
+            [ColumnSpec("T", "binary", "treatment"), ColumnSpec("Y", "binary", "outcome"),
+             ColumnSpec("A", "binary")],
+            {name: rng.integers(0, 2, 300) for name in ("T", "Y", "A")},
+        )
+        data.write_csv(tmp_path / "d.csv")
+        write_schema(tmp_path / "schema.json", data)
+        common = ("qini", "--data", tmp_path / "d.csv", "--treatment", "T", "--outcome", "Y",
+                  "--parents", "A", "--folds", 10)
+        out_dir = tmp_path / "qq"
+        for points in (50, 1):
+            with monkeypatch.context() as patch:  # refused before any arm is fitted
+                patch.setattr(classify, "_fit", None)
+                assert run(*common, "--points", points, "--out-dir", out_dir) == 2
+            assert "smallest test fold" in capsys.readouterr().err
+            assert not out_dir.exists()
+        assert run(*common, "--points", 30, "--out-dir", out_dir) == 0
+        last = (out_dir / "mean_curve.csv").read_text().splitlines()[-1]
+        assert last.startswith("1.0,")
 
     def test_empty_arm_in_a_fold_leaves_no_out_dir(self, tmp_path):
         # one treated row: the fold that tests it trains without a treated arm

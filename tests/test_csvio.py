@@ -153,6 +153,17 @@ def test_csv_imported_by_one_module():
     assert importers == ["csvio.py"]
 
 
+def test_cell_encoders_named_by_one_module():
+    package = resources.files("causaluplift")
+    namers = sorted(
+        path.name
+        for path in package.iterdir()
+        if path.name.endswith(".py")
+        and re.search(r"\w+_cells\b|\w*_encoder\(|\bencode_lines\b", path.read_text())
+    )
+    assert namers == ["csvio.py"]
+
+
 def test_loadtxt_called_by_one_module():
     package = resources.files("causaluplift")
     callers = sorted(
@@ -283,6 +294,16 @@ class TestReadTyped:
         assert out["b"].tolist() == [1, 0] and out["b"].dtype == np.int64
         assert out["c"].tolist() == [4, 0] and out["t"].tolist() == ["x y", "#"]
         assert out["n"].tolist() == [-3, 7] and out["n"].dtype == np.int64
+
+    @pytest.mark.parametrize("meta", ["", "# m\n"])
+    def test_byte_order_mark_ignored(self, tmp_path, monkeypatch, meta):
+        kinds = {"T": "bit", "Y": "bit"}
+        write_body(tmp_path / "q.csv", "\ufeff" + meta + 'T,Y\n"0",1\n1,0\n')  # csv.reader path
+        want = self.read(tmp_path / "q.csv", kinds)
+        assert want["T"].tolist() == [0, 1] and want["Y"].tolist() == [1, 0]
+        write_body(tmp_path / "d.csv", "\ufeff" + meta + "T,Y\n0,1\n1,0\n")
+        fast_pass_only(monkeypatch)
+        assert_same_columns(self.read(tmp_path / "d.csv", kinds), want)
 
     def test_blank_line_in_body_is_length_mismatch(self, tmp_path):
         write_body(tmp_path / "d.csv", "a,b\n1,0\n\n0,1\n")

@@ -52,6 +52,15 @@ class TestDataset:
         with pytest.raises(MissingValues):
             Dataset([ColumnSpec("c", "categorical")], {"c": np.array([0, -1])})
 
+    def test_codes_outside_labels_rejected(self):
+        with pytest.raises(UnknownColumn, match="value 5 not in categories of 'c'"):
+            Dataset([ColumnSpec("c", "categorical", "covariate", ("a", "b"))], {"c": np.array([0, 5])})
+
+    def test_unlabelled_categorical_gets_its_codes_as_labels(self):
+        data = Dataset([ColumnSpec("c", "categorical")], {"c": np.array([3, 0])})
+        assert data.spec("c").categories == ("0", "1", "2", "3")
+        assert data.take([1]).arity("c") == 4
+
     def test_ragged_rejected(self):
         with pytest.raises(LengthMismatch):
             Dataset(
@@ -265,4 +274,40 @@ def test_csv_round_trip_property(data, tmp_path_factory):
     for name in data.columns:
         assert again.spec(name) == data.spec(name)
         # byte-level equality keeps the sign of -0.0
+        assert again.values(name).tobytes() == data.values(name).tobytes()
+
+
+@st.composite
+def mixed_datasets(draw):
+    """Float, binary, labelled and unlabelled categorical columns."""
+    n = draw(st.integers(0, 12))
+
+    def column(values):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)))
+
+    return Dataset(
+        [
+            ColumnSpec("v", "continuous"),
+            ColumnSpec("b", "binary"),
+            ColumnSpec("lab", "categorical", "covariate", ("x", "y", "z")),
+            ColumnSpec("k", "categorical"),
+        ],
+        {
+            "v": column(FLOATS).astype(np.float64),
+            "b": column(st.integers(0, 1)),
+            "lab": column(st.integers(0, 2)),
+            "k": column(st.integers(0, 15)),
+        },
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=mixed_datasets())
+def test_unlabelled_categorical_round_trip_property(data, tmp_path_factory):
+    root = tmp_path_factory.mktemp("mixed")
+    data.write_csv(root / "d.csv")
+    write_schema(root / "s.json", data)
+    again = Dataset.read_csv(root / "d.csv", root / "s.json")
+    for name in data.columns:
+        assert again.spec(name) == data.spec(name)
         assert again.values(name).tobytes() == data.values(name).tobytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -369,6 +370,23 @@ class TestGroundTruthCsv:
         assert np.array_equal(again.effect, truth.effect)
         assert np.array_equal(again.response, truth.response)
         assert np.array_equal(again.potential_y0, truth.potential_y0)
+
+    def test_every_field_round_trips(self, tmp_path):
+        truth = GroundTruth(
+            effect=np.array([0.1, -0.0, 1e-300]),
+            response=np.array(["positive", "a,\"b\"", "negative"], dtype=object),
+            potential_y0=np.array([0, 1, 0]),
+            potential_y1=np.array([1, 1, 0]),
+        )
+        path = tmp_path / "gt.csv"
+        truth.write_csv(path, meta="x")
+        assert path.read_text().splitlines()[1] == "row,effect,response,potential_y0,potential_y1"
+        again = GroundTruth.read_csv(path)
+        for field in dataclasses.fields(GroundTruth):
+            got, want = getattr(again, field.name), getattr(truth, field.name)
+            assert got.tolist() == want.tolist()
+            if want.dtype != object:  # keeps the sign of -0.0
+                assert got.tobytes() == want.tobytes()
 
 
 class TestConditionCheckOnFixtures:

@@ -1,13 +1,19 @@
 """Hot numeric kernels in numpy: contingency counting, histogram-CART forest
 growth and tree traversal.
 
-Counting returns exact int64 counts. Forest growth advances all trees of a
-forest together, in depth-first order, and scores splits from integer
-(count, positives) histograms. Each node draws its candidate features from
-a 32-bit xorshift stream keyed by its tree's seed and its own node id, so a
-tree depends only on its inputs and seed, never on the trees grown beside
-it.
+Counting returns exact int64 counts. A small table is counted from packed
+level bitsets (one popcount of ANDed bitsets per cell), any other by one
+``bincount`` over the rows; both are exact, so the path never shows in a
+count.
+
+Forest growth advances all trees of a forest together, in depth-first
+order, and scores splits from integer (count, positives) histograms. Each
+node draws its candidate features from a 32-bit xorshift stream keyed by
+its tree's seed and its own node id, so a tree depends only on its inputs
+and seed, never on the trees grown beside it.
 """
+
+import math
 
 import numpy as np
 
@@ -23,9 +29,60 @@ _MASK32 = 0xFFFFFFFF
 # ---------------------------------------------------------------------------
 
 
-def joint_counts(xc, yc, zf, nx, ny, nz):
-    """Count of each (x, y, z) code triple, as an (nx, ny, nz) int64 array."""
-    flat = (xc.astype(np.int64) * ny + yc) * nz + zf
+# Tables of at most this many cells are counted from packed level bitsets.
+# Bitset work grows with cells times words, bincount's with the rows alone.
+# On a 2-core x86-64 host (NumPy 2.4), at 18k rows, a 6-cell table takes
+# 12 us by bitsets against 48 us by bincount, 54 cells 34-53 against
+# 55-59 us, and 162 cells 96 against 76 us.
+BITS_MAX_CELLS = 64
+
+
+def pack_levels(codes, arity):
+    """Packed level bitsets of a code column, as an ``(arity, ceil(n / 64))``
+    uint64 array: bit ``i`` of row ``l`` is set when ``codes[i] == l``.
+
+    None for a column of more than ``BITS_MAX_CELLS`` levels, which no
+    bitset count would use.
+    """
+    if arity > BITS_MAX_CELLS:
+        return None
+    n = codes.shape[0]
+    packed = np.zeros((arity, -(-n // 64) * 8), dtype=np.uint8)
+    levels = np.arange(arity)[:, None]
+    packed[:, : -(-n // 8)] = np.packbits(codes == levels, axis=1, bitorder="little")
+    return packed.view(np.uint64)
+
+
+def joint_counts(columns, arities, bits=None):
+    """Count of each (x, y, z_1, ..., z_k) code tuple, as an ``(nx, ny, nz)``
+    int64 array whose last axis runs over the z strata, row-major.
+
+    ``columns`` holds the code arrays of x, y and each z_i, ``arities`` their
+    arities, and ``bits`` (optional) their ``pack_levels`` bitsets. A table
+    of at most ``BITS_MAX_CELLS`` cells whose columns all have bitsets is
+    counted by popcounts; any other by one ``bincount``.
+    """
+    nx, ny, *z_arities = arities
+    nz = math.prod(z_arities)
+    if (
+        bits is not None
+        and nx * ny * nz <= BITS_MAX_CELLS
+        and all(b is not None for b in bits)
+    ):
+        bx, by, *bz = bits
+        words = bx.shape[1]
+        table = (bx[:, None] & by[None]).reshape(nx * ny, 1, words)
+        if bz:
+            strata = bz[0]
+            for b in bz[1:]:
+                strata = (strata[:, None] & b[None]).reshape(-1, words)
+            table = table & strata
+        # popcounts are uint8: sum them in int64
+        return np.bitwise_count(table).sum(axis=2, dtype=np.int64).reshape(nx, ny, nz)
+    flat = columns[0].astype(np.int64)
+    for codes, arity in zip(columns[1:], arities[1:]):
+        flat *= arity
+        flat += codes
     return np.bincount(flat, minlength=nx * ny * nz).reshape(nx, ny, nz)
 
 

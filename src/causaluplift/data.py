@@ -14,10 +14,12 @@ import json
 import numpy as np
 
 from . import csvio
+from ._kernels import pack_levels
 from .errors import (
     LengthMismatch,
     MissingValues,
     NonBinary,
+    SchemaError,
     UnknownColumn,
 )
 
@@ -52,7 +54,12 @@ class ColumnSpec:
 
 
 class Dataset:
-    """Immutable-by-convention table; arrays are not copied on access.
+    """Immutable table; arrays are not copied on access, nor on construction
+    when they already have the column's dtype. Every stored array is made
+    read-only, the caller's own included when it is kept as given, so an
+    in-place write raises instead of desynchronising the column from the
+    level bitsets the dataset keeps (a write through another view of the
+    same memory is not caught).
 
     A categorical column given without labels gets its codes as labels,
     ``"0"`` to the largest; every categorical code must index its labels.
@@ -61,15 +68,15 @@ class Dataset:
     def __init__(self, specs, arrays):
         self._specs = {}
         self._values = {}
+        self._bits = {}
         n = None
         for spec in specs:
             if spec.name in self._specs:
                 raise ValueError(f"duplicate column {spec.name!r}")
-            values = np.asarray(arrays[spec.name])
-            if spec.kind == "continuous":
-                values = values.astype(np.float64)
-            else:
-                values = values.astype(np.int64)
+            dtype = np.float64 if spec.kind == "continuous" else np.int64
+            values = np.asarray(arrays[spec.name], dtype=dtype)
+            values.flags.writeable = False
+            if spec.kind != "continuous":
                 if values.size and values.min() < 0:
                     raise MissingValues(spec.name)
                 top = int(values.max()) if values.size else -1
@@ -113,6 +120,13 @@ class Dataset:
         if spec.kind == "binary":
             return 2
         return len(spec.categories)
+
+    def level_bits(self, name):
+        """The column's ``_kernels.pack_levels`` bitsets (or None), built on
+        first use."""
+        if name not in self._bits:
+            self._bits[name] = pack_levels(self.values(name), self.arity(name))
+        return self._bits[name]
 
     def role_of(self, role):
         """Names of columns carrying ``role``, in declaration order."""
@@ -166,12 +180,10 @@ class Dataset:
         ``csv.reader`` a column at a time. Every error comes from the
         ``csv.reader`` path: ``LengthMismatch``, ``MissingValues``,
         ``NonFinite``, ``NonBinary`` or ``UnknownColumn`` (a header name
-        outside the schema, or a cell outside a column's categories).
+        outside the schema, or a cell outside a column's categories). A
+        malformed schema is a ``SchemaError``, raised before the CSV is read.
         """
-        if isinstance(schema, (str,)) or hasattr(schema, "read_text"):
-            with open(schema, "r", encoding="utf-8") as fh:
-                schema = json.load(fh)
-        by_name = {c["name"]: c for c in schema["columns"]}
+        by_name = _schema_entries(schema)
 
         specs = {}
 
@@ -192,6 +204,41 @@ class Dataset:
                 cats, arrays[h] = np.unique(values, return_inverse=True)
                 specs[h] = dataclasses.replace(specs[h], categories=cats)
         return cls([specs[h] for h in arrays], arrays)
+
+
+def _schema_entries(schema):
+    """The schema's column entries by name, each with a string ``name`` and
+    ``kind``, an optional string ``role`` and optional string categories."""
+    source = "schema"
+    if isinstance(schema, str) or hasattr(schema, "read_text"):
+        source = str(schema)
+        with open(schema, "r", encoding="utf-8") as fh:
+            try:
+                schema = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{source}: {exc}") from None
+    if not isinstance(schema, dict):
+        raise SchemaError(f"{source}: expected an object, got {type(schema).__name__}")
+    if not isinstance(schema.get("columns"), list):
+        raise SchemaError(f"{source}: 'columns' must be a list of column objects")
+    by_name = {}
+    for i, entry in enumerate(schema["columns"]):
+        where = f"{source}: columns[{i}]"
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{where} is not an object")
+        for key in ("name", "kind"):
+            if not isinstance(entry.get(key), str):
+                raise SchemaError(f"{where}: {key!r} must be a string")
+        where = f"{source}: column {entry['name']!r}"
+        if not isinstance(entry.get("role", ""), str):
+            raise SchemaError(f"{where}: 'role' must be a string")
+        categories = entry.get("categories")
+        if categories is not None and not (
+            isinstance(categories, list) and all(isinstance(c, str) for c in categories)
+        ):
+            raise SchemaError(f"{where}: 'categories' must be a list of strings")
+        by_name[entry["name"]] = entry
+    return by_name
 
 
 def write_schema(path, dataset, extra=None):

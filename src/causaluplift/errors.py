@@ -55,6 +55,11 @@ class EmptyColumn(DataError):
     pass
 
 
+class SchemaError(DataError):
+    """A schema that is not an object of column entries, or an entry with a
+    missing or ill-typed key."""
+
+
 class MissingValues(DataError):
     def __init__(self, name):
         self.name = name

@@ -200,6 +200,27 @@ class TestDiscover:
         record = payload["trace"][0]
         assert {"x", "y", "given", "p_value", "phase"} <= set(record)
 
+    @pytest.mark.parametrize(
+        "schema, says",
+        [
+            ([1, 2], "expected an object, got list"),
+            ({"cols": []}, "'columns' must be a list"),
+            ("no kind", "columns[1]: 'kind' must be a string"),
+        ],
+    )
+    def test_malformed_schema_exits_2(self, workspace, tmp_path, capsys, schema, says):
+        if schema == "no kind":
+            schema = json.loads((workspace / "schema.json").read_text())
+            del schema["columns"][1]["kind"]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(schema))
+        assert run(
+            "discover", "--data", workspace / "train.csv", "--schema", path, "--target", "Y",
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert says in err
+
     def test_missing_target_exits_2(self, workspace, capsys):
         assert run(
             "discover", "--data", workspace / "train.csv",

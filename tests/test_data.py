@@ -11,6 +11,7 @@ from causaluplift.errors import (
     MissingValues,
     NonBinary,
     NonFinite,
+    SchemaError,
     UnknownColumn,
 )
 
@@ -67,6 +68,30 @@ class TestDataset:
                 [ColumnSpec("a", "binary"), ColumnSpec("b", "binary")],
                 {"a": np.zeros(3, dtype=int), "b": np.zeros(2, dtype=int)},
             )
+
+    def test_arrays_of_the_column_dtype_not_copied(self, small):
+        codes = np.array([0, 1, 1], dtype=np.int64)
+        values = np.array([0.5, 1.5, 2.5])
+        data = Dataset(
+            [ColumnSpec("c", "binary"), ColumnSpec("v", "continuous")], {"c": codes, "v": values}
+        )
+        assert data.values("c") is codes and data.values("v") is values
+        assert small.select(["age"]).values("age") is small.values("age")
+
+    def test_columns_are_read_only(self, small):
+        codes = np.array([0, 1, 1], dtype=np.int64)
+        data = Dataset([ColumnSpec("c", "categorical")], {"c": codes})
+        bits = data.level_bits("c").copy()
+        # a write through the dataset, or through the array it kept, raises,
+        # so the kept level bitsets always describe the codes
+        with pytest.raises(ValueError, match="read-only"):
+            data.values("c")[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            codes[0] = 1
+        assert np.array_equal(data.level_bits("c"), bits)
+        for sub in (small.take([2, 0]), small.select(["age"])):
+            with pytest.raises(ValueError, match="read-only"):
+                sub.values("age")[0] = 0.0
 
     def test_take_and_select(self, small):
         sub = small.take([2, 0])
@@ -223,6 +248,47 @@ class TestCsvRoundTrip:
         (tmp_path / "d.csv").write_text("a\n1\n2\n")
         with pytest.raises(NonBinary):
             Dataset.read_csv(tmp_path / "d.csv", {"columns": [{"name": "a", "kind": "binary"}]})
+
+    @pytest.mark.parametrize(
+        "schema, says",
+        [
+            ([1, 2], "expected an object, got list"),
+            ({"cols": []}, "'columns' must be a list"),
+            ({"columns": {"name": "a"}}, "'columns' must be a list"),
+            ({"columns": ["a"]}, "columns[0] is not an object"),
+            ({"columns": [{"name": "a", "kind": "binary"}, {"name": "b"}]}, "columns[1]: 'kind'"),
+            ({"columns": [{"kind": "binary"}]}, "columns[0]: 'name'"),
+            ({"columns": [{"name": 3, "kind": "binary"}]}, "columns[0]: 'name'"),
+            ({"columns": [{"name": "a", "kind": ["binary"]}]}, "columns[0]: 'kind'"),
+            ({"columns": [{"name": "a", "kind": "binary", "role": 1}]}, "column 'a': 'role'"),
+            (
+                {"columns": [{"name": "a", "kind": "categorical", "categories": [0, 1]}]},
+                "column 'a': 'categories'",
+            ),
+        ],
+    )
+    def test_malformed_schema_named(self, tmp_path, schema, says):
+        (tmp_path / "d.csv").write_text("a\n1\n")
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(schema))
+        with pytest.raises(SchemaError) as caught:
+            Dataset.read_csv(tmp_path / "d.csv", str(path))
+        assert str(caught.value).startswith(f"{path}: ")
+        assert says in str(caught.value)
+        with pytest.raises(SchemaError, match=r"^schema: "):
+            Dataset.read_csv(tmp_path / "d.csv", schema)
+
+    def test_schema_not_json_named(self, tmp_path):
+        (tmp_path / "d.csv").write_text("a\n1\n")
+        (tmp_path / "s.json").write_text("{columns: []}")
+        with pytest.raises(SchemaError, match="s.json: Expecting property name"):
+            Dataset.read_csv(tmp_path / "d.csv", tmp_path / "s.json")
+
+    def test_null_categories_read_as_none(self, tmp_path):
+        (tmp_path / "d.csv").write_text("a\nx\ny\nx\n")
+        schema = {"columns": [{"name": "a", "kind": "categorical", "categories": None}]}
+        data = Dataset.read_csv(tmp_path / "d.csv", schema)
+        assert data.spec("a").categories == ("x", "y")
 
     def test_unknown_category_rejected(self, tmp_path):
         (tmp_path / "d.csv").write_text("c\nred\npink\n")

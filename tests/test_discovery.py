@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from causaluplift import discovery
 from causaluplift.data import ColumnSpec, Dataset
 from causaluplift.datagen import sample
 from causaluplift.discovery import (
@@ -176,3 +177,47 @@ class TestSymmetricCorrection:
         assert discover_parents(
             data, "Y", DiscoveryConfig(symmetric=False)
         ).members == ["X"]
+
+
+class TestOneTestPerRecord:
+    """Each test record comes from exactly one ``discovery.g2_test`` call, in
+    order, so a count of those calls counts the tests."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        real = discovery.g2_test
+
+        def counting(data, x, y, z, alpha):
+            res = real(data, x, y, z, alpha)
+            calls.append((x, y, tuple(z), res.p_value, res.statistic, res.reliable))
+            return res
+
+        monkeypatch.setattr(discovery, "g2_test", counting)
+        return calls
+
+    @staticmethod
+    def keys(records):
+        return [(r.x, r.y, r.given, r.p_value, r.statistic, r.reliable) for r in records]
+
+    def test_mmpc(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        found = mmpc(v_structure_data(seed=3, n=3000, extra_noise=3), "Y")
+        assert len(found.trace) > 6
+        assert calls == self.keys(found.trace)
+
+    def test_symmetric_search(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        traces = []
+        real_mmpc = discovery.mmpc
+
+        def recording(data, target, cfg):
+            found = real_mmpc(data, target, cfg)
+            traces.append(found.trace)
+            return found
+
+        monkeypatch.setattr(discovery, "mmpc", recording)
+        found = discover_parents(v_structure_data(seed=3, n=3000, extra_noise=3), "Y")
+        assert len(traces) == 3  # the search from Y, then one back from A and from B
+        assert found.trace[: len(traces[0])] == traces[0]
+        assert calls == self.keys(r for trace in traces for r in trace)

@@ -52,6 +52,7 @@ GOLDEN = {
     "logistic_eval.json": "c54b65ef748c199d0e3197f40b3006f8f7624c9d2a8a0c06cbaffe0f2f9959a7",
     "logistic_preds.csv": "59a7c5abe4c67f0226c8eda99756bf5fbf065df8699f8a00f746c03806c6a8f7",
     "parents.json": "5585e33b70538e701b8fdfccb0ee1586381daac22a79d398a0d35cc11d04978e",
+    "parents_explain.json": "abd15cdde7266e0b1571d95193c9f0a7f4a03a56832883705c243a4640d2f508",
     "qini/folds.csv": "3567ff84eaeb7470ac097a04311e12926a99dcfdce71ed3e78db7a64e7c18454",
     "qini/mean_curve.csv": "beee9c1f6322af7def0f30cd3c507ba82384174000742e7ffe065ca40f5d65cb",
     "qini/metrics.json": "f99d4c41e2848070d03ffe7918ed4d760799cfaa9e9a6c78c6bff85ec79f25a0",
@@ -64,7 +65,7 @@ def _run(*argv):
 
 def pipeline_hashes(root):
     """Run generate (both bundled groups, and BIF with and without ground
-    truth), discover, train, predict, eval
+    truth), discover (with and without the test trace), train, predict, eval
     and qini under ``root``; return {relative path: sha256 hex}."""
     root = Path(root)
     gen, bif_gen = root / "gen", root / "bif"
@@ -87,6 +88,11 @@ def pipeline_hashes(root):
     _run("generate", "--bif", bif, "--samples", 200, "--seed", 5, "--out", root / "bif_plain")
     train, test, schema = gen / "train.csv", gen / "test.csv", gen / "schema.json"
     _run("discover", "--data", train, "--target", "Y", "--out", root / "parents.json")
+    # the trace pins every statistic and p-value bit, continuous columns included
+    _run(
+        "discover", "--data", root / "gen2" / "test.csv", "--target", "Y", "--alpha", 0.5,
+        "--explain", "--out", root / "parents_explain.json",
+    )
     _run(
         "train", "--data", train, "--treatment", "T", "--outcome", "Y",
         "--out", root / "logistic.json",

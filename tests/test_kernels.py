@@ -113,10 +113,99 @@ def test_joint_counts_paths_agree(rng):
         xc = rng.integers(0, nx, n)
         yc = rng.integers(0, ny, n)
         zf = rng.integers(0, nz, n)
-        a = K.joint_counts(xc, yc, zf, nx, ny, nz)
+        a = K.joint_counts([xc, yc, zf], [nx, ny, nz])
         b = joint_counts_oracle(xc, yc, zf, nx, ny, nz)
         assert np.array_equal(a, b)
         assert a.sum() == n
+
+
+def strata_oracle(zs, arities, n):
+    """Row-major stratum number of each row, in Python ints."""
+    zf = [0] * n
+    for codes, arity in zip(zs, arities):
+        zf = [f * arity + c for f, c in zip(zf, codes.tolist())]
+    return np.array(zf, dtype=np.int64)
+
+
+def counts_both_ways(columns, arities):
+    """The table by packed bitsets and by bincount, and the oracle's."""
+    bits = [K.pack_levels(c, a) for c, a in zip(columns, arities)]
+    assert all(b is not None for b in bits)
+    by_bits = K.joint_counts(columns, arities, bits)
+    by_bincount = K.joint_counts(columns, arities)
+    nz = int(np.prod(arities[2:]))
+    zf = strata_oracle(columns[2:], arities[2:], columns[0].size)
+    want = joint_counts_oracle(columns[0], columns[1], zf, *arities[:2], nz)
+    return by_bits, by_bincount, want
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 18000])
+def test_bit_counts_match_oracle(n):
+    rng = np.random.default_rng(n)
+    for arities in ([2, 2], [3, 2], [2, 3, 2], [3, 2, 3], [2, 2, 2, 2], [3, 2, 2, 3]):
+        columns = [rng.integers(0, a, n) for a in arities]
+        by_bits, by_bincount, want = counts_both_ways(columns, arities)
+        assert by_bits.dtype == by_bincount.dtype == np.int64
+        assert np.array_equal(by_bits, want)
+        assert np.array_equal(by_bincount, want)
+
+
+def test_bit_counts_past_uint8():
+    # popcounts are uint8 per word; a cell's sum over 282 words must not wrap
+    n = 18000
+    x = np.zeros(n, dtype=np.int64)
+    x[::97] = 1
+    y = np.zeros(n, dtype=np.int64)
+    by_bits, by_bincount, want = counts_both_ways([x, y, x], [2, 2, 2])
+    assert want[0, 0, 0] == n - x.sum() > 255
+    assert np.array_equal(by_bits, want)
+    assert np.array_equal(by_bincount, want)
+
+
+def test_bit_counts_keep_empty_strata():
+    rng = np.random.default_rng(5)
+    n = 700
+    z1 = rng.choice([0, 2], n)  # level 1 never occurs
+    z2 = np.full(n, 1)  # levels 0 and 2 never occur
+    columns = [rng.integers(0, 3, n), rng.integers(0, 2, n), z1, z2]
+    by_bits, by_bincount, want = counts_both_ways(columns, [3, 2, 3, 3])
+    assert (want.sum(axis=(0, 1)) == 0).sum() == 7
+    assert np.array_equal(by_bits, want)
+    assert np.array_equal(by_bincount, want)
+
+
+@pytest.mark.parametrize(
+    "arities, bits_path",
+    [([3, 3, 7], True), ([2, 2, 16], True), ([2, 2, 4, 4], True), ([5, 13], False), ([2, 3, 11], False)],
+)
+def test_crossover_picks_the_path(arities, bits_path, monkeypatch):
+    # tables just below, at and just above BITS_MAX_CELLS cells
+    cells = int(np.prod(arities))
+    assert (cells <= K.BITS_MAX_CELLS) == bits_path
+    assert abs(cells - K.BITS_MAX_CELLS) <= 2
+    rng = np.random.default_rng(cells)
+    columns = [rng.integers(0, a, 6149) for a in arities]
+    bits = [K.pack_levels(c, a) for c, a in zip(columns, arities)]
+    calls = []
+    real_bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(a) or real_bincount(*a, **k))
+    got = K.joint_counts(columns, arities, bits)
+    assert bool(calls) != bits_path
+    assert np.array_equal(got, counts_both_ways(columns, arities)[2])
+
+
+def test_pack_levels_layout():
+    rng = np.random.default_rng(8)
+    n = 2085
+    codes = rng.integers(0, 4, n)
+    bits = K.pack_levels(codes, 4)
+    assert bits.dtype == np.uint64 and bits.shape == (4, -(-n // 64))
+    rows = np.unpackbits(bits.view(np.uint8), axis=1, bitorder="little")
+    for level in range(4):
+        assert rows[level, :n].tolist() == (codes == level).tolist()
+    assert not rows[:, n:].any()
+    # a column no bitset count would use is not packed
+    assert K.pack_levels(codes, K.BITS_MAX_CELLS + 1) is None
 
 
 def test_grow_tree_paths_agree(rng):

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causaluplift.data import ColumnSpec, Dataset
 from causaluplift.errors import ContinuousColumn, DegenerateColumnWarning, EmptyColumn
@@ -81,6 +84,18 @@ class TestDiscretize:
         disc = discretize(values, bins=4)
         assert disc.n_bins <= 4
 
+    def test_codes_past_uint8(self):
+        values = np.random.default_rng(4).permutation(1000).astype(np.float64)
+        disc = discretize(values, bins=300)
+        codes, n_bins, _ = discretize_reference(values, 300)
+        assert disc.codes.max() == 299 and disc.n_bins == n_bins == 300
+        assert disc.codes.tolist() == codes.tolist()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            discretize(np.array([0.0, bad, 1.0]), bins=2)
+
     def test_deterministic(self):
         values = np.random.default_rng(9).normal(size=500)
         a = discretize(values, bins=3)
@@ -100,6 +115,62 @@ class TestDiscretizeDataset:
         assert out.spec("b").kind == "binary"
         # original untouched
         assert data.spec("a").kind == "continuous"
+
+
+def discretize_reference(values, bins):
+    """One column at a time: np.quantile edges, np.unique, np.searchsorted."""
+    if np.unique(values).size < 2:
+        return np.zeros(values.size, dtype=np.int64), 1, np.empty(0)
+    edges = np.unique(np.quantile(values, np.arange(1, bins) / bins))
+    return np.searchsorted(edges, values, side="left"), edges.size + 1, edges
+
+
+# ties, signed zeros, constant columns and spreads wide enough to round
+POOLED = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5, 1e-300, -1e300, 1e300, 3.0])
+SPREAD = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+
+@st.composite
+def continuous_columns(draw):
+    n = draw(st.integers(1, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from(["pooled", "spread", "constant"]))
+        if shape == "constant":
+            values = [draw(POOLED)] * n
+        else:
+            values = draw(st.lists(POOLED if shape == "pooled" else SPREAD, min_size=n, max_size=n))
+        columns.append(np.array(values, dtype=np.float64))
+    return columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(continuous_columns(), st.one_of(st.integers(2, 6), st.integers(2, 300)))
+def test_discretize_dataset_matches_per_column_reference(columns, bins):
+    n = columns[0].size
+    names = [f"c{i}" for i in range(len(columns))]
+    data = Dataset(
+        [ColumnSpec("b", "binary")] + [ColumnSpec(name, "continuous") for name in names],
+        {"b": np.arange(n) % 2, **dict(zip(names, columns))},
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = discretize_dataset(data, bins)
+    degenerate = 0
+    for name, values in zip(names, columns):
+        codes, n_bins, edges = discretize_reference(values, bins)
+        degenerate += n_bins == 1
+        assert out.values(name).dtype == np.int64
+        assert out.values(name).tolist() == codes.tolist()
+        assert out.arity(name) == n_bins
+        with warnings.catch_warnings(record=True) as alone:
+            warnings.simplefilter("always")
+            disc = discretize(values, bins)
+        assert disc.codes.tolist() == codes.tolist()
+        assert (disc.n_bins, disc.degenerate) == (n_bins, n_bins == 1)
+        assert np.array_equal(disc.edges, edges)
+        assert len(alone) == (n_bins == 1)
+    assert [w.category for w in caught] == [DegenerateColumnWarning] * degenerate
 
 
 class TestContingency:

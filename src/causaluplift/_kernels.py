@@ -6,11 +6,12 @@ level bitsets (one popcount of ANDed bitsets per cell), any other by one
 ``bincount`` over the rows; both are exact, so the path never shows in a
 count.
 
-Forest growth advances all trees of a forest together, in depth-first
-order, and scores splits from integer (count, positives) histograms. Each
+Forest growth advances all trees of a forest together, one level at a
+time, and scores splits from integer (count, positives) histograms. Each
 node draws its candidate features from a 32-bit xorshift stream keyed by
-its tree's seed and its own node id, so a tree depends only on its inputs
-and seed, never on the trees grown beside it.
+its tree's seed and its path from the root, so a tree depends only on its
+inputs and seed, never on the trees grown beside it or on the order in
+which nodes are scored.
 """
 
 import math
@@ -95,23 +96,20 @@ def joint_counts(columns, arities, bits=None):
 # left. Split scores come from integer (count, positives) histograms, so
 # the only floats are the per-split Gini terms. Candidate features at each
 # node are a partial Fisher-Yates draw from a 32-bit xorshift stream seeded
-# by (tree_seed, node id), run in uint64 with every left shift masked to 32
-# bits.
+# by (tree_seed, heap key), run in uint64 with every left shift masked to
+# 32 bits. A root's heap key is 0 and the children of key h get 2h + 1 and
+# 2h + 2 (wrapping in uint64), so a node's draw depends on its path from
+# the root alone.
 #
-# A tree grows depth-first and numbers the two children of a split when its
-# depth-first walk reaches that split, so a node's id, and with it its
-# feature draw, depends on its own tree alone. All trees of a forest
-# therefore grow together, in rounds. A round scores every node that has an
-# id but no score yet (the root, or the two children of its tree's last
-# split), each step one array operation over all of those nodes. Then each
-# tree walks its depth-first stack past scored nodes up to the next split,
-# whose children get their ids.
+# All trees of a forest therefore grow together, one level at a time. The
+# frontier holds every node of the current depth, sorted by tree, and is
+# scored in chunks, each step one array operation over all of a chunk's
+# nodes.
 
-# Rows one round may score across all trees (a round always scores at least
-# one node); bounds the round's (rows, mtry) temporaries.
-ROUND_ROWS = 1 << 14
-# Pool cells (node ids x features) of one block of feature draws.
-DRAW_CELLS = 1 << 18
+# Cells one chunk may use, counted as rows x mtry for the histogram keys
+# plus nodes x mtry x 2 x n_bins for the histograms (a chunk always scores
+# at least one node).
+CHUNK_CELLS = 1 << 18
 
 
 def _xorshift(s):
@@ -121,14 +119,13 @@ def _xorshift(s):
     return s
 
 
-def _draw_features(seeds, first, count, n_feats, mtry):
-    """Candidate features of node ids ``first .. first + count - 1`` of every
-    tree, as an ``(n_trees, count, mtry)`` array."""
-    nodes = np.arange(first, first + count, dtype=np.uint64)
-    s = (seeds[:, None] + nodes * np.uint64(2654435761)) & _MASK32
+def _draw_features(seeds, heaps, n_feats, mtry):
+    """Candidate features of the nodes with tree seeds ``seeds`` and heap
+    keys ``heaps`` (uint64 arrays), as a ``(nodes, mtry)`` array."""
+    s = (seeds + heaps * np.uint64(2654435761)) & _MASK32
     s[s == 0] = 0x9E3779B9
-    s = _xorshift(_xorshift(s.ravel()))
-    pool = np.tile(np.arange(n_feats, dtype=np.int32), (s.size, 1))
+    s = _xorshift(_xorshift(s))
+    pool = np.tile(np.arange(n_feats), (s.size, 1))
     every = np.arange(s.size)
     for j in range(mtry):
         s = _xorshift(s)
@@ -136,26 +133,7 @@ def _draw_features(seeds, first, count, n_feats, mtry):
         drawn = pool[every, r]
         pool[every, r] = pool[:, j]
         pool[:, j] = drawn
-    return pool[:, :mtry].reshape(seeds.size, count, mtry)
-
-
-class _FeatureDraws:
-    """Candidate features by (tree, node id), drawn ahead in blocks of ids."""
-
-    def __init__(self, tree_seeds, n_feats, mtry):
-        self.seeds = np.asarray(tree_seeds, dtype=np.uint64)
-        self.n_feats = n_feats
-        self.mtry = mtry
-        self.block = max(1, DRAW_CELLS // (self.seeds.size * n_feats))
-        self.table = np.empty((self.seeds.size, 0, mtry), dtype=np.int32)
-
-    def __call__(self, tree, node):
-        while node.max() >= self.table.shape[1]:
-            more = _draw_features(
-                self.seeds, self.table.shape[1], self.block, self.n_feats, self.mtry
-            )
-            self.table = np.concatenate([self.table, more], axis=1)
-        return self.table[tree, node].astype(np.intp)
+    return pool[:, :mtry]
 
 
 def _segments(lo, m):
@@ -219,118 +197,84 @@ def _best_splits(coded, rows, seg, feats, m, pos_total, n_bins, min_leaf):
 
 
 def grow_forest(codes, labels, bootstraps, tree_seeds, mtry, n_bins, max_depth, min_leaf):
-    """Grow tree ``i`` depth-first on ``bootstraps[i]`` (a non-empty array of
-    row indices into ``codes``, with 0/1 ``labels``) and ``tree_seeds[i]``,
-    all trees at once.
+    """Grow tree ``i`` on ``bootstraps[i]`` (a non-empty array of row indices
+    into ``codes``, with 0/1 ``labels``) and ``tree_seeds[i]``, all trees at
+    once, one level at a time.
 
     Each tree is the one it would be if grown alone. Returns, per tree, the
-    per-node arrays ``(child_left, child_right, split_feat, split_bin,
-    leaf_pos, leaf_n)``, each exactly as long as the tree has nodes; a leaf
-    has ``split_feat == -1``.
+    per-node arrays ``(child_left, split_feat, split_bin, leaf_pos,
+    leaf_n)`` in level order, each exactly as long as the tree has nodes; a
+    leaf has ``child_left == split_feat == -1``, and the right child of a
+    split is ``child_left + 1``.
     """
     codes = np.ascontiguousarray(codes)
     labels = np.asarray(labels, dtype=np.intp)
     coded = 2 * codes.astype(np.int16) + labels.astype(np.int16)[:, None]
-    draws = _FeatureDraws(tree_seeds, codes.shape[1], mtry)
+    seeds = np.asarray(tree_seeds, dtype=np.uint64)
     work = np.concatenate(bootstraps).astype(np.intp, copy=False)
-    ends = np.cumsum([len(rows) for rows in bootstraps]).tolist()
-    # Per tree, the depth-first stack of [node, lo, hi, depth, split]: the
-    # node's rows are work[lo:hi], and split is None until the node is
-    # scored, then () for a leaf or (feature, bin, mid) once work[lo:mid]
-    # holds its left rows.
-    stacks = [[[0, end - len(rows), end, 0, None]] for rows, end in zip(bootstraps, ends)]
-    n_nodes = [1] * len(bootstraps)
-    visited = []  # per round: tree, node, positives, rows
-    splits = []  # per split: tree, node, feature, bin, left child
+    # the frontier: node i of the current depth holds the rows
+    # work[lo[i] : lo[i] + m[i]] of tree tree[i]
+    m = np.array([len(rows) for rows in bootstraps])
+    lo = np.cumsum(m) - m
+    tree = np.arange(m.size)
+    heap = np.zeros(m.size, dtype=np.uint64)
+    levels = []  # per depth: tree, feature, bin, positives, rows
+    depth = 0
 
-    while True:
-        taken, room = [], ROUND_ROWS
-        for t, stack in enumerate(stacks):
-            for entry in stack[-2:]:
-                size = entry[2] - entry[1]
-                if entry[4] is None and (not taken or size <= room):
-                    taken.append((t, entry))
-                    room -= size
-        if not taken:
-            break
-        tree, node, lo, hi, depth = np.array(
-            [(t, *entry[:4]) for t, entry in taken], dtype=np.int64
-        ).T
-        m = hi - lo
-        at, seg = _segments(lo, m)
-        rows = work[at]
-        pos_total = np.add.reduceat(labels[rows], np.cumsum(m) - m)
-        visited.append((tree, node, pos_total, m))
-        outcome = [()] * len(taken)
-
-        grow = (pos_total > 0) & (pos_total < m) & (depth < max_depth) & (m >= 2 * min_leaf)
-        if grow.any():
-            keep = grow[seg]
-            at, rows = at[keep], rows[keep]
-            index = np.flatnonzero(grow)
-            node, lo, m, pos_total = (v[grow] for v in (node, lo, m, pos_total))
-            seg = np.repeat(np.arange(index.size), m)
-            split, feat, split_bin = _best_splits(
-                coded, rows, seg, draws(tree[grow], node), m, pos_total, n_bins, min_leaf
+    while tree.size:
+        below = np.concatenate(([0], np.cumsum(labels[work])))
+        pos_total = below[lo + m] - below[lo]
+        feat = np.full(tree.size, -1)
+        split_bin = np.full(tree.size, -1)
+        mid = lo + m
+        grow = (pos_total > 0) & (pos_total < m) & (m >= 2 * min_leaf) & (depth < max_depth)
+        todo = np.flatnonzero(grow)
+        cost = np.cumsum(m[todo] * mtry + mtry * 2 * n_bins)
+        start = 0
+        while start < todo.size:
+            done = cost[start - 1] if start else 0
+            stop = max(start + 1, int(np.searchsorted(cost, done + CHUNK_CELLS, "right")))
+            sel = todo[start:stop]
+            start = stop
+            at, seg = _segments(lo[sel], m[sel])
+            rows = work[at]
+            feats = _draw_features(seeds[tree[sel]], heap[sel], codes.shape[1], mtry)
+            split, f, b = _best_splits(
+                coded, rows, seg, feats, m[sel], pos_total[sel], n_bins, min_leaf
             )
-            if split.any():
-                moved = split[seg]
-                at, rows, seg = at[moved], rows[moved], seg[moved]
-                right = codes.ravel().take(rows * codes.shape[1] + feat[seg]) > split_bin[seg]
-                # stable partition of each split node's rows: left, then right
-                work[at] = rows[np.argsort(seg * 2 + right, kind="stable")]
-                mid = lo + m - np.bincount(seg[right], minlength=index.size)
-                for i, f, b, c in zip(
-                    *(v[split].tolist() for v in (index, feat, split_bin, mid))
-                ):
-                    outcome[i] = (f, b, c)
-        for (_, entry), result in zip(taken, outcome):
-            entry[4] = result
+            moved = split[seg]
+            at, rows, seg = at[moved], rows[moved], seg[moved]
+            right = codes.ravel().take(rows * codes.shape[1] + f[seg]) > b[seg]
+            # stable partition of each split node's rows: left, then right
+            work[at] = rows[np.argsort(seg * 2 + right, kind="stable")]
+            mid[sel] -= np.bincount(seg[right], minlength=sel.size)
+            sel = sel[split]
+            feat[sel] = f[split]
+            split_bin[sel] = b[split]
 
-        for t, stack in enumerate(stacks):
-            while stack and stack[-1][4] is not None:
-                node, lo, hi, depth, result = stack.pop()
-                if result:
-                    f, b, mid = result
-                    left = n_nodes[t]
-                    n_nodes[t] += 2
-                    splits.append((t, node, f, b, left))
-                    stack.append([left + 1, mid, hi, depth + 1, None])
-                    stack.append([left, lo, mid, depth + 1, None])
-                    break
+        levels.append((tree, feat, split_bin, pos_total, m))
+        split = feat >= 0
+        tree = np.repeat(tree[split], 2)
+        heap = (heap[split, None] * np.uint64(2) + np.array([1, 2], dtype=np.uint64)).ravel()
+        bounds = np.stack([lo, mid, lo + m], 1)[split]  # per split: lo, mid, hi
+        lo = bounds[:, :2].ravel()
+        m = np.diff(bounds, axis=1).ravel()
+        depth += 1
 
-    return _tree_arrays(n_nodes, visited, splits)
-
-
-def _tree_arrays(n_nodes, visited, splits):
-    """Scatter the node records into one owned array set per tree."""
-    n_nodes = np.array(n_nodes, dtype=np.int64)
-    first = np.cumsum(n_nodes) - n_nodes
-    total = int(n_nodes.sum())
-    child_left = np.full(total, -1, dtype=np.int32)
-    child_right = np.full(total, -1, dtype=np.int32)
-    split_feat = np.full(total, -1, dtype=np.int32)
-    split_bin = np.full(total, -1, dtype=np.int32)
-    leaf_pos = np.zeros(total, dtype=np.int64)
-    leaf_n = np.zeros(total, dtype=np.int64)
-
-    tree, node, pos, n = (np.concatenate(v) for v in zip(*visited))
-    at = first[tree] + node
-    leaf_pos[at] = pos
-    leaf_n[at] = n
-    if splits:
-        tree, node, feat, bin_, left = (np.array(v, dtype=np.int64) for v in zip(*splits))
-        at = first[tree] + node
-        split_feat[at] = feat
-        split_bin[at] = bin_
-        child_left[at] = left
-        child_right[at] = left + 1
-
-    bounds = np.cumsum(n_nodes)[:-1]
-    columns = (child_left, child_right, split_feat, split_bin, leaf_pos, leaf_n)
+    # Each tree numbers its nodes in level order, so its k-th split node's
+    # children are 2k + 1 and 2k + 2.
+    tree, feat, split_bin, pos, n = (np.concatenate(v) for v in zip(*levels))
+    order = np.argsort(tree, kind="stable")
+    tree, feat, split_bin, pos, n = (v[order] for v in (tree, feat, split_bin, pos, n))
+    split = feat >= 0
+    ends = np.cumsum(np.bincount(tree))
+    before = np.cumsum(split) - split  # split nodes before each node
+    first = np.concatenate(([0], ends[:-1]))[tree]  # each node's tree's root
+    child_left = np.where(split, 2 * (before - before[first]) + 1, -1)
+    columns = [v.astype(np.int32) for v in (child_left, feat, split_bin)] + [pos, n]
     return [
         tuple(part.copy() for part in parts)
-        for parts in zip(*(np.split(column, bounds) for column in columns))
+        for parts in zip(*(np.split(column, ends[:-1]) for column in columns))
     ]
 
 
@@ -339,15 +283,16 @@ def _tree_arrays(n_nodes, visited, splits):
 # ---------------------------------------------------------------------------
 
 
-def tree_leaves(codes, child_left, child_right, split_feat, split_bin):
-    """Id of the leaf each row of ``codes`` reaches."""
+def tree_leaves(codes, child_left, split_feat, split_bin):
+    """Id of the leaf each row of ``codes`` reaches; a split sends a row to
+    ``child_left`` if its code is at most the split bin, else to the next
+    node."""
     n = codes.shape[0]
     node = np.zeros(n, dtype=np.int64)
     active = split_feat[node] >= 0
     while active.any():
         idx = np.nonzero(active)[0]
         cur = node[idx]
-        go_left = codes[idx, split_feat[cur]] <= split_bin[cur]
-        node[idx] = np.where(go_left, child_left[cur], child_right[cur])
+        node[idx] = child_left[cur] + (codes[idx, split_feat[cur]] > split_bin[cur])
         active[idx] = split_feat[node[idx]] >= 0
     return node

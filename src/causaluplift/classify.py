@@ -28,7 +28,7 @@ from .logistic import ConstantModel, LogisticModel, fit_logistic, logistic_hyper
 from .stats import discretize_dataset
 
 MODEL_FORMAT = "causaluplift-model"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 _HYPERPARAMETERS = {"logistic": logistic_hyperparameters, "forest": forest_hyperparameters}
 

@@ -63,6 +63,8 @@ def causal_accuracy(assign, truth, theta=0.0):
         raise LengthMismatch(
             f"{assign.shape[0]} predictions vs {true_effect.shape[0]} truth rows"
         )
+    if assign.shape[0] == 0:
+        raise LengthMismatch("empty input")
     should_treat = (true_effect > theta).astype(np.int64)
     return float((assign == should_treat).mean())
 

@@ -1,19 +1,21 @@
 """Bagged CART forest with Gini splits on histogram-binned features.
 
-Continuous features are quantized to at most 64 quantile cuts before
-growing; categorical and binary inputs keep their exact codes, so splits on
-them are exact. Candidate features per split follow the usual mtry rule
-(default: square root of the feature count). Leaf probabilities are
-Laplace-smoothed as (positives + 1) / (samples + 2) and averaged over
+Continuous features are quantized to at most 64 bins (63 quantile cuts)
+before growing; categorical and binary inputs keep their exact codes, so
+splits on them are exact. Candidate features per split follow the usual
+mtry rule (default: square root of the feature count). Leaf probabilities
+are Laplace-smoothed as (positives + 1) / (samples + 2) and averaged over
 trees. Everything is deterministic given the seed: bootstraps come from a
 seeded generator and per-node feature draws from a counter-based xorshift,
 so repeated fits are byte-identical.
 
-All trees grow in one call of ``_kernels.grow_forest``: each round scores
-the newly numbered nodes of every tree with one array operation per step,
-then each tree moves on in depth-first order. Since a node's feature draw
-depends only on its own tree's seed and node id, every tree is the one it
-would be if grown alone.
+All trees grow in one call of ``_kernels.grow_forest``, one level at a
+time: every node of a depth, across all trees, is scored with one array
+operation per step. A node's feature draw depends only on its own tree's
+seed and its path from the root, so every tree is the one it would be if
+grown alone. Each tree stores its nodes in level order as the arrays
+``(child_left, split_feat, split_bin, leaf_pos, leaf_n)``; a split's right
+child is ``child_left + 1``.
 """
 
 import numpy as np
@@ -22,6 +24,9 @@ from ._kernels import grow_forest, tree_leaves
 from .logistic import merge_hyperparameters, single_class_model
 
 MAX_BINS = 64
+
+# A tree's per-node arrays, in the order of its tuple and its model-file keys.
+TREE_KEYS = ("child_left", "split_feat", "split_bin", "leaf_pos", "leaf_n")
 
 FOREST_DEFAULTS = {
     "n_trees": 100,
@@ -74,8 +79,8 @@ class ForestModel:
         codes = _encode(X, self.cuts)
         total = np.zeros(X.shape[0])
         for tree in self.trees:
-            leaves = tree_leaves(codes, *tree[:4])
-            total += (tree[4][leaves] + 1.0) / (tree[5][leaves] + 2.0)
+            leaves = tree_leaves(codes, *tree[:3])
+            total += (tree[3][leaves] + 1.0) / (tree[4][leaves] + 2.0)
         return total / len(self.trees)
 
     def to_dict(self):
@@ -84,14 +89,7 @@ class ForestModel:
             "params": {k: self.params[k] for k in FOREST_DEFAULTS},
             "cuts": [[float(v) for v in c] for c in self.cuts],
             "trees": [
-                {
-                    "child_left": t[0].tolist(),
-                    "child_right": t[1].tolist(),
-                    "split_feat": t[2].tolist(),
-                    "split_bin": t[3].tolist(),
-                    "leaf_pos": t[4].tolist(),
-                    "leaf_n": t[5].tolist(),
-                }
+                {key: column.tolist() for key, column in zip(TREE_KEYS, t)}
                 for t in self.trees
             ],
         }
@@ -99,18 +97,36 @@ class ForestModel:
     @classmethod
     def from_dict(cls, payload):
         cuts = [np.asarray(c, dtype=np.float64) for c in payload["cuts"]]
-        trees = [
-            (
-                np.asarray(t["child_left"], dtype=np.int32),
-                np.asarray(t["child_right"], dtype=np.int32),
-                np.asarray(t["split_feat"], dtype=np.int32),
-                np.asarray(t["split_bin"], dtype=np.int32),
-                np.asarray(t["leaf_pos"], dtype=np.int64),
-                np.asarray(t["leaf_n"], dtype=np.int64),
-            )
-            for t in payload["trees"]
-        ]
+        trees = [_checked_tree(i, t, len(cuts)) for i, t in enumerate(payload["trees"])]
         return cls(cuts, trees, dict(payload["params"]))
+
+
+def _checked_tree(i, payload, n_feats):
+    """Tree ``i``'s node arrays from its model-file object, refused with a
+    ValueError unless every row reaches a leaf through valid indices."""
+    try:
+        tree = tuple(np.asarray(payload[key], dtype=np.int64) for key in TREE_KEYS)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"forest tree {i}: {exc}") from None
+    child_left, split_feat, split_bin, leaf_pos, leaf_n = tree
+    n = child_left.size
+    if n == 0 or any(a.shape != (n,) for a in tree):
+        raise ValueError(f"forest tree {i}: node arrays must be non-empty and of equal length")
+    leaf = split_feat == -1
+    inner = ~leaf
+    problems = {
+        "a leaf has a child": child_left[leaf] != -1,
+        "a child is out of range": (child_left[inner] <= np.flatnonzero(inner))
+        | (child_left[inner] + 1 >= n),
+        "a split feature is out of range": (split_feat[inner] < 0)
+        | (split_feat[inner] >= n_feats),
+        "a split bin is negative": split_bin[inner] < 0,
+        "a leaf count is out of range": (leaf_pos[leaf] < 0) | (leaf_pos[leaf] > leaf_n[leaf]),
+    }
+    for problem, bad in problems.items():
+        if bad.any():
+            raise ValueError(f"forest tree {i}: {problem}")
+    return tuple(a.astype(np.int32) for a in tree[:3]) + tree[3:]
 
 
 def fit_forest(X, y, hyperparameters=None):

@@ -463,6 +463,47 @@ class TestTrainPredictEval:
             assert err.count("\n") == 1
             assert not metrics.exists()
 
+    @pytest.mark.parametrize(
+        "node, key, value, says",
+        [
+            (0, "child_left", 10**6, "child is out of range"),
+            (0, "split_feat", 99, "split feature is out of range"),
+        ],
+    )
+    def test_predict_tampered_tree_exits_2(
+        self, workspace, model_path, tmp_path, capsys, node, key, value, says
+    ):
+        payload = json.loads(model_path.read_text())
+        tree = payload["m1"]["trees"][0]
+        assert tree["split_feat"][node] >= 0  # an internal node
+        tree[key][node] = value
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(payload))
+        assert run(
+            "predict", "--model", tampered,
+            "--data", workspace / "test.csv",
+            "--schema", workspace / "schema.json",
+            "--out", tmp_path / "preds.csv",
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: forest tree 0: ") and says in err
+        assert err.count("\n") == 1  # one line, no traceback
+        assert not (tmp_path / "preds.csv").exists()
+
+    def test_eval_empty_predictions_exits_2(self, workspace, tmp_path, capsys):
+        preds_path = tmp_path / "p.csv"
+        preds_path.write_text("row_id,p1,p0,effect,assign\n")
+        truth_path = tmp_path / "truth.csv"
+        truth_path.write_text("row,effect,response,potential_y0,potential_y1\n")
+        metrics = tmp_path / "m.json"
+        assert run(
+            "eval", "--predictions", preds_path, "--ground-truth", truth_path,
+            "--out", metrics,
+        ) == 2
+        err = capsys.readouterr().err
+        assert err == "error: empty input\n"
+        assert not metrics.exists()
+
     def test_eval_needs_some_reference(self, workspace, tmp_path):
         preds_path = tmp_path / "p.csv"
         preds_path.write_text("row_id,p1,p0,effect,assign\n0,0.5,0.5,0.0,0\n")

@@ -79,6 +79,10 @@ class TestCausalAccuracy:
         with pytest.raises(LengthMismatch):
             causal_accuracy(np.zeros(3, dtype=int), truth_of([0.1, 0.2]))
 
+    def test_empty_input(self):
+        with pytest.raises(LengthMismatch, match="empty input"):
+            causal_accuracy(np.zeros(0, dtype=int), truth_of([]))
+
     @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf"), -0.1])
     def test_non_finite_theta_rejected(self, theta):
         with pytest.raises(ValueError, match="finite"):

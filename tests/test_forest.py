@@ -78,7 +78,7 @@ class TestBehaviour:
         y = (rng.random(300) < 0.5).astype(int)
         model = fit_forest(X, y, {"seed": 4, "n_trees": 10, "min_leaf": 25})
         for tree in model.trees:
-            leaf_sizes = tree[5][tree[2] < 0]
+            leaf_sizes = tree[4][tree[1] < 0]
             assert leaf_sizes.min() >= 25
 
     def test_tree_arrays_own_exactly_their_nodes(self):
@@ -87,7 +87,7 @@ class TestBehaviour:
         y = (X[:, 0] + 0.3 * rng.random(400) > 0.6).astype(int)
         model = fit_forest(X, y, {"seed": 6, "n_trees": 8})
         for tree in model.trees:
-            n_nodes = 1 + 2 * int(np.count_nonzero(tree[2] >= 0))
+            n_nodes = 1 + 2 * int(np.count_nonzero(tree[1] >= 0))
             for array in tree:
                 assert array.flags.owndata
                 assert array.shape == (n_nodes,)
@@ -111,3 +111,44 @@ class TestBehaviour:
         again = ForestModel.from_dict(model.to_dict())
         probe = rng.random((150, 4))
         assert np.array_equal(model.predict_proba(probe), again.predict_proba(probe))
+
+
+def _stump(**changes):
+    """A one-split forest over one feature, as its model file holds it."""
+    tree = {
+        "child_left": [1, -1, -1],
+        "split_feat": [0, -1, -1],
+        "split_bin": [0, -1, -1],
+        "leaf_pos": [3, 1, 2],
+        "leaf_n": [5, 2, 3],
+    }
+    tree.update(changes)
+    params = {"n_trees": 1, "max_depth": None, "min_leaf": 1, "feature_subsample": None, "seed": 1}
+    return {"type": "forest", "params": params, "cuts": [[0.5]], "trees": [tree]}
+
+
+class TestLoadChecksTrees:
+    def test_valid_stump(self):
+        model = ForestModel.from_dict(_stump())
+        assert np.allclose(model.predict_proba([[0.2], [0.9]]), [2 / 4, 3 / 5])
+
+    @pytest.mark.parametrize(
+        "changes, says",
+        [
+            ({"leaf_n": [5, 2]}, "equal length"),
+            ({key: [] for key in ("child_left", "split_feat", "split_bin", "leaf_pos", "leaf_n")},
+             "non-empty"),
+            ({"child_left": [1, 2, -1]}, "leaf has a child"),
+            ({"child_left": [0, -1, -1]}, "child is out of range"),
+            ({"child_left": [2, -1, -1]}, "child is out of range"),
+            ({"split_feat": [1, -1, -1]}, "split feature is out of range"),
+            ({"split_feat": [-2, -1, -1]}, "split feature is out of range"),
+            ({"split_bin": [-1, -1, -1]}, "split bin is negative"),
+            ({"leaf_pos": [3, 3, 2]}, "leaf count is out of range"),
+            ({"leaf_pos": [3, -1, 2]}, "leaf count is out of range"),
+            ({"leaf_n": [5, 2, [3]]}, "forest tree 0"),
+        ],
+    )
+    def test_bad_tree_refused(self, changes, says):
+        with pytest.raises(ValueError, match=says):
+            ForestModel.from_dict(_stump(**changes))

@@ -27,7 +27,7 @@ GOLDEN = {
     "bif_plain/data.csv": "ba5ddc5500419534e5d70c805e76576e07ab32e853e33657f70eaa97bef78c53",
     "bif_plain/net.json": "8c96599b3e5e59e7fc95fbcddac2658044043ff07a276ccf63669227d5bc81bb",
     "bif_plain/schema.json": "72936fdc5f4c11c9678a8834f0aa3e8907070cc64c680e03168dd5abc78cec72",
-    "forest.json": "b748e9311a04a50803b88d8988ec8c6e6f0c0d42325282b12e47a584537cdd2a",
+    "forest.json": "f5d253053edad5cd57fb97313292f8b13feed2b40048b60f996abc022c451e77",
     "forest_curve.csv": "497385a136cc72001b9f94c6b4dff4fa73666a8cdb76214ab5651008d72ae7d4",
     "forest_eval.json": "ff4e0e64e68d0cbd84ee023354177341f3abd7c9bce4c0b6fc79eb4338e8dccb",
     "forest_preds.csv": "94e78f74330d1ec52ce063e59277c3606c520adf9f4603426dd333ec7be30a3e",
@@ -47,7 +47,7 @@ GOLDEN = {
     "gen2/test_truth.csv": "887a66677b1f42a6f51c060791534ddeb5ca021c4d46899927e5a422b375bfa4",
     "gen2/train.csv": "d737f1749d2cec29cab56d32e12f9ff92bcf939048862dbe6e5e3d34fd70b86f",
     "gen2/train_truth.csv": "547876e0c6c9407e22b68514f407efdf900252563d177e3e620a1a41bec9f3cd",
-    "logistic.json": "db68486804a0648e01cf3de0f141aff664c4cf1907d40ab670cc95c9d6811f07",
+    "logistic.json": "6215b0dbcc9feef4fb2a80e8205d89be3ef7dc4d36ffaa67fd061f8e6339459a",
     "logistic_curve.csv": "359c8476938cbc17c3caa79f62d9da3dac90fc0477c6b7f8202cf301a17c9dc4",
     "logistic_eval.json": "c54b65ef748c199d0e3197f40b3006f8f7624c9d2a8a0c06cbaffe0f2f9959a7",
     "logistic_preds.csv": "59a7c5abe4c67f0226c8eda99756bf5fbf065df8699f8a00f746c03806c6a8f7",

@@ -32,9 +32,10 @@ def xorshift(s):
     return (s ^ (s << 5)) & MASK32
 
 
-def candidate_features(tree_seed, node, n_feats, mtry):
-    """Partial Fisher-Yates draw of ``mtry`` features for one node."""
-    s = (tree_seed + node * 2654435761) & MASK32 or 0x9E3779B9
+def candidate_features(tree_seed, heap, n_feats, mtry):
+    """Partial Fisher-Yates draw of ``mtry`` features for the node with heap
+    key ``heap``."""
+    s = (tree_seed + heap * 2654435761) & MASK32 or 0x9E3779B9
     s = xorshift(xorshift(s))
     pool = list(range(n_feats))
     for j in range(mtry):
@@ -45,24 +46,25 @@ def candidate_features(tree_seed, node, n_feats, mtry):
 
 
 def grow_tree_oracle(codes, labels, rows, mtry, n_bins, max_depth, min_leaf, tree_seed):
-    """Depth-first histogram CART, one row and one candidate split at a time."""
+    """Breadth-first histogram CART, one row and one candidate split at a
+    time. Nodes are numbered in the order they are queued; the root's heap
+    key is 0 and the children of key h get 2h + 1 and 2h + 2 mod 2**64."""
     codes = codes.tolist()
     labels = labels.tolist()  # Python ints, so sums never wrap
     n_feats = len(codes[0])
-    tree = [[-1, -1, -1, -1, 0, 0]]  # left, right, feature, bin, positives, rows
-    stack = [(0, rows.tolist(), 0)]
-    while stack:
-        node, members, depth = stack.pop()
+    tree = [[-1, -1, -1, 0, 0]]  # left, feature, bin, positives, rows
+    queue = [(0, 0, rows.tolist(), 0)]  # node, heap key, rows, depth
+    for node, heap, members, depth in queue:
         m = len(members)
         pos_total = 0
         for r in members:
             pos_total += labels[r]
-        tree[node][4:] = [pos_total, m]
+        tree[node][3:] = [pos_total, m]
         if pos_total in (0, m) or depth >= max_depth or m < 2 * min_leaf:
             continue
 
         best, best_feat, best_bin = -1.0, -1, -1
-        for f in candidate_features(tree_seed, node, n_feats, mtry):
+        for f in candidate_features(tree_seed, heap, n_feats, mtry):
             cnt = [0] * n_bins
             pos = [0] * n_bins
             for r in members:
@@ -84,19 +86,21 @@ def grow_tree_oracle(codes, labels, rows, mtry, n_bins, max_depth, min_leaf, tre
             continue
 
         child = len(tree)
-        tree[node][:4] = [child, child + 1, best_feat, best_bin]
-        tree += [[-1, -1, -1, -1, 0, 0], [-1, -1, -1, -1, 0, 0]]
-        stack.append((child + 1, [r for r in members if codes[r][best_feat] > best_bin], depth + 1))
-        stack.append((child, [r for r in members if codes[r][best_feat] <= best_bin], depth + 1))
+        tree[node][:3] = [child, best_feat, best_bin]
+        tree += [[-1, -1, -1, 0, 0], [-1, -1, -1, 0, 0]]
+        left = [r for r in members if codes[r][best_feat] <= best_bin]
+        right = [r for r in members if codes[r][best_feat] > best_bin]
+        queue.append((child, (2 * heap + 1) % 2**64, left, depth + 1))
+        queue.append((child + 1, (2 * heap + 2) % 2**64, right, depth + 1))
     return tuple(map(list, zip(*tree)))
 
 
-def tree_leaves_oracle(codes, child_left, child_right, split_feat, split_bin):
+def tree_leaves_oracle(codes, child_left, split_feat, split_bin):
     out = []
     for row in codes.tolist():
         node = 0
         while split_feat[node] >= 0:
-            node = child_left[node] if row[split_feat[node]] <= split_bin[node] else child_right[node]
+            node = child_left[node] + (1 if row[split_feat[node]] > split_bin[node] else 0)
         out.append(int(node))
     return np.array(out, dtype=np.int64)
 
@@ -234,7 +238,7 @@ def test_grow_tree_counts_past_uint8():
     rows = rng.integers(0, n, n).astype(np.int64)
     (a,) = K.grow_forest(codes, labels, [rows], [77], 2, n_bins, 6, 3)
     b = grow_tree_oracle(codes, labels, rows, 2, n_bins, 6, 3, 77)
-    assert (np.asarray(b[4]) > 255).sum() >= 3
+    assert (np.asarray(b[3]) > 255).sum() >= 3
     assert_same_tree(a, b)
 
 
@@ -267,13 +271,12 @@ def test_grow_forest_trees_as_grown_alone():
         assert max(sizes) > 10 * min(sizes)
 
 
-def test_grow_forest_past_round_budget(monkeypatch):
-    # more trees than one round's row budget holds, so a round scores only
-    # some of the numbered nodes; at this budget some right children are
-    # left unscored and then buried under their left sibling's children.
-    # uint8 labels with more than 255 positives per node; one-id draw blocks
-    monkeypatch.setattr(K, "ROUND_ROWS", 600)
-    monkeypatch.setattr(K, "DRAW_CELLS", 64)
+@pytest.mark.parametrize("chunk_cells", [64, 3000])
+def test_grow_forest_past_chunk_budget(monkeypatch, chunk_cells):
+    # a level takes several chunks: one node per chunk at 64 cells, a few
+    # nodes (and chunks that end mid-tree) at 3000; uint8 labels with more
+    # than 255 positives per node
+    monkeypatch.setattr(K, "CHUNK_CELLS", chunk_cells)
     rng = np.random.default_rng(256)
     n, n_feats, n_bins = 500, 6, 5
     codes = rng.integers(0, n_bins, size=(n, n_feats)).astype(np.uint8)
@@ -283,7 +286,7 @@ def test_grow_forest_past_round_budget(monkeypatch):
     trees = K.grow_forest(codes, labels, bootstraps, seeds, 2, n_bins, 7, 2)
     for rows, seed, tree in zip(bootstraps, seeds, trees):
         want = grow_tree_oracle(codes, labels, rows, 2, n_bins, 7, 2, seed)
-        assert (np.asarray(want[4]) > 255).sum() >= 1
+        assert (np.asarray(want[3]) > 255).sum() >= 1
         assert_same_tree(tree, want)
 
 
@@ -294,11 +297,11 @@ def test_tree_leaves_paths_agree(rng):
     rows = np.arange(n, dtype=np.int64)
     (tree,) = K.grow_forest(codes, labels, [rows], [99], 3, n_bins, 8, 2)
     fresh = rng.integers(0, n_bins, size=(300, n_feats)).astype(np.uint8)
-    a = K.tree_leaves(fresh, *tree[:4])
-    b = tree_leaves_oracle(fresh, *tree[:4])
+    a = K.tree_leaves(fresh, *tree[:3])
+    b = tree_leaves_oracle(fresh, *tree[:3])
     assert np.array_equal(a, b)
     # every reached node is a leaf
-    assert (tree[2][a] < 0).all()
+    assert (tree[1][a] < 0).all()
 
 
 def test_use_numba_is_false():

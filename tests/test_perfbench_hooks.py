@@ -50,6 +50,7 @@ def test_model_layer_spans_recorded_and_restored(spans):
         "predict_proba": vars(forest.ForestModel)["predict_proba"],
     }
     data = small_dataset()
+    nodes = 0
     with spans.Tracer() as tracer:
         for spec in (
             ClassifierSpec("forest", {"seed": 1, "n_trees": 3}),
@@ -57,6 +58,7 @@ def test_model_layer_spans_recorded_and_restored(spans):
         ):
             pair = train_cctm(data, "T", "Y", parents=["A", "B"], spec=spec)
             predict_cctm(pair, data)
+            nodes += sum(t[0].size for m in (pair.m1, pair.m0) for t in getattr(m, "trees", ()))
     recorded = {span[0] for span in tracer.spans}
     for name in (
         "forest.fit_forest",
@@ -65,7 +67,7 @@ def test_model_layer_spans_recorded_and_restored(spans):
         "forest.predict_proba",
     ):
         assert name in recorded, name
-    assert tracer.counts["forest.nodes"] > 0
+    assert tracer.counts["forest.nodes"] == nodes > 0
     assert classify.fit_forest is originals["fit_forest"] is forest.fit_forest
     assert classify.fit_logistic is originals["fit_logistic"] is logistic.fit_logistic
     assert vars(classify.FeatureEncoder)["encode"] is originals["encode"]

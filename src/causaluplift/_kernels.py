@@ -4,7 +4,8 @@ growth and tree traversal.
 Counting returns exact int64 counts. A small table is counted from packed
 level bitsets (one popcount of ANDed bitsets per cell), any other by one
 ``bincount`` over the rows; both are exact, so the path never shows in a
-count.
+count. The tables of several x columns against the same other columns are
+counted together, those columns ANDed or flattened once for all of them.
 
 Forest growth advances all trees of a forest together, one level at a
 time, and scores splits from integer (count, positives) histograms. Each
@@ -37,21 +38,75 @@ _MASK32 = 0xFFFFFFFF
 # 55-59 us, and 162 cells 96 against 76 us.
 BITS_MAX_CELLS = 64
 
+# Words one AND of x levels against the strata may hold at once (2 MB).
+COUNT_CHUNK_WORDS = 1 << 18
 
-def pack_levels(codes, arity):
-    """Packed level bitsets of a code column, as an ``(arity, ceil(n / 64))``
-    uint64 array: bit ``i`` of row ``l`` is set when ``codes[i] == l``.
 
-    None for a column of more than ``BITS_MAX_CELLS`` levels, which no
-    bitset count would use.
+def pack_level_block(columns, arities):
+    """Packed level bitsets of several code columns, stacked in one
+    ``(levels, ceil(n / 64))`` uint64 array: bit ``i`` of row
+    ``start[c] + l`` is set when ``columns[c][i] == l``.
+
+    Returns ``(block, start)``. A column of more than ``BITS_MAX_CELLS``
+    levels, which no bitset count would use, gets no rows and
+    ``start[c] == -1``. Columns of one arity are packed together, so the
+    work grows with the levels, not with columns times the widest arity.
     """
-    if arity > BITS_MAX_CELLS:
-        return None
-    n = codes.shape[0]
-    packed = np.zeros((arity, -(-n // 64) * 8), dtype=np.uint8)
-    levels = np.arange(arity)[:, None]
-    packed[:, : -(-n // 8)] = np.packbits(codes == levels, axis=1, bitorder="little")
-    return packed.view(np.uint64)
+    n = len(columns[0]) if columns else 0
+    arities = np.asarray(arities, dtype=np.intp).reshape(-1)
+    sizes = np.where(arities <= BITS_MAX_CELLS, arities, 0)
+    start = np.where(sizes > 0, np.cumsum(sizes) - sizes, -1)
+    block = np.zeros((int(sizes.sum()), -(-n // 64) * 8), dtype=np.uint8)
+    for arity in np.unique(sizes[sizes > 0]).tolist():
+        group = np.flatnonzero(sizes == arity)
+        codes = np.array([columns[c] for c in group], dtype=np.uint8)
+        onehot = codes[:, None, :] == np.arange(arity, dtype=np.uint8)[:, None]
+        rows = (start[group][:, None] + np.arange(arity)).ravel()
+        block[rows, : -(-n // 8)] = np.packbits(
+            onehot.reshape(-1, n), axis=1, bitorder="little"
+        )
+    return block.view(np.uint64), start
+
+
+def stacked_counts(x_columns, x_arities, columns, arities, x_bits=None, bits=None):
+    """Count of each (x, c_1, ..., c_k) code tuple for every x of
+    ``x_columns``, stacked: an ``(sum x_arities, prod arities)`` int64 array
+    whose rows are the x levels, x after x, and whose columns are the joint
+    levels of ``columns``, row-major.
+
+    The joint levels of ``columns`` are formed once for all x: ANDed from
+    their level bitsets ``bits`` when every table has at most
+    ``BITS_MAX_CELLS`` cells and ``x_bits`` (the x levels' bitsets, stacked
+    like the rows) and every bitset is given, then each cell is one popcount;
+    flattened to one code per row otherwise, then each x is one ``bincount``.
+    """
+    cells = math.prod(arities)
+    if (
+        x_bits is not None
+        and bits is not None
+        and all(b is not None for b in bits)
+        and max(x_arities, default=0) * cells <= BITS_MAX_CELLS
+    ):
+        # the joint levels of ``columns``, row-major
+        strata = bits[0]
+        for b in bits[1:]:
+            strata = (strata[:, None] & b[None]).reshape(-1, strata.shape[1])
+        strata = strata[None]
+        step = max(1, COUNT_CHUNK_WORDS // max(1, strata.size))
+        # popcounts are uint8: sum them in int64
+        return np.concatenate([
+            np.bitwise_count(x_bits[i : i + step, None] & strata).sum(axis=2, dtype=np.int64)
+            for i in range(0, max(1, x_bits.shape[0]), step)
+        ])
+    flat = columns[0].astype(np.int64)
+    for codes, arity in zip(columns[1:], arities[1:]):
+        flat *= arity
+        flat += codes
+    out = [
+        np.bincount(x * cells + flat, minlength=nx * cells).reshape(nx, cells)
+        for x, nx in zip(x_columns, x_arities)
+    ]
+    return np.concatenate(out) if out else np.empty((0, cells), dtype=np.int64)
 
 
 def joint_counts(columns, arities, bits=None):
@@ -59,32 +114,20 @@ def joint_counts(columns, arities, bits=None):
     int64 array whose last axis runs over the z strata, row-major.
 
     ``columns`` holds the code arrays of x, y and each z_i, ``arities`` their
-    arities, and ``bits`` (optional) their ``pack_levels`` bitsets. A table
-    of at most ``BITS_MAX_CELLS`` cells whose columns all have bitsets is
-    counted by popcounts; any other by one ``bincount``.
+    arities, and ``bits`` (optional) their level bitsets. A table of at most
+    ``BITS_MAX_CELLS`` cells whose columns all have bitsets is counted by
+    popcounts; any other by one ``bincount`` (``stacked_counts`` of x alone).
     """
     nx, ny, *z_arities = arities
-    nz = math.prod(z_arities)
-    if (
-        bits is not None
-        and nx * ny * nz <= BITS_MAX_CELLS
-        and all(b is not None for b in bits)
-    ):
-        bx, by, *bz = bits
-        words = bx.shape[1]
-        table = (bx[:, None] & by[None]).reshape(nx * ny, 1, words)
-        if bz:
-            strata = bz[0]
-            for b in bz[1:]:
-                strata = (strata[:, None] & b[None]).reshape(-1, words)
-            table = table & strata
-        # popcounts are uint8: sum them in int64
-        return np.bitwise_count(table).sum(axis=2, dtype=np.int64).reshape(nx, ny, nz)
-    flat = columns[0].astype(np.int64)
-    for codes, arity in zip(columns[1:], arities[1:]):
-        flat *= arity
-        flat += codes
-    return np.bincount(flat, minlength=nx * ny * nz).reshape(nx, ny, nz)
+    counts = stacked_counts(
+        columns[:1],
+        arities[:1],
+        columns[1:],
+        arities[1:],
+        None if bits is None else bits[0],
+        None if bits is None else bits[1:],
+    )
+    return counts.reshape(nx, ny, math.prod(z_arities))
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,9 @@ def save_model(pair, path, extra=None):
 
 
 def load_model(path):
+    """The model pair saved at ``path``. Each arm is checked against the
+    encoder (``check`` of its model class), so a tampered arm is a
+    ValueError naming the arm, never a wrong or failed prediction."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("format") != MODEL_FORMAT:
@@ -293,11 +296,19 @@ def load_model(path):
             f"{path} is {MODEL_FORMAT} version {payload.get('version')!r};"
             f" this build reads version {MODEL_FORMAT_VERSION}"
         )
+    encoder = FeatureEncoder.from_dict(payload["encoder"])
+    arms = {}
+    for arm in ("m1", "m0"):
+        model = _MODEL_TYPES[payload[arm]["type"]].from_dict(payload[arm])
+        try:
+            model.check(encoder.width)
+        except ValueError as exc:
+            raise ValueError(f"{path}: model arm {arm}: {exc}") from None
+        arms[arm] = model
     return TwoModelPair(
-        m1=_MODEL_TYPES[payload["m1"]["type"]].from_dict(payload["m1"]),
-        m0=_MODEL_TYPES[payload["m0"]["type"]].from_dict(payload["m0"]),
+        **arms,
         parents_excl_t=payload["parents_excl_t"],
-        encoder=FeatureEncoder.from_dict(payload["encoder"]),
+        encoder=encoder,
         treatment=payload["treatment"],
         outcome=payload["outcome"],
         metadata=payload.get("metadata", {}),

@@ -328,6 +328,12 @@ def cmd_qini(args):
     )
     folds = kfold_split(data.n_rows, args.folds, args.seed)
     smallest = min(len(test_idx) for _, test_idx in folds)
+    if smallest < 2:
+        # a curve needs two points, so a fold of one row fits no --points
+        raise ValueError(
+            f"--folds {args.folds} leaves a test fold of {smallest} row of {data.n_rows};"
+            f" every fold needs at least 2, so --folds must be at most {data.n_rows // 2}"
+        )
     if not 2 <= args.points <= smallest:
         # past the smallest fold, its curve would stop short, and the mean curve with it
         raise ValueError(

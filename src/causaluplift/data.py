@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from . import csvio
-from ._kernels import pack_levels
+from ._kernels import pack_level_block
 from .errors import (
     LengthMismatch,
     MissingValues,
@@ -68,7 +68,7 @@ class Dataset:
     def __init__(self, specs, arrays):
         self._specs = {}
         self._values = {}
-        self._bits = {}
+        self._block = self._bits = None
         n = None
         for spec in specs:
             if spec.name in self._specs:
@@ -96,6 +96,24 @@ class Dataset:
             self._values[spec.name] = values
         self.n_rows = 0 if n is None else int(n)
 
+    @classmethod
+    def of_valid(cls, specs, arrays):
+        """A dataset of arrays already known to fit their specs: columns of
+        a dataset (or rows of them), or codes made to index their labels.
+        They are kept as given, made read-only, and not checked again."""
+        self = cls.__new__(cls)
+        self._specs = {spec.name: spec for spec in specs}
+        if len(self._specs) != len(specs):
+            raise ValueError("duplicate column")
+        self._values = {}
+        for name in self._specs:
+            values = arrays[name]
+            values.flags.writeable = False
+            self._values[name] = values
+        self._block = self._bits = None
+        self.n_rows = len(values) if self._values else 0
+        return self
+
     @property
     def columns(self):
         return list(self._specs)
@@ -121,11 +139,30 @@ class Dataset:
             return 2
         return len(spec.categories)
 
+    def level_block(self):
+        """``(block, start)``: the packed level bitsets of every binary and
+        categorical column, built together on first use by
+        ``_kernels.pack_level_block``. Column ``name``'s level ``l`` is row
+        ``start[name] + l`` of ``block``; a column too wide to pack is not in
+        ``start``."""
+        if self._block is None:
+            names = [n for n, s in self._specs.items() if s.kind != "continuous"]
+            arities = [self.arity(n) for n in names]
+            block, start = pack_level_block([self._values[n] for n in names], arities)
+            start = {n: int(s) for n, s in zip(names, start) if s >= 0}
+            self._bits = {
+                n: block[start[n] : start[n] + a] for n, a in zip(names, arities) if n in start
+            }
+            self._block = block, start
+        return self._block
+
     def level_bits(self, name):
-        """The column's ``_kernels.pack_levels`` bitsets (or None), built on
-        first use."""
+        """The column's rows of ``level_block`` (None for a column too wide
+        to pack)."""
+        self.level_block()
         if name not in self._bits:
-            self._bits[name] = pack_levels(self.values(name), self.arity(name))
+            self.arity(name)  # an unknown or continuous column raises
+            return None
         return self._bits[name]
 
     def role_of(self, role):
@@ -133,11 +170,11 @@ class Dataset:
         return [n for n, s in self._specs.items() if s.role == role]
 
     def select(self, names):
-        return Dataset([self.spec(n) for n in names], self._values)
+        return Dataset.of_valid([self.spec(n) for n in names], self._values)
 
     def take(self, row_idx):
         row_idx = np.asarray(row_idx)
-        return Dataset(
+        return Dataset.of_valid(
             list(self._specs.values()),
             {n: v[row_idx] for n, v in self._values.items()},
         )

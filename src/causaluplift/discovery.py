@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import UnknownColumn
-from .stats import g2_test
+from .stats import g2_batch, g2_test
 
 
 @dataclass(frozen=True)
@@ -68,20 +68,26 @@ def _subsets(pool, max_size):
         yield from combinations(pool, size)
 
 
-def _test(data, candidate, target, given, alpha, phase, trace):
-    res = g2_test(data, candidate, target, given, alpha)
-    trace.append(
-        TestRecord(
-            x=candidate,
-            y=target,
-            given=tuple(given),
-            p_value=res.p_value,
-            statistic=res.statistic,
-            reliable=res.reliable,
-            phase=phase,
-        )
-    )
-    return res
+def _record(candidate, target, given, res, phase):
+    # subsets are tuples already
+    return TestRecord(candidate, target, given, res.p_value, res.statistic, res.reliable, phase)
+
+
+def _forward_round(data, live, target, subsets, alpha):
+    """Each live candidate's tests against ``subsets``, in order, up to and
+    including its first independent one, as ``{candidate: [(given,
+    result), ...]}``. All candidates still in play are tested against one
+    subset in one ``g2_batch`` pass."""
+    tested = {c: [] for c in live}
+    pending = list(live)
+    for given in subsets:
+        if not pending:
+            break
+        results = g2_batch(data, pending, target, given, alpha)
+        for c, res in zip(pending, results):
+            tested[c].append((given, res))
+        pending = [c for c, res in zip(pending, results) if not res.independent]
+    return tested
 
 
 def mmpc(data, target, cfg=DiscoveryConfig()):
@@ -93,6 +99,10 @@ def mmpc(data, target, cfg=DiscoveryConfig()):
     subset. Backward: drop members rendered independent by some subset of
     the remaining set. Deterministic: ties break by column declaration
     order, subsets enumerate by size then position.
+
+    A forward round tests its candidates subset by subset, all of them at
+    once, but records the tests candidate by candidate, each candidate's
+    subsets in order, as a search testing one candidate at a time would.
     """
     if target not in data:
         raise UnknownColumn(target)
@@ -105,9 +115,10 @@ def mmpc(data, target, cfg=DiscoveryConfig()):
     cpc = []
     new_subsets = [()]
     while floor:
-        for c in list(floor):
-            for given in new_subsets:
-                res = _test(data, c, target, given, cfg.alpha, "forward", trace)
+        tested = _forward_round(data, list(floor), target, new_subsets, cfg.alpha)
+        for c, tests in tested.items():
+            for given, res in tests:
+                trace.append(_record(c, target, given, res, "forward"))
                 if res.independent:
                     del floor[c]
                     break
@@ -133,7 +144,8 @@ def mmpc(data, target, cfg=DiscoveryConfig()):
     for x in list(members):
         others = [m for m in members if m != x]
         for given in _subsets(others, cfg.max_cond_size):
-            res = _test(data, x, target, given, cfg.alpha, "backward", trace)
+            res = g2_test(data, x, target, given, cfg.alpha)
+            trace.append(_record(x, target, given, res, "backward"))
             if res.independent:
                 members.remove(x)
                 break

@@ -94,6 +94,24 @@ class ForestModel:
             ],
         }
 
+    def check(self, width):
+        """Raise a ValueError unless the model reads ``width`` features,
+        each through at most ``MAX_BINS - 1`` finite, strictly increasing
+        cuts."""
+        if len(self.cuts) != width:
+            raise ValueError(f"forest has {len(self.cuts)} cut lists for {width} features")
+        for j, c in enumerate(self.cuts):
+            if not (
+                c.ndim == 1
+                and c.size < MAX_BINS
+                and np.isfinite(c).all()
+                and (np.diff(c) > 0).all()
+            ):
+                raise ValueError(
+                    f"forest cut list {j} is not at most {MAX_BINS - 1} finite,"
+                    " strictly increasing values"
+                )
+
     @classmethod
     def from_dict(cls, payload):
         cuts = [np.asarray(c, dtype=np.float64) for c in payload["cuts"]]

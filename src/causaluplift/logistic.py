@@ -57,6 +57,11 @@ class ConstantModel:
     def to_dict(self):
         return {"type": "constant", "p": self.p}
 
+    def check(self, width):
+        """Raise a ValueError unless the probability is in [0, 1]."""
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"constant model probability {self.p} is outside [0, 1]")
+
     @classmethod
     def from_dict(cls, payload):
         return cls(payload["p"])
@@ -125,6 +130,17 @@ class LogisticModel:
             "weights": [float(w) for w in self.weights],
             "converged": self.converged,
         }
+
+    def check(self, width):
+        """Raise a ValueError unless the model holds an intercept and one
+        finite weight per each of ``width`` features."""
+        if self.weights.shape != (width + 1,):
+            raise ValueError(
+                f"logistic model has {self.weights.size} weights for {width} features"
+                f" (expected {width + 1})"
+            )
+        if not np.isfinite(self.weights).all():
+            raise ValueError("logistic model has a weight that is not finite")
 
     @classmethod
     def from_dict(cls, payload):

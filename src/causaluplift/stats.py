@@ -7,20 +7,24 @@ conditioning configuration. Strata with no rows contribute nothing and
 reduce the effective degrees of freedom.
 
 Tables are counted by ``_kernels.joint_counts``, from the packed level
-bitsets a ``Dataset`` keeps per column (``Dataset.level_bits``) when the
-table is small, by ``bincount`` otherwise; the counts, and so every
-statistic and p-value bit, are the same either way. Discretization bins all
-continuous columns of a dataset in one pass: one ``np.quantile`` over their
-sorted stack, and each code as the number of distinct edges below a value.
+bitsets a ``Dataset`` keeps for all its columns in one block
+(``Dataset.level_block``) when the table is small, by ``bincount``
+otherwise; the counts, and so every statistic and p-value bit, are the same
+either way. ``g2_batch`` runs the tests of several x against one y and z in
+one pass, each result bit for bit what ``g2_test`` gives. Discretization
+bins all continuous columns of a dataset in one pass: one sort of their
+stack, the edges read from it where ``np.quantile`` would interpolate them,
+and each code as the number of distinct edges below a value.
 """
 
+import math
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import joint_counts
+from ._kernels import joint_counts, stacked_counts
 from .data import ColumnSpec, Dataset
 from .errors import ContinuousColumn, DegenerateColumnWarning, EmptyColumn
 from .special import chi_square_sf
@@ -28,34 +32,62 @@ from .special import chi_square_sf
 DiscretizedColumn = namedtuple("DiscretizedColumn", "codes n_bins degenerate edges")
 
 
-def _discretize_rows(X, bins):
-    """Equal-frequency codes of every row of ``X`` (one column per row).
+def _sorted_quantiles(ordered, qs):
+    """``np.quantile(ordered, qs, axis=1).T`` of rows already sorted, bit
+    for bit, read at the linear rule's virtual indices without partitioning
+    the rows again."""
+    n = ordered.shape[1]
+    virtual = (n - 1) * qs
+    below = np.floor(virtual).astype(np.intp)
+    above = below + 1
+    # np.quantile takes the last value for an index at or past the end
+    last = virtual >= n - 1
+    below[last] = -1
+    above[last] = -1
+    gamma = virtual - below
+    lo = ordered[:, below]
+    hi = ordered[:, above]
+    diff = hi - lo
+    edges = lo + diff * gamma
+    upper = gamma >= 0.5  # interpolated from the upper neighbour, as np.quantile does
+    edges[:, upper] = (hi - diff * (1 - gamma))[:, upper]
+    return edges
 
-    Returns the int64 codes, the sorted ``(rows, bins - 1)`` edges, a mask
-    of each edge's first occurrence, and each row's degenerate flag. A
-    value's code is the number of distinct edges below it, which is
-    ``np.searchsorted(np.unique(edges), value)``.
+
+def _discretize_rows(columns, bins):
+    """Equal-frequency codes of every column of ``columns`` (equal-length
+    1-D float arrays).
+
+    Returns the int64 codes (one row per column), the sorted ``(columns,
+    bins - 1)`` edges, a mask of each edge's first occurrence, and each
+    column's degenerate flag. A value's code is the number of distinct edges
+    below it, which is ``np.searchsorted(np.unique(edges), value)``.
     """
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    if X.shape[1] == 0:
+    if len(columns[0]) == 0:
         raise EmptyColumn("cannot discretize an empty column")
-    # A sorted copy holds the same order statistics, and np.quantile finds
-    # them in it about twice as fast as it partitions an unsorted one.
-    ordered = np.sort(X, axis=1)
+    ordered = np.stack(columns)
+    ordered.sort(axis=1)
     if not np.isfinite(ordered[:, [0, -1]]).all():
         raise ValueError("column contains NaN or infinity")
     degenerate = ordered[:, 0] == ordered[:, -1]
-    qs = np.arange(1, bins) / bins
-    edges = np.quantile(ordered, qs, axis=1, overwrite_input=True).T
+    edges = _sorted_quantiles(ordered, np.arange(1, bins) / bins)
     edges.sort(axis=1)
     distinct = np.ones(edges.shape, dtype=bool)
     distinct[:, 1:] = edges[:, 1:] != edges[:, :-1]
     counted = np.where(distinct, edges, np.inf)  # no value exceeds a repeat
-    codes = np.zeros(X.shape, dtype=np.min_scalar_type(bins - 1))
-    for j in range(bins - 1):
-        codes += X > counted[:, j, None]
-    return codes.astype(np.int64), edges, distinct, degenerate
+    codes = np.empty(ordered.shape, dtype=np.int64)
+    # eight columns at a time, so each edge's pass stays in cache: on 45
+    # columns of 18k rows (2-core host), 300 bins took 90-118 ms this way
+    # against 170-183 ms in one pass over the whole stack
+    for lo in range(0, len(columns), 8):
+        block = np.stack(columns[lo : lo + 8])
+        code = np.zeros(block.shape, dtype=np.min_scalar_type(bins - 1))
+        for j in range(bins - 1):
+            code += block > counted[lo : lo + 8, j, None]
+        codes[lo : lo + 8] = code
+    return codes, edges, distinct, degenerate
 
 
 def _warn_degenerate():
@@ -74,7 +106,7 @@ def discretize(values, bins):
     values collapse to a single category and are flagged (with a warning).
     """
     values = np.asarray(values, dtype=np.float64)
-    codes, edges, distinct, degenerate = _discretize_rows(values[None], bins)
+    codes, edges, distinct, degenerate = _discretize_rows([values], bins)
     if degenerate[0]:
         _warn_degenerate()
         return DiscretizedColumn(codes[0], 1, True, np.empty(0))
@@ -92,8 +124,9 @@ def discretize_dataset(data, bins=3):
     continuous = [n for n in data.columns if data.spec(n).kind == "continuous"]
     row = {name: i for i, name in enumerate(continuous)}
     if continuous:
-        X = np.stack([data.values(n) for n in continuous])
-        codes, _, distinct, degenerate = _discretize_rows(X, bins)
+        codes, _, distinct, degenerate = _discretize_rows(
+            [data.values(n) for n in continuous], bins
+        )
         n_bins = np.where(degenerate, 1, distinct.sum(axis=1) + 1)
     specs = []
     arrays = {}
@@ -109,7 +142,8 @@ def discretize_dataset(data, bins=3):
             values = codes[i]
         specs.append(spec)
         arrays[name] = values
-    return Dataset(specs, arrays)
+    # the other columns are the dataset's own, and every code indexes its labels
+    return Dataset.of_valid(specs, arrays)
 
 
 @dataclass(frozen=True)
@@ -193,3 +227,83 @@ def g2_test(data, x, y, z=(), alpha=0.01):
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     return g2_from_table(contingency(data, x, y, z), alpha)
+
+
+def _g2_tables(counts, nxs, total, alpha):
+    """``g2_from_table`` of every table stacked in ``counts``, bit for bit.
+
+    ``counts`` is ``(sum nxs, ny, nz)``: table ``t`` is the next ``nxs[t]``
+    rows, and every table counts the same ``total`` rows, so all share their
+    (y, z) margins. The G-squared terms of all tables are evaluated in one
+    pass, in each table's C order. ``g2_from_table`` adds a table's terms
+    with ``.sum()``, whose pairwise scheme depends on how many there are, so
+    tables with the same number of terms are summed together, each along
+    one contiguous row.
+    """
+    _, ny, nz = counts.shape
+    owner = np.repeat(np.arange(len(nxs)), nxs)
+    col = counts[: nxs[0]].sum(axis=0)
+    tot = col.sum(axis=0)
+    row = counts.sum(axis=1)
+    flat = counts.reshape(-1)
+    cell = np.flatnonzero(flat)
+    r, jk = np.divmod(cell, ny * nz)
+    j, k = np.divmod(jk, nz)
+    observed = flat[cell].astype(np.float64)
+    expected = row[r, k].astype(np.float64) * col[j, k] / tot[k]
+    terms = observed * np.log(observed / expected)
+    size = np.bincount(owner[r], minlength=len(nxs))
+    first = np.cumsum(size) - size
+    sums = np.zeros(len(nxs))
+    for m in np.unique(size[size > 0]).tolist():
+        tables = np.flatnonzero(size == m)
+        sums[tables] = terms[first[tables, None] + np.arange(m)].sum(axis=1)
+    stats = (2.0 * sums).tolist()
+    dofs = ((nxs - 1) * (ny - 1) * int(np.count_nonzero(tot))).tolist()
+
+    results = []
+    for stat, dof in zip(stats, dofs):
+        if dof <= 0:
+            results.append(CITestResult(0.0, 0, 1.0, independent=True, reliable=False))
+            continue
+        p_value = chi_square_sf(stat, dof)
+        reliable = total >= 5 * dof
+        independent = (p_value > alpha) if reliable else True
+        results.append(CITestResult(stat, dof, p_value, independent, reliable))
+    return results
+
+
+def g2_batch(data, xs, y, z=(), alpha=0.01):
+    """``[g2_test(data, x, y, z, alpha) for x in xs]``, bit for bit, in one
+    pass: the joint levels of y and z are ANDed (or flattened) once, every
+    x's table is counted against them in one array operation, and the
+    G-squared terms of all tables are evaluated together. Only the p-values
+    are computed one test at a time.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+    names = [y, *z]
+    for name in [*xs, *names]:
+        _require_categorical(data, name)
+    if not xs:
+        return []
+    nxs = np.array([data.arity(x) for x in xs])
+    arities = [data.arity(name) for name in names]
+    block, start = data.level_block()
+    x_bits = None
+    bits = None
+    if all(name in start for name in [*xs, *names]):
+        first = np.array([start[x] for x in xs])
+        rows = np.repeat(first - (np.cumsum(nxs) - nxs), nxs) + np.arange(nxs.sum())
+        x_bits = block[rows]
+        bits = [block[start[n] : start[n] + a] for n, a in zip(names, arities)]
+    counts = stacked_counts(
+        (data.values(x) for x in xs),  # read by the bincount path only
+        nxs.tolist(),
+        [data.values(name) for name in names],
+        arities,
+        x_bits,
+        bits,
+    )
+    counts = counts.reshape(-1, arities[0], math.prod(arities[1:]))
+    return _g2_tables(counts, nxs, data.n_rows, alpha)

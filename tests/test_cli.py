@@ -490,6 +490,53 @@ class TestTrainPredictEval:
         assert err.count("\n") == 1  # one line, no traceback
         assert not (tmp_path / "preds.csv").exists()
 
+    @pytest.mark.parametrize(
+        "classifier, arm, tamper, says",
+        [
+            ("forest", "m1", lambda m: m["cuts"].append([0.5]), "cut lists for"),
+            ("forest", "m0", lambda m: m["cuts"][0].insert(0, float("nan")), "cut list 0"),
+            ("forest", "m1", lambda m: m["cuts"][0].append(m["cuts"][0][-1]), "cut list 0"),
+            ("logistic", "m0", lambda m: m["weights"].append(0.5), "weights for"),
+            ("logistic", "m1", lambda m: m["weights"].__setitem__(1, float("nan")), "not finite"),
+            ("logistic", "m1", lambda m: m.update(weights=m["weights"][:1]), "weights for"),
+            ("constant", "m1", lambda m: m.update(p=1.5), "outside [0, 1]"),
+            ("constant", "m0", lambda m: m.update(p=float("nan")), "outside [0, 1]"),
+        ],
+        ids=[
+            "extra-cut-list", "nan-cut", "repeated-cut", "extra-weight", "nan-weight",
+            "missing-weights", "p-above-1", "nan-p",
+        ],
+    )
+    def test_predict_tampered_arm_exits_2(
+        self, workspace, model_path, tmp_path, capsys, classifier, arm, tamper, says
+    ):
+        if classifier == "forest":
+            payload = json.loads(model_path.read_text())
+        else:
+            logistic_path = tmp_path / "logistic.json"
+            assert run(
+                "train", "--data", workspace / "train.csv",
+                "--schema", workspace / "schema.json",
+                "--treatment", "T", "--outcome", "Y", "--out", logistic_path,
+            ) == 0
+            payload = json.loads(logistic_path.read_text())
+        if classifier == "constant":
+            payload[arm] = {"type": "constant", "p": 0.5}
+        assert payload[arm]["type"] == classifier
+        tamper(payload[arm])
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(payload))
+        assert run(
+            "predict", "--model", tampered,
+            "--data", workspace / "test.csv",
+            "--schema", workspace / "schema.json",
+            "--out", tmp_path / "preds.csv",
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"model arm {arm}: " in err and says in err
+        assert err.count("\n") == 1  # one line, no traceback
+        assert not (tmp_path / "preds.csv").exists()
+
     def test_eval_empty_predictions_exits_2(self, workspace, tmp_path, capsys):
         preds_path = tmp_path / "p.csv"
         preds_path.write_text("row_id,p1,p0,effect,assign\n")
@@ -604,6 +651,29 @@ class TestQiniCv:
             "--treatment", "T", "--outcome", "Y", "--parents", "X8,X9",
             "--folds", 1, "--out-dir", out_dir,
         ) == 2
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("n_folds", [300, 151])
+    def test_folds_with_one_row_named(self, tmp_path, capsys, monkeypatch, n_folds):
+        rng = np.random.default_rng(5)
+        data = Dataset(
+            [ColumnSpec("T", "binary", "treatment"), ColumnSpec("Y", "binary", "outcome"),
+             ColumnSpec("A", "binary")],
+            {name: rng.integers(0, 2, 300) for name in ("T", "Y", "A")},
+        )
+        data.write_csv(tmp_path / "d.csv")
+        write_schema(tmp_path / "schema.json", data)
+        out_dir = tmp_path / "qq"
+        with monkeypatch.context() as patch:  # refused before any arm is fitted
+            patch.setattr(classify, "_fit", None)
+            assert run(
+                "qini", "--data", tmp_path / "d.csv", "--treatment", "T", "--outcome", "Y",
+                "--parents", "A", "--folds", n_folds, "--out-dir", out_dir,
+            ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --folds {n_folds} leaves a test fold of 1 row of 300;")
+        assert "--folds must be at most 150" in err and "--points" not in err
+        assert err.count("\n") == 1
         assert not out_dir.exists()
 
     def test_points_outside_a_test_fold_exit_2(self, tmp_path, capsys, monkeypatch):

@@ -179,35 +179,62 @@ class TestSymmetricCorrection:
         ).members == ["X"]
 
 
-class TestOneTestPerRecord:
-    """Each test record comes from exactly one ``discovery.g2_test`` call, in
-    order, so a count of those calls counts the tests."""
+class TestOneTestPerBatchedRecord:
+    """Each test record comes from exactly one test evaluated by
+    ``discovery.g2_batch`` (a forward round's candidates against one subset)
+    or ``discovery.g2_test`` (the backward phase), and each candidate's
+    records come in the order its tests were evaluated."""
 
     @staticmethod
     def spy(monkeypatch):
-        calls = []
-        real = discovery.g2_test
+        evaluated, batches = [], []
+        real_batch, real_test = discovery.g2_batch, discovery.g2_test
 
-        def counting(data, x, y, z, alpha):
-            res = real(data, x, y, z, alpha)
-            calls.append((x, y, tuple(z), res.p_value, res.statistic, res.reliable))
+        def key(x, y, z, res):
+            return (x, y, tuple(z), res.p_value, res.statistic, res.reliable)
+
+        def batch(data, xs, y, z, alpha):
+            results = real_batch(data, xs, y, z, alpha)
+            assert len(results) == len(xs)
+            batches.append(len(xs))
+            evaluated.extend(key(x, y, z, res) for x, res in zip(xs, results))
+            return results
+
+        def test(data, x, y, z, alpha):
+            res = real_test(data, x, y, z, alpha)
+            evaluated.append(key(x, y, z, res))
             return res
 
-        monkeypatch.setattr(discovery, "g2_test", counting)
-        return calls
+        monkeypatch.setattr(discovery, "g2_batch", batch)
+        monkeypatch.setattr(discovery, "g2_test", test)
+        return evaluated, batches
 
     @staticmethod
     def keys(records):
         return [(r.x, r.y, r.given, r.p_value, r.statistic, r.reliable) for r in records]
 
+    @staticmethod
+    def by_pair(keys):
+        """Each (candidate, target) pair's tests, in order."""
+        out = {}
+        for k in keys:
+            out.setdefault(k[:2], []).append(k)
+        return out
+
+    def check(self, evaluated, records):
+        assert len(evaluated) == len(records)
+        assert self.by_pair(evaluated) == self.by_pair(self.keys(records))
+
     def test_mmpc(self, monkeypatch):
-        calls = self.spy(monkeypatch)
+        evaluated, batches = self.spy(monkeypatch)
         found = mmpc(v_structure_data(seed=3, n=3000, extra_noise=3), "Y")
         assert len(found.trace) > 6
-        assert calls == self.keys(found.trace)
+        assert max(batches) > 1  # candidates were tested together
+        assert {r.phase for r in found.trace} == {"forward", "backward"}
+        self.check(evaluated, found.trace)
 
     def test_symmetric_search(self, monkeypatch):
-        calls = self.spy(monkeypatch)
+        evaluated, batches = self.spy(monkeypatch)
         traces = []
         real_mmpc = discovery.mmpc
 
@@ -220,4 +247,28 @@ class TestOneTestPerRecord:
         found = discover_parents(v_structure_data(seed=3, n=3000, extra_noise=3), "Y")
         assert len(traces) == 3  # the search from Y, then one back from A and from B
         assert found.trace[: len(traces[0])] == traces[0]
-        assert calls == self.keys(r for trace in traces for r in trace)
+        self.check(evaluated, [r for trace in traces for r in trace])
+
+    def test_forward_records_candidate_by_candidate(self, monkeypatch):
+        # a round's records run candidate by candidate in declaration order,
+        # each candidate's subsets in order up to its first independent one,
+        # as a search testing one candidate at a time would record them;
+        # every subset of round r > 0 ends with the member added before it
+        evaluated, _ = self.spy(monkeypatch)
+        rng = np.random.default_rng(4)
+        n = 4000
+        a, b, c = (rng.integers(0, 2, n) for _ in range(3))
+        d = np.where(rng.random(n) < 0.8, c, 1 - c)  # Y's association through C
+        y = (rng.random(n) < 0.05 + 0.3 * a + 0.3 * b + 0.3 * c).astype(int)
+        data = binary_dataset(D=d, A=a, B=b, C=c, Y=y)
+        found = mmpc(data, "Y")
+        self.check(evaluated, found.trace)
+        rounds = {}
+        for r in found.trace:
+            if r.phase == "forward":
+                rounds.setdefault(r.given[-1] if r.given else None, []).append(r)
+        # some round tests two candidates, one of them against several subsets
+        assert any(1 < len({r.x for r in rs}) < len(rs) for rs in rounds.values())
+        for records in rounds.values():
+            order = [r.x for r in records]
+            assert order == sorted(order, key=data.columns.index)

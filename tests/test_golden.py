@@ -31,6 +31,8 @@ GOLDEN = {
     "forest_curve.csv": "497385a136cc72001b9f94c6b4dff4fa73666a8cdb76214ab5651008d72ae7d4",
     "forest_eval.json": "ff4e0e64e68d0cbd84ee023354177341f3abd7c9bce4c0b6fc79eb4338e8dccb",
     "forest_preds.csv": "94e78f74330d1ec52ce063e59277c3606c520adf9f4603426dd333ec7be30a3e",
+    "forest_wide.json": "2a3bbc244fe492f6cc8d14fe7dd9e66154b1780ddc910d9c09fc84e331e71ffd",
+    "forest_wide_preds.csv": "97b1f693b544cfbe50dfc93256851a67a33d122f7f0aa4b8352e4158e2b20a7c",
     "gen/data.csv": "9812a9bd1b45cdd4c83ec3adb6f4045a50fc8d5445924d2205bfed9ce3e8abdc",
     "gen/ground_truth.csv": "93fedfb2a727e89e435aee001a2e660ebf2604199255e395bb00d748d51ab0d5",
     "gen/net.json": "9d0cc2a9856611dfebb08faca003832532c7200cc59dcb6656a4aa5e8dad1955",
@@ -102,11 +104,19 @@ def pipeline_hashes(root):
         "--classifier", "forest", "--seed", 3, "--n-trees", 5, "--max-depth", 6,
         "--out", root / "forest.json",
     )
-    for kind in ("logistic", "forest"):
+    # six covariates, three of them continuous, so each node draws from
+    # many candidate splits and the hashes pin the per-node feature draw
+    _run(
+        "train", "--data", train, "--treatment", "T", "--outcome", "Y",
+        "--classifier", "forest", "--seed", 3, "--n-trees", 5, "--max-depth", 6,
+        "--parents", "X1,X2,N1,N2,N3,N4", "--out", root / "forest_wide.json",
+    )
+    for kind in ("logistic", "forest", "forest_wide"):
         _run(
             "predict", "--model", root / f"{kind}.json", "--data", test,
             "--theta", 0.01, "--out", root / f"{kind}_preds.csv",
         )
+    for kind in ("logistic", "forest"):
         _run(
             "eval", "--predictions", root / f"{kind}_preds.csv",
             "--ground-truth", gen / "test_truth.csv", "--data", test, "--schema", schema,

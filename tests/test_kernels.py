@@ -131,9 +131,16 @@ def strata_oracle(zs, arities, n):
     return np.array(zf, dtype=np.int64)
 
 
+def packed(columns, arities):
+    """Each column's level bitsets, as rows of one ``pack_level_block``
+    (None for a column too wide to pack)."""
+    block, start = K.pack_level_block(columns, arities)
+    return [None if s < 0 else block[s : s + a] for s, a in zip(start.tolist(), arities)]
+
+
 def counts_both_ways(columns, arities):
     """The table by packed bitsets and by bincount, and the oracle's."""
-    bits = [K.pack_levels(c, a) for c, a in zip(columns, arities)]
+    bits = packed(columns, arities)
     assert all(b is not None for b in bits)
     by_bits = K.joint_counts(columns, arities, bits)
     by_bincount = K.joint_counts(columns, arities)
@@ -189,7 +196,7 @@ def test_crossover_picks_the_path(arities, bits_path, monkeypatch):
     assert abs(cells - K.BITS_MAX_CELLS) <= 2
     rng = np.random.default_rng(cells)
     columns = [rng.integers(0, a, 6149) for a in arities]
-    bits = [K.pack_levels(c, a) for c, a in zip(columns, arities)]
+    bits = packed(columns, arities)
     calls = []
     real_bincount = np.bincount
     monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(a) or real_bincount(*a, **k))
@@ -199,17 +206,46 @@ def test_crossover_picks_the_path(arities, bits_path, monkeypatch):
 
 
 def test_pack_levels_layout():
-    rng = np.random.default_rng(8)
+    rng = np.random.default_rng(9)
     n = 2085
-    codes = rng.integers(0, 4, n)
-    bits = K.pack_levels(codes, 4)
-    assert bits.dtype == np.uint64 and bits.shape == (4, -(-n // 64))
-    rows = np.unpackbits(bits.view(np.uint8), axis=1, bitorder="little")
-    for level in range(4):
-        assert rows[level, :n].tolist() == (codes == level).tolist()
-    assert not rows[:, n:].any()
+    arities = [2, 3, K.BITS_MAX_CELLS + 1, 1, 4, 2]
+    columns = [rng.integers(0, a, n) for a in arities]
+    block, start = K.pack_level_block(columns, arities)
+    assert block.dtype == np.uint64 and block.shape == (12, -(-n // 64))
     # a column no bitset count would use is not packed
-    assert K.pack_levels(codes, K.BITS_MAX_CELLS + 1) is None
+    assert start.tolist() == [0, 2, -1, 5, 6, 10]
+    rows = np.unpackbits(block.view(np.uint8), axis=1, bitorder="little")
+    for codes, arity, first in zip(columns, arities, start.tolist()):
+        if first >= 0:
+            for level in range(arity):
+                assert rows[first + level, :n].tolist() == (codes == level).tolist()
+    assert not rows[:, n:].any()
+
+
+@pytest.mark.parametrize("chunk_words", [1, 400, 1 << 18])
+def test_stacked_counts_match_oracle(chunk_words, monkeypatch):
+    # several x columns against the same y and z, by bitsets in chunks of
+    # every size and by bincount, each row block the oracle's table
+    monkeypatch.setattr(K, "COUNT_CHUNK_WORDS", chunk_words)
+    rng = np.random.default_rng(chunk_words)
+    n = 700
+    x_arities = [2, 3, 1, 3]
+    arities = [2, 3, 2]
+    xs = [rng.integers(0, a, n) for a in x_arities]
+    columns = [rng.integers(0, a, n) for a in arities]
+    block, start = K.pack_level_block(xs + columns, x_arities + arities)
+    x_bits = block[: sum(x_arities)]
+    bits = [block[s : s + a] for s, a in zip(start[len(xs):].tolist(), arities)]
+    zf = strata_oracle(columns[1:], arities[1:], n)
+    want = np.concatenate([
+        joint_counts_oracle(x, columns[0], zf, a, 2, 6).reshape(a, 12)
+        for x, a in zip(xs, x_arities)
+    ])
+    by_bits = K.stacked_counts(xs, x_arities, columns, arities, x_bits, bits)
+    by_bincount = K.stacked_counts(xs, x_arities, columns, arities)
+    assert by_bits.dtype == by_bincount.dtype == np.int64
+    assert np.array_equal(by_bits, want)
+    assert np.array_equal(by_bincount, want)
 
 
 def test_grow_tree_paths_agree(rng):

@@ -12,10 +12,12 @@ from causaluplift.stats import (
     contingency,
     discretize,
     discretize_dataset,
+    g2_batch,
     g2_from_table,
     g2_test,
     ContingencyTable,
 )
+from causaluplift import _kernels
 
 
 def binary_dataset(**cols):
@@ -341,3 +343,116 @@ class TestG2:
         data = binary_dataset(x=[0, 1], y=[0, 1])
         with pytest.raises(ValueError):
             g2_test(data, "x", "y", alpha=1.5)
+
+
+def batch_dataset(seed, n, arities, used, copy):
+    """Categorical columns c0, c1, ... of the given arities over ``n`` rows.
+    Column i takes only ``used[i]`` of its levels (the rest stay empty), and
+    where ``copy[i]`` it repeats the previous column's code on most rows, so
+    some tests find dependence."""
+    rng = np.random.default_rng(seed)
+    arrays = {}
+    prev = None
+    for i, (arity, k) in enumerate(zip(arities, used)):
+        levels = rng.permutation(arity)[:k]
+        codes = levels[rng.integers(0, k, n)]
+        if copy[i] and prev is not None:
+            keep = rng.random(n) < 0.8
+            codes = np.where(keep & (prev < arity) & np.isin(prev, levels), prev, codes)
+        arrays[f"c{i}"] = codes
+        prev = codes
+    return categorical_dataset(dict(zip(arrays, arities)), **arrays)
+
+
+def result_bits(res):
+    """Every field of a test result, floats by their bits."""
+    return (res.statistic.hex(), res.dof, res.p_value.hex(), res.independent, res.reliable)
+
+
+@st.composite
+def batch_cases(draw):
+    n_x = draw(st.integers(1, 5))
+    n_z = draw(st.integers(0, 3))
+    arities = [draw(st.integers(1, 5)) for _ in range(n_x + 1 + n_z)]
+    return (
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.integers(1, 300)),
+        n_x,
+        arities,
+        [draw(st.integers(1, a)) for a in arities],
+        [draw(st.booleans()) for _ in arities],
+        draw(st.sampled_from([0.01, 0.05, 0.5])),
+    )
+
+
+def batch_against_scalar(case):
+    """``g2_batch`` of a case's x columns, and ``g2_test`` of each, as bits,
+    with the tables ``g2_test`` evaluated."""
+    seed, n, n_x, arities, used, copy, alpha = case
+    data = batch_dataset(seed, n, arities, used, copy)
+    names = data.columns
+    xs, y, z = names[:n_x], names[n_x], names[n_x + 1 :]
+    batch = [result_bits(r) for r in g2_batch(data, xs, y, z, alpha)]
+    scalar = [result_bits(g2_test(data, x, y, z, alpha)) for x in xs]
+    tables = [contingency(data, x, y, z) for x in xs]
+    return batch, scalar, tables
+
+
+class TestG2Batch:
+    @settings(max_examples=300, deadline=None)
+    @given(batch_cases())
+    def test_each_result_is_g2_test_bit_for_bit(self, case):
+        batch, scalar, _ = batch_against_scalar(case)
+        assert batch == scalar
+
+    # (seed, rows, x columns, arities, used levels, copies, alpha)
+    COVERING = [
+        # unconditional, many binary and ternary candidates
+        (1, 300, 5, [2, 3, 2, 3, 3, 2], [2, 3, 2, 3, 3, 2], [0, 1, 1, 0, 1, 0], 0.01),
+        # one to three conditioning columns, tables of 8 or more non-empty cells
+        (2, 300, 3, [3, 3, 3, 3, 2], [3, 3, 3, 3, 2], [0, 1, 1, 1, 0], 0.05),
+        (3, 300, 2, [3, 2, 2, 2, 2, 2], [3, 2, 2, 2, 2, 2], [0, 1, 1, 0, 0, 1], 0.05),
+        # tables over 64 cells, counted by bincount
+        (4, 300, 3, [5, 5, 3, 5], [5, 5, 3, 5], [0, 1, 1, 0], 0.05),
+        # empty levels and strata
+        (5, 200, 2, [4, 4, 3, 5, 4], [2, 3, 3, 2, 3], [0, 1, 0, 1, 0], 0.05),
+        # a constant candidate (dof 0) beside others
+        (6, 100, 3, [1, 2, 3, 2], [1, 2, 3, 2], [0, 0, 1, 0], 0.05),
+        # too few rows per degree of freedom: unreliable
+        (7, 30, 2, [3, 3, 3, 3, 2], [3, 3, 3, 3, 2], [0, 1, 0, 0, 0], 0.5),
+    ]
+
+    def test_covering_cases(self):
+        seen = set()
+        for case in self.COVERING:
+            batch, scalar, tables = batch_against_scalar(case)
+            assert batch == scalar
+            for bits, table in zip(scalar, tables):
+                seen.add(f"z{len(table.dims) - 2}")
+                if np.count_nonzero(table.counts) >= 8:
+                    seen.add(">=8 terms")
+                if table.counts.size > _kernels.BITS_MAX_CELLS:
+                    seen.add("bincount")
+                if (table.counts.sum(axis=(0, 1)) == 0).any():
+                    seen.add("empty stratum")
+                if bits[1] == 0:
+                    seen.add("dof 0")
+                elif not bits[4]:
+                    seen.add("unreliable")
+                elif not bits[3]:
+                    seen.add("dependent")
+        assert seen == {
+            "z0", "z1", "z2", "z3", ">=8 terms", "bincount", "empty stratum",
+            "dof 0", "unreliable", "dependent",
+        }
+
+    def test_checks_like_g2_test(self):
+        data = Dataset(
+            [ColumnSpec("a", "binary"), ColumnSpec("b", "binary"), ColumnSpec("v", "continuous")],
+            {"a": [0, 1, 1], "b": [1, 0, 1], "v": [0.5, 1.5, 2.5]},
+        )
+        with pytest.raises(ContinuousColumn):
+            g2_batch(data, ["a", "v"], "b")
+        with pytest.raises(ValueError, match="alpha"):
+            g2_batch(data, ["a", "b"], "b", alpha=1.0)
+        assert g2_batch(data, [], "b") == []

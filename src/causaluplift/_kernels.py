@@ -1,11 +1,12 @@
 """Hot numeric kernels in numpy: contingency counting, histogram-CART forest
 growth and tree traversal.
 
-Counting returns exact int64 counts. A small table is counted from packed
-level bitsets (one popcount of ANDed bitsets per cell), any other by one
-``bincount`` over the rows; both are exact, so the path never shows in a
-count. The tables of several x columns against the same other columns are
-counted together, those columns ANDed or flattened once for all of them.
+Counting returns exact int64 counts, and ``stacked_counts`` counts every
+table of the package's G-squared tests: the tables of several x columns
+against the same other columns, those columns ANDed or flattened once for
+all of them. A small table is counted from packed level bitsets (one
+popcount of ANDed bitsets per cell), any other by one ``bincount`` over the
+rows; both are exact, so the path never shows in a count.
 
 Forest growth advances all trees of a forest together, one level at a
 time, and scores splits from integer (count, positives) histograms. Each
@@ -75,18 +76,13 @@ def stacked_counts(x_columns, x_arities, columns, arities, x_bits=None, bits=Non
     levels of ``columns``, row-major.
 
     The joint levels of ``columns`` are formed once for all x: ANDed from
-    their level bitsets ``bits`` when every table has at most
-    ``BITS_MAX_CELLS`` cells and ``x_bits`` (the x levels' bitsets, stacked
-    like the rows) and every bitset is given, then each cell is one popcount;
-    flattened to one code per row otherwise, then each x is one ``bincount``.
+    their level bitsets ``bits``, when given (with ``x_bits``, the x levels'
+    bitsets stacked like the rows) and every table has at most
+    ``BITS_MAX_CELLS`` cells, then each cell is one popcount; flattened to
+    one code per row otherwise, then each x is one ``bincount``.
     """
     cells = math.prod(arities)
-    if (
-        x_bits is not None
-        and bits is not None
-        and all(b is not None for b in bits)
-        and max(x_arities, default=0) * cells <= BITS_MAX_CELLS
-    ):
+    if bits is not None and max(x_arities, default=0) * cells <= BITS_MAX_CELLS:
         # the joint levels of ``columns``, row-major
         strata = bits[0]
         for b in bits[1:]:
@@ -107,27 +103,6 @@ def stacked_counts(x_columns, x_arities, columns, arities, x_bits=None, bits=Non
         for x, nx in zip(x_columns, x_arities)
     ]
     return np.concatenate(out) if out else np.empty((0, cells), dtype=np.int64)
-
-
-def joint_counts(columns, arities, bits=None):
-    """Count of each (x, y, z_1, ..., z_k) code tuple, as an ``(nx, ny, nz)``
-    int64 array whose last axis runs over the z strata, row-major.
-
-    ``columns`` holds the code arrays of x, y and each z_i, ``arities`` their
-    arities, and ``bits`` (optional) their level bitsets. A table of at most
-    ``BITS_MAX_CELLS`` cells whose columns all have bitsets is counted by
-    popcounts; any other by one ``bincount`` (``stacked_counts`` of x alone).
-    """
-    nx, ny, *z_arities = arities
-    counts = stacked_counts(
-        columns[:1],
-        arities[:1],
-        columns[1:],
-        arities[1:],
-        None if bits is None else bits[0],
-        None if bits is None else bits[1:],
-    )
-    return counts.reshape(nx, ny, math.prod(z_arities))
 
 
 # ---------------------------------------------------------------------------

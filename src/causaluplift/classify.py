@@ -284,11 +284,14 @@ def save_model(pair, path, extra=None):
 
 
 def load_model(path):
-    """The model pair saved at ``path``. Each arm is checked against the
-    encoder (``check`` of its model class), so a tampered arm is a
-    ValueError naming the arm, never a wrong or failed prediction."""
+    """The model pair saved at ``path``. Each arm is read by its model class
+    and checked against the encoder (``check``), so a malformed or tampered
+    arm is a ValueError naming the file and the arm, never a wrong or failed
+    prediction."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     if payload.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path} is not a {MODEL_FORMAT} file")
     if payload.get("version") != MODEL_FORMAT_VERSION:
@@ -299,10 +302,20 @@ def load_model(path):
     encoder = FeatureEncoder.from_dict(payload["encoder"])
     arms = {}
     for arm in ("m1", "m0"):
-        model = _MODEL_TYPES[payload[arm]["type"]].from_dict(payload[arm])
+        entry = payload[arm]
         try:
+            if not isinstance(entry, dict):
+                raise ValueError(f"expected an object, got {type(entry).__name__}")
+            kind = entry.get("type")
+            if kind not in _MODEL_TYPES:
+                raise ValueError(
+                    f"unknown model type {kind!r}; expected one of {', '.join(_MODEL_TYPES)}"
+                )
+            model = _MODEL_TYPES[kind].from_dict(entry)
             model.check(encoder.width)
-        except ValueError as exc:
+        except KeyError as exc:
+            raise ValueError(f"{path}: model arm {arm}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: model arm {arm}: {exc}") from None
         arms[arm] = model
     return TwoModelPair(

@@ -68,7 +68,7 @@ class Dataset:
     def __init__(self, specs, arrays):
         self._specs = {}
         self._values = {}
-        self._block = self._bits = None
+        self._block = None
         n = None
         for spec in specs:
             if spec.name in self._specs:
@@ -110,7 +110,7 @@ class Dataset:
             values = arrays[name]
             values.flags.writeable = False
             self._values[name] = values
-        self._block = self._bits = None
+        self._block = None
         self.n_rows = len(values) if self._values else 0
         return self
 
@@ -149,21 +149,8 @@ class Dataset:
             names = [n for n, s in self._specs.items() if s.kind != "continuous"]
             arities = [self.arity(n) for n in names]
             block, start = pack_level_block([self._values[n] for n in names], arities)
-            start = {n: int(s) for n, s in zip(names, start) if s >= 0}
-            self._bits = {
-                n: block[start[n] : start[n] + a] for n, a in zip(names, arities) if n in start
-            }
-            self._block = block, start
+            self._block = block, {n: int(s) for n, s in zip(names, start) if s >= 0}
         return self._block
-
-    def level_bits(self, name):
-        """The column's rows of ``level_block`` (None for a column too wide
-        to pack)."""
-        self.level_block()
-        if name not in self._bits:
-            self.arity(name)  # an unknown or continuous column raises
-            return None
-        return self._bits[name]
 
     def role_of(self, role):
         """Names of columns carrying ``role``, in declaration order."""

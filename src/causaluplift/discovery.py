@@ -10,6 +10,7 @@ independence so sparse strata cannot invent parents.
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import UnknownColumn
 from .stats import g2_batch, g2_test
@@ -28,8 +29,7 @@ class DiscoveryConfig:
             raise ValueError("max_cond_size must be >= 0")
 
 
-@dataclass(frozen=True)
-class TestRecord:
+class TestRecord(NamedTuple):
     x: str
     y: str
     given: tuple
@@ -39,15 +39,7 @@ class TestRecord:
     phase: str
 
     def to_dict(self):
-        return {
-            "x": self.x,
-            "y": self.y,
-            "given": list(self.given),
-            "p_value": self.p_value,
-            "statistic": self.statistic,
-            "reliable": self.reliable,
-            "phase": self.phase,
-        }
+        return self._asdict()
 
 
 @dataclass

@@ -39,7 +39,9 @@ FOREST_DEFAULTS = {
 
 def forest_hyperparameters(hyperparameters=None):
     """The forest defaults updated with ``hyperparameters``, every value checked."""
-    hp = merge_hyperparameters(FOREST_DEFAULTS, hyperparameters)
+    hp = merge_hyperparameters(
+        FOREST_DEFAULTS, hyperparameters, integers=("n_trees", "max_depth", "min_leaf", "seed")
+    )
     if hp["seed"] is None:
         raise ValueError("forest classifier requires a seed")
     if hp["feature_subsample"] is not None and hp["feature_subsample"] > 1:
@@ -95,9 +97,11 @@ class ForestModel:
         }
 
     def check(self, width):
-        """Raise a ValueError unless the model reads ``width`` features,
-        each through at most ``MAX_BINS - 1`` finite, strictly increasing
-        cuts."""
+        """Raise a ValueError unless the model has trees and reads ``width``
+        features, each through at most ``MAX_BINS - 1`` finite, strictly
+        increasing cuts."""
+        if not self.trees:
+            raise ValueError("forest has no trees")
         if len(self.cuts) != width:
             raise ValueError(f"forest has {len(self.cuts)} cut lists for {width} features")
         for j, c in enumerate(self.cuts):
@@ -114,6 +118,9 @@ class ForestModel:
 
     @classmethod
     def from_dict(cls, payload):
+        for key in ("cuts", "trees"):
+            if not isinstance(payload[key], list):
+                raise ValueError(f"forest {key} must be a list, got {type(payload[key]).__name__}")
         cuts = [np.asarray(c, dtype=np.float64) for c in payload["cuts"]]
         trees = [_checked_tree(i, t, len(cuts)) for i, t in enumerate(payload["trees"])]
         return cls(cuts, trees, dict(payload["params"]))

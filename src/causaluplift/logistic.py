@@ -6,6 +6,7 @@ intercept is unpenalized.
 """
 
 import math
+import numbers
 import warnings
 
 import numpy as np
@@ -19,10 +20,11 @@ LOGISTIC_DEFAULTS = {
 }
 
 
-def merge_hyperparameters(defaults, hyperparameters):
-    """``defaults`` updated with ``hyperparameters``, refusing unknown names
-    and values that are not positive and finite (``seed`` and ``None`` are
-    exempt)."""
+def merge_hyperparameters(defaults, hyperparameters, integers=()):
+    """``defaults`` updated with ``hyperparameters``, refusing unknown names,
+    values of the keys in ``integers`` that are not integers (a bool is
+    not), and values that are not positive and finite (``seed`` is exempt
+    from this last check, and ``None`` from both)."""
     hyperparameters = hyperparameters or {}
     unknown = set(hyperparameters) - set(defaults)
     if unknown:
@@ -30,14 +32,18 @@ def merge_hyperparameters(defaults, hyperparameters):
     hp = dict(defaults)
     hp.update(hyperparameters)
     for key, value in hp.items():
-        if key != "seed" and value is not None and not 0 < value < math.inf:
+        if value is None:
+            continue
+        if key in integers and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"hyperparameter {key} must be an integer")
+        if key != "seed" and not 0 < value < math.inf:
             raise ValueError(f"hyperparameter {key} must be positive and finite")
     return hp
 
 
 def logistic_hyperparameters(hyperparameters=None):
     """The logistic defaults updated with ``hyperparameters``, every value checked."""
-    return merge_hyperparameters(LOGISTIC_DEFAULTS, hyperparameters)
+    return merge_hyperparameters(LOGISTIC_DEFAULTS, hyperparameters, integers=("max_iterations",))
 
 
 class ConstantModel:

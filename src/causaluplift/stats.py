@@ -6,25 +6,31 @@ independence expectation computed separately inside every stratum of the
 conditioning configuration. Strata with no rows contribute nothing and
 reduce the effective degrees of freedom.
 
-Tables are counted by ``_kernels.joint_counts``, from the packed level
-bitsets a ``Dataset`` keeps for all its columns in one block
-(``Dataset.level_block``) when the table is small, by ``bincount``
+Every test runs through one path. ``_count_tables`` counts the tables of
+several x against one y and z with ``_kernels.stacked_counts``, from the
+packed level bitsets a ``Dataset`` keeps for all its columns in one block
+(``Dataset.level_block``) when the tables are small, by ``bincount``
 otherwise; the counts, and so every statistic and p-value bit, are the same
-either way. ``g2_batch`` runs the tests of several x against one y and z in
-one pass, each result bit for bit what ``g2_test`` gives. Discretization
-bins all continuous columns of a dataset in one pass: one sort of their
-stack, the edges read from it where ``np.quantile`` would interpolate them,
-and each code as the number of distinct edges below a value.
+either way. ``_g2_tables`` evaluates the terms of all of them together and
+sums each table's own slice of terms, so a table's result does not depend
+on the tables counted beside it: ``g2_test`` is ``g2_batch`` of one x, and
+``g2_from_table`` is ``_g2_tables`` of one table.
+
+Discretization bins all continuous columns of a dataset in one pass: one
+sort of their stack, the edges read from it where ``np.quantile`` would
+interpolate them, and each code as the number of distinct edges below a
+value.
 """
 
 import math
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import joint_counts, stacked_counts
+from ._kernels import stacked_counts
 from .data import ColumnSpec, Dataset
 from .errors import ContinuousColumn, DegenerateColumnWarning, EmptyColumn
 from .special import chi_square_sf
@@ -153,9 +159,41 @@ class ContingencyTable:
     total: int
 
 
-def _require_categorical(data, name):
-    if data.spec(name).kind == "continuous":
-        raise ContinuousColumn(name)
+class CITestResult(NamedTuple):
+    statistic: float
+    dof: int
+    p_value: float
+    independent: bool
+    reliable: bool
+
+
+def _count_tables(data, xs, y, z):
+    """The count table of every x of ``xs`` against y within each
+    configuration of z, stacked: an ``(sum |x|, |y|, prod |z_i|)`` int64
+    array whose rows are the x levels, x after x, and the list of x
+    arities. Counted from the dataset's packed level bitsets when every
+    column has them, by ``bincount`` otherwise (``_kernels.stacked_counts``).
+    """
+    names = [y, *z]
+    for name in [*xs, *names]:
+        if data.spec(name).kind == "continuous":
+            raise ContinuousColumn(name)
+    nxs = [data.arity(x) for x in xs]
+    arities = [data.arity(name) for name in names]
+    block, start = data.level_block()
+    x_bits = bits = None
+    if all(name in start for name in [*xs, *names]):
+        x_bits = block[[start[x] + level for x, nx in zip(xs, nxs) for level in range(nx)]]
+        bits = [block[start[n] : start[n] + a] for n, a in zip(names, arities)]
+    counts = stacked_counts(
+        (data.values(x) for x in xs),  # read by the bincount path only
+        nxs,
+        [data.values(name) for name in names],
+        arities,
+        x_bits,
+        bits,
+    )
+    return counts.reshape(sum(nxs), arities[0], math.prod(arities[1:])), nxs
 
 
 def contingency(data, x, y, z=()):
@@ -164,84 +202,23 @@ def contingency(data, x, y, z=()):
     Arities come from the full dataset, not the stratum, so empty categories
     keep their slots.
     """
-    names = [x, y, *z]
-    for name in names:
-        _require_categorical(data, name)
-    arities = [data.arity(name) for name in names]
-    counts = joint_counts(
-        [data.values(name) for name in names],
-        arities,
-        [data.level_bits(name) for name in names],
-    )
-    return ContingencyTable(dims=tuple(arities), counts=counts, total=data.n_rows)
-
-
-@dataclass(frozen=True)
-class CITestResult:
-    statistic: float
-    dof: int
-    p_value: float
-    independent: bool
-    reliable: bool
-
-    def to_dict(self):
-        return {
-            "statistic": self.statistic,
-            "dof": self.dof,
-            "p_value": self.p_value,
-            "independent": self.independent,
-            "reliable": self.reliable,
-        }
-
-
-def g2_from_table(table, alpha):
-    """Evaluate the G-squared statistic and verdict on a prepared table."""
-    counts = table.counts
-    nx, ny, nz = counts.shape
-    # integer margins, exact in any order; the cell terms are summed in the
-    # table's C order over its non-empty cells
-    row = counts.sum(axis=1)
-    col = counts.sum(axis=0)
-    tot = col.sum(axis=0)
-    i, j, k = np.nonzero(counts)
-    observed = counts[i, j, k].astype(np.float64)
-    expected = row[i, k].astype(np.float64) * col[j, k] / tot[k]
-    stat = 2.0 * float((observed * np.log(observed / expected)).sum())
-
-    dof = (nx - 1) * (ny - 1) * int(np.count_nonzero(tot))
-    if dof <= 0:
-        return CITestResult(0.0, 0, 1.0, independent=True, reliable=False)
-    p_value = chi_square_sf(stat, dof)
-    reliable = table.total >= 5 * dof
-    independent = (p_value > alpha) if reliable else True
-    return CITestResult(stat, dof, p_value, independent, reliable)
-
-
-def g2_test(data, x, y, z=(), alpha=0.01):
-    """G-squared conditional independence test of x and y given z.
-
-    Unreliable tests (fewer than five samples per degree of freedom) return
-    ``independent=True`` with ``reliable=False`` so callers can stay
-    conservative about adding edges while still auditing the verdict.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    return g2_from_table(contingency(data, x, y, z), alpha)
+    counts, _ = _count_tables(data, [x], y, z)
+    dims = tuple(data.arity(name) for name in [x, y, *z])
+    return ContingencyTable(dims=dims, counts=counts, total=data.n_rows)
 
 
 def _g2_tables(counts, nxs, total, alpha):
-    """``g2_from_table`` of every table stacked in ``counts``, bit for bit.
+    """The G-squared test of every table stacked in ``counts``.
 
     ``counts`` is ``(sum nxs, ny, nz)``: table ``t`` is the next ``nxs[t]``
     rows, and every table counts the same ``total`` rows, so all share their
-    (y, z) margins. The G-squared terms of all tables are evaluated in one
-    pass, in each table's C order. ``g2_from_table`` adds a table's terms
-    with ``.sum()``, whose pairwise scheme depends on how many there are, so
-    tables with the same number of terms are summed together, each along
-    one contiguous row.
+    (y, z) margins. The terms O ln(O / E) of all tables' non-empty cells are
+    evaluated in one pass, in each table's C order; each table's terms are
+    then one contiguous slice, summed alone with ``.sum()``, so a table gets
+    the same bits whatever is stacked beside it.
     """
     _, ny, nz = counts.shape
-    owner = np.repeat(np.arange(len(nxs)), nxs)
+    # integer margins, exact in any order
     col = counts[: nxs[0]].sum(axis=0)
     tot = col.sum(axis=0)
     row = counts.sum(axis=1)
@@ -252,17 +229,15 @@ def _g2_tables(counts, nxs, total, alpha):
     observed = flat[cell].astype(np.float64)
     expected = row[r, k].astype(np.float64) * col[j, k] / tot[k]
     terms = observed * np.log(observed / expected)
-    size = np.bincount(owner[r], minlength=len(nxs))
-    first = np.cumsum(size) - size
-    sums = np.zeros(len(nxs))
-    for m in np.unique(size[size > 0]).tolist():
-        tables = np.flatnonzero(size == m)
-        sums[tables] = terms[first[tables, None] + np.arange(m)].sum(axis=1)
-    stats = (2.0 * sums).tolist()
-    dofs = ((nxs - 1) * (ny - 1) * int(np.count_nonzero(tot))).tolist()
+    ends = np.searchsorted(r, np.cumsum(nxs)).tolist()
+    strata = int(np.count_nonzero(tot))
 
     results = []
-    for stat, dof in zip(stats, dofs):
+    lo = 0
+    for nx, hi in zip(nxs, ends):
+        stat = 2.0 * float(terms[lo:hi].sum())
+        lo = hi
+        dof = (nx - 1) * (ny - 1) * strata
         if dof <= 0:
             results.append(CITestResult(0.0, 0, 1.0, independent=True, reliable=False))
             continue
@@ -273,37 +248,31 @@ def _g2_tables(counts, nxs, total, alpha):
     return results
 
 
+def g2_from_table(table, alpha):
+    """Evaluate the G-squared statistic and verdict on a prepared table."""
+    counts = np.asarray(table.counts)
+    return _g2_tables(counts, [counts.shape[0]], table.total, alpha)[0]
+
+
 def g2_batch(data, xs, y, z=(), alpha=0.01):
-    """``[g2_test(data, x, y, z, alpha) for x in xs]``, bit for bit, in one
+    """The G-squared test of each x of ``xs`` against y given z, in one
     pass: the joint levels of y and z are ANDed (or flattened) once, every
     x's table is counted against them in one array operation, and the
     G-squared terms of all tables are evaluated together. Only the p-values
-    are computed one test at a time.
+    are computed one test at a time. Each result is the one ``x`` gets
+    alone.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    names = [y, *z]
-    for name in [*xs, *names]:
-        _require_categorical(data, name)
-    if not xs:
-        return []
-    nxs = np.array([data.arity(x) for x in xs])
-    arities = [data.arity(name) for name in names]
-    block, start = data.level_block()
-    x_bits = None
-    bits = None
-    if all(name in start for name in [*xs, *names]):
-        first = np.array([start[x] for x in xs])
-        rows = np.repeat(first - (np.cumsum(nxs) - nxs), nxs) + np.arange(nxs.sum())
-        x_bits = block[rows]
-        bits = [block[start[n] : start[n] + a] for n, a in zip(names, arities)]
-    counts = stacked_counts(
-        (data.values(x) for x in xs),  # read by the bincount path only
-        nxs.tolist(),
-        [data.values(name) for name in names],
-        arities,
-        x_bits,
-        bits,
-    )
-    counts = counts.reshape(-1, arities[0], math.prod(arities[1:]))
-    return _g2_tables(counts, nxs, data.n_rows, alpha)
+    counts, nxs = _count_tables(data, xs, y, z)
+    return _g2_tables(counts, nxs, data.n_rows, alpha) if xs else []
+
+
+def g2_test(data, x, y, z=(), alpha=0.01):
+    """G-squared conditional independence test of x and y given z.
+
+    Unreliable tests (fewer than five samples per degree of freedom) return
+    ``independent=True`` with ``reliable=False`` so callers can stay
+    conservative about adding edges while still auditing the verdict.
+    """
+    return g2_batch(data, [x], y, z, alpha)[0]

@@ -70,6 +70,16 @@ BAD_HYPERPARAMETERS = [
     ("forest", {"seed": 1, "feature_subsample": 1.5}),
     ("forest", {"seed": 1, "max_depth": -2}),
     ("forest", {"seed": 1, "l2_penalty": 1.0}),
+    # integer hyperparameters refuse floats and bools
+    ("logistic", {"max_iterations": 0.5}),
+    ("logistic", {"max_iterations": 5.0}),
+    ("logistic", {"max_iterations": True}),
+    ("forest", {"seed": 1, "n_trees": 2.5}),
+    ("forest", {"seed": 1, "n_trees": True}),
+    ("forest", {"seed": 1, "max_depth": 3.5}),
+    ("forest", {"seed": 1, "min_leaf": 2.0}),
+    ("forest", {"seed": 1.5}),
+    ("forest", {"seed": True}),
 ]
 
 
@@ -103,6 +113,23 @@ class TestSpec:
     def test_unknown_hyperparameter(self):
         with pytest.raises(ValueError):
             ClassifierSpec("logistic", {"n_trees": 5})
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("logistic", "max_iterations", 0.5),
+            ("forest", "n_trees", 2.5),
+            ("forest", "max_depth", 4.0),
+            ("forest", "min_leaf", False),
+            ("forest", "seed", 1.0),
+        ],
+    )
+    def test_integer_hyperparameters_refuse_non_integers(self, kind, key, value):
+        hp = {"seed": 1, key: value} if kind == "forest" else {key: value}
+        with pytest.raises(ValueError, match=f"^hyperparameter {key} must be an integer$"):
+            ClassifierSpec(kind, hp)
+        ok = {**hp, key: np.int64(2)}  # any integer type is an integer
+        assert ClassifierSpec(kind, ok).resolved()[key] == 2
 
     def test_positivity(self):
         with pytest.raises(ValueError):

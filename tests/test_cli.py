@@ -486,7 +486,7 @@ class TestTrainPredictEval:
             "--out", tmp_path / "preds.csv",
         ) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: forest tree 0: ") and says in err
+        assert err.startswith(f"error: {tampered}: model arm m1: forest tree 0: ") and says in err
         assert err.count("\n") == 1  # one line, no traceback
         assert not (tmp_path / "preds.csv").exists()
 
@@ -501,10 +501,20 @@ class TestTrainPredictEval:
             ("logistic", "m1", lambda m: m.update(weights=m["weights"][:1]), "weights for"),
             ("constant", "m1", lambda m: m.update(p=1.5), "outside [0, 1]"),
             ("constant", "m0", lambda m: m.update(p=float("nan")), "outside [0, 1]"),
+            ("constant", "m1", lambda m: m.__delitem__("p"), "missing key 'p'"),
+            ("forest", "m1", lambda m: m.update(cuts=5), "forest cuts must be a list, got int"),
+            ("forest", "m0", lambda m: m.update(trees=5), "forest trees must be a list, got int"),
+            ("forest", "m1", lambda m: m.update(trees=[]), "forest has no trees"),
+            ("logistic", "m0", lambda m: m.update(weights={"w": 1.0}), "dict"),
+            ("forest", "m0", lambda m: m.update(type="svm"), "unknown model type 'svm'"),
+            ("forest", "m1", lambda m: m.clear(), "unknown model type None"),
+            ("logistic", "m0", lambda m: [m], "expected an object, got list"),
         ],
         ids=[
             "extra-cut-list", "nan-cut", "repeated-cut", "extra-weight", "nan-weight",
-            "missing-weights", "p-above-1", "nan-p",
+            "missing-weights", "p-above-1", "nan-p", "missing-p", "cuts-not-a-list",
+            "trees-not-a-list", "no-trees", "weights-not-a-list", "unknown-type", "no-type",
+            "arm-not-an-object",
         ],
     )
     def test_predict_tampered_arm_exits_2(
@@ -523,7 +533,9 @@ class TestTrainPredictEval:
         if classifier == "constant":
             payload[arm] = {"type": "constant", "p": 0.5}
         assert payload[arm]["type"] == classifier
-        tamper(payload[arm])
+        replaced = tamper(payload[arm])  # a new arm, or None for an arm edited in place
+        if replaced is not None:
+            payload[arm] = replaced
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(payload))
         assert run(
@@ -533,8 +545,22 @@ class TestTrainPredictEval:
             "--out", tmp_path / "preds.csv",
         ) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"model arm {arm}: " in err and says in err
+        assert err.startswith(f"error: {tampered}: model arm {arm}: ") and says in err
         assert err.count("\n") == 1  # one line, no traceback
+        assert not (tmp_path / "preds.csv").exists()
+
+    @pytest.mark.parametrize("payload", [[], 5, "model", None], ids=["list", "int", "str", "null"])
+    def test_predict_model_not_an_object_exits_2(self, workspace, tmp_path, capsys, payload):
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(payload))
+        assert run(
+            "predict", "--model", tampered,
+            "--data", workspace / "test.csv",
+            "--schema", workspace / "schema.json",
+            "--out", tmp_path / "preds.csv",
+        ) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {tampered}: expected a JSON object, got {type(payload).__name__}\n"
         assert not (tmp_path / "preds.csv").exists()
 
     def test_eval_empty_predictions_exits_2(self, workspace, tmp_path, capsys):

@@ -4,16 +4,20 @@ still binds and records a span, so a rename in the package cannot silently
 zero a per-layer metric."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from causaluplift import classify, forest, logistic
+from causaluplift import classify, discovery, forest, logistic
 from causaluplift.classify import ClassifierSpec, predict_cctm, train_cctm
 from causaluplift.data import ColumnSpec, Dataset
+from causaluplift.discovery import DiscoveryConfig
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_PATH = ROOT / "perfbench" / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -72,3 +76,45 @@ def test_model_layer_spans_recorded_and_restored(spans):
     assert classify.fit_logistic is originals["fit_logistic"] is logistic.fit_logistic
     assert vars(classify.FeatureEncoder)["encode"] is originals["encode"]
     assert vars(forest.ForestModel)["predict_proba"] is originals["predict_proba"]
+
+
+def backward_dataset(n=65):
+    """An 8-level X and a binary Z that both drive Y, and a noise column B.
+    X enters first; its backward test given Z has 14 degrees of freedom, too
+    many for 65 rows, so it is unreliable and X leaves."""
+    rng = np.random.default_rng(8)
+    x = rng.integers(0, 8, n)
+    z = rng.integers(0, 2, n)
+    b = rng.integers(0, 2, n)
+    y = np.where(rng.random(n) < 0.7, x >= 4, np.where(rng.random(n) < 0.8, z, 0))
+    specs = [
+        ColumnSpec("X", "categorical", categories=tuple("01234567")),
+        ColumnSpec("Z", "binary"),
+        ColumnSpec("B", "binary"),
+        ColumnSpec("Y", "binary", "outcome"),
+    ]
+    return Dataset(specs, {"X": x, "Z": z, "B": b, "Y": y.astype(int)})
+
+
+def test_g2_test_spans_count_the_backward_tests(spans):
+    # forward rounds run through g2_batch, the backward phase through
+    # discovery.g2_test: its span counts one test per backward record
+    with spans.Tracer() as tracer:
+        found = discovery.mmpc(backward_dataset(), "Y", DiscoveryConfig(alpha=0.05))
+    backward = [r for r in found.trace if r.phase == "backward"]
+    unreliable = sum(not r.reliable for r in backward)
+    assert len(found.trace) > len(backward) and unreliable > 0
+    assert sum(span[0] == "stats.g2_test" for span in tracer.spans) == len(backward)
+    assert tracer.counts["stats.g2_test.unreliable"] == unreliable
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's smoke test, at tiny sizes; it writes under .perfbench/
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    for line in ("ok wide-forest", "ok qini-cv", "ok without sources"):
+        assert line in lines

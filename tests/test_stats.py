@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from causaluplift.data import ColumnSpec, Dataset
 from causaluplift.errors import ContinuousColumn, DegenerateColumnWarning, EmptyColumn
+from causaluplift.special import chi_square_sf
 from causaluplift.stats import (
+    CITestResult,
     contingency,
     discretize,
     discretize_dataset,
@@ -364,6 +366,29 @@ def batch_dataset(seed, n, arities, used, copy):
     return categorical_dataset(dict(zip(arrays, arities)), **arrays)
 
 
+def g2_scalar_oracle(table, alpha):
+    """The G-squared test of one table evaluated alone, as a lone scalar
+    evaluation does it: the cell terms in the table's C order over its
+    non-empty cells, added with ``.sum()``. Every batched result must have
+    its bits."""
+    counts = table.counts
+    nx, ny, nz = counts.shape
+    row = counts.sum(axis=1)
+    col = counts.sum(axis=0)
+    tot = col.sum(axis=0)
+    i, j, k = np.nonzero(counts)
+    observed = counts[i, j, k].astype(np.float64)
+    expected = row[i, k].astype(np.float64) * col[j, k] / tot[k]
+    stat = 2.0 * float((observed * np.log(observed / expected)).sum())
+    dof = (nx - 1) * (ny - 1) * int(np.count_nonzero(tot))
+    if dof <= 0:
+        return CITestResult(0.0, 0, 1.0, independent=True, reliable=False)
+    p_value = chi_square_sf(stat, dof)
+    reliable = table.total >= 5 * dof
+    independent = (p_value > alpha) if reliable else True
+    return CITestResult(stat, dof, p_value, independent, reliable)
+
+
 def result_bits(res):
     """Every field of a test result, floats by their bits."""
     return (res.statistic.hex(), res.dof, res.p_value.hex(), res.independent, res.reliable)
@@ -386,24 +411,25 @@ def batch_cases(draw):
 
 
 def batch_against_scalar(case):
-    """``g2_batch`` of a case's x columns, and ``g2_test`` of each, as bits,
-    with the tables ``g2_test`` evaluated."""
+    """``g2_batch`` of a case's x columns, ``g2_test`` of each, and the
+    scalar oracle of each x's table, as bits, with those tables."""
     seed, n, n_x, arities, used, copy, alpha = case
     data = batch_dataset(seed, n, arities, used, copy)
     names = data.columns
     xs, y, z = names[:n_x], names[n_x], names[n_x + 1 :]
     batch = [result_bits(r) for r in g2_batch(data, xs, y, z, alpha)]
-    scalar = [result_bits(g2_test(data, x, y, z, alpha)) for x in xs]
+    alone = [result_bits(g2_test(data, x, y, z, alpha)) for x in xs]
     tables = [contingency(data, x, y, z) for x in xs]
-    return batch, scalar, tables
+    scalar = [result_bits(g2_scalar_oracle(t, alpha)) for t in tables]
+    return batch, alone, scalar, tables
 
 
 class TestG2Batch:
     @settings(max_examples=300, deadline=None)
     @given(batch_cases())
     def test_each_result_is_g2_test_bit_for_bit(self, case):
-        batch, scalar, _ = batch_against_scalar(case)
-        assert batch == scalar
+        batch, alone, scalar, _ = batch_against_scalar(case)
+        assert batch == alone == scalar
 
     # (seed, rows, x columns, arities, used levels, copies, alpha)
     COVERING = [
@@ -425,8 +451,8 @@ class TestG2Batch:
     def test_covering_cases(self):
         seen = set()
         for case in self.COVERING:
-            batch, scalar, tables = batch_against_scalar(case)
-            assert batch == scalar
+            batch, alone, scalar, tables = batch_against_scalar(case)
+            assert batch == alone == scalar
             for bits, table in zip(scalar, tables):
                 seen.add(f"z{len(table.dims) - 2}")
                 if np.count_nonzero(table.counts) >= 8:

@@ -220,10 +220,10 @@ def grow_forest(codes, labels, bootstraps, tree_seeds, mtry, n_bins, max_depth, 
     once, one level at a time.
 
     Each tree is the one it would be if grown alone. Returns, per tree, the
-    per-node arrays ``(child_left, split_feat, split_bin, leaf_pos,
-    leaf_n)`` in level order, each exactly as long as the tree has nodes; a
-    leaf has ``child_left == split_feat == -1``, and the right child of a
-    split is ``child_left + 1``.
+    arrays ``(split_feat, split_bin, leaf_pos, leaf_n)``: ``split_feat``
+    has one entry per node in level order, -1 for a leaf, ``split_bin`` one
+    per split and the two leaf counts one per leaf, each in level order.
+    The k-th split's children are nodes ``2k + 1`` and ``2k + 2``.
     """
     codes = np.ascontiguousarray(codes)
     labels = np.asarray(labels, dtype=np.intp)
@@ -242,8 +242,8 @@ def grow_forest(codes, labels, bootstraps, tree_seeds, mtry, n_bins, max_depth, 
     while tree.size:
         below = np.concatenate(([0], np.cumsum(labels[work])))
         pos_total = below[lo + m] - below[lo]
-        feat = np.full(tree.size, -1)
-        split_bin = np.full(tree.size, -1)
+        feat = np.full(tree.size, -1, dtype=np.int32)
+        split_bin = np.full(tree.size, -1, dtype=np.int32)
         mid = lo + m
         grow = (pos_total > 0) & (pos_total < m) & (m >= 2 * min_leaf) & (depth < max_depth)
         todo = np.flatnonzero(grow)
@@ -279,21 +279,16 @@ def grow_forest(codes, labels, bootstraps, tree_seeds, mtry, n_bins, max_depth, 
         m = np.diff(bounds, axis=1).ravel()
         depth += 1
 
-    # Each tree numbers its nodes in level order, so its k-th split node's
-    # children are 2k + 1 and 2k + 2.
+    # each tree's nodes in level order: the levels, stably sorted by tree
     tree, feat, split_bin, pos, n = (np.concatenate(v) for v in zip(*levels))
     order = np.argsort(tree, kind="stable")
     tree, feat, split_bin, pos, n = (v[order] for v in (tree, feat, split_bin, pos, n))
     split = feat >= 0
-    ends = np.cumsum(np.bincount(tree))
-    before = np.cumsum(split) - split  # split nodes before each node
-    first = np.concatenate(([0], ends[:-1]))[tree]  # each node's tree's root
-    child_left = np.where(split, 2 * (before - before[first]) + 1, -1)
-    columns = [v.astype(np.int32) for v in (child_left, feat, split_bin)] + [pos, n]
-    return [
-        tuple(part.copy() for part in parts)
-        for parts in zip(*(np.split(column, ends[:-1]) for column in columns))
+    parts = [  # per column, its per-node, per-split or per-leaf entries of each tree
+        np.split(v[keep], np.cumsum(np.bincount(tree[keep], minlength=len(bootstraps)))[:-1])
+        for v, keep in ((feat, slice(None)), (split_bin, split), (pos, ~split), (n, ~split))
     ]
+    return [tuple(a.copy() for a in arrays) for arrays in zip(*parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +296,18 @@ def grow_forest(codes, labels, bootstraps, tree_seeds, mtry, n_bins, max_depth, 
 # ---------------------------------------------------------------------------
 
 
-def tree_leaves(codes, child_left, split_feat, split_bin):
-    """Id of the leaf each row of ``codes`` reaches; a split sends a row to
-    ``child_left`` if its code is at most the split bin, else to the next
-    node."""
-    n = codes.shape[0]
-    node = np.zeros(n, dtype=np.int64)
-    active = split_feat[node] >= 0
+def tree_leaves(codes, split_feat, split_bin):
+    """Rank among the leaves of the leaf each row of ``codes`` reaches: the
+    k-th split sends a row to node ``2k + 1`` if its code is at most
+    ``split_bin[k]``, else to ``2k + 2``."""
+    split = split_feat >= 0
+    before = np.cumsum(split) - split  # split nodes before each node
+    node = np.zeros(codes.shape[0], dtype=np.int64)
+    active = split[node]
     while active.any():
         idx = np.nonzero(active)[0]
         cur = node[idx]
-        node[idx] = child_left[cur] + (codes[idx, split_feat[cur]] > split_bin[cur])
-        active[idx] = split_feat[node[idx]] >= 0
-    return node
+        k = before[cur]
+        node[idx] = 2 * k + 1 + (codes[idx, split_feat[cur]] > split_bin[k])
+        active[idx] = split[node[idx]]
+    return node - before[node]

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import KINDS
 from .discovery import DiscoveryConfig, discover_parents
 from .errors import (
     EmptyArm,
@@ -28,7 +29,7 @@ from .logistic import ConstantModel, LogisticModel, fit_logistic, logistic_hyper
 from .stats import discretize_dataset
 
 MODEL_FORMAT = "causaluplift-model"
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 _HYPERPARAMETERS = {"logistic": logistic_hyperparameters, "forest": forest_hyperparameters}
 
@@ -114,7 +115,22 @@ class FeatureEncoder:
 
     @classmethod
     def from_dict(cls, payload):
-        return cls(payload["entries"])
+        """The encoder of a model file's ``encoder`` object, refused with a
+        ValueError naming the first malformed entry."""
+        entries = payload.get("entries") if isinstance(payload, dict) else None
+        if not isinstance(entries, list):
+            raise ValueError("encoder must be an object holding a list of entries")
+        for j, entry in enumerate(entries):
+            if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
+                raise ValueError(f"encoder entry {j} must be an object with a string name")
+            if entry.get("kind") not in KINDS:
+                raise ValueError(f"encoder entry {j}: kind must be one of {', '.join(KINDS)}")
+            labels = entry.get("categories")
+            if entry["kind"] == "categorical" and not (
+                isinstance(labels, list) and all(isinstance(c, str) for c in labels)
+            ):
+                raise ValueError(f"encoder entry {j}: categories must be a list of strings")
+        return cls(entries)
 
 
 @dataclass(frozen=True)
@@ -278,16 +294,17 @@ def model_payload(pair, extra=None):
 
 
 def save_model(pair, path, extra=None):
+    # json.dumps encodes in C; json.dump would encode in Python, chunk by chunk
+    text = json.dumps(model_payload(pair, extra), separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_payload(pair, extra), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_model(path):
-    """The model pair saved at ``path``. Each arm is read by its model class
-    and checked against the encoder (``check``), so a malformed or tampered
-    arm is a ValueError naming the file and the arm, never a wrong or failed
-    prediction."""
+    """The model pair saved at ``path``. The keys and the encoder are checked
+    first, then each arm is read by its model class and checked against the
+    encoder (``check``), so a malformed or tampered file is a ValueError
+    naming the file and the key or arm, never a wrong or failed prediction."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -299,7 +316,15 @@ def load_model(path):
             f"{path} is {MODEL_FORMAT} version {payload.get('version')!r};"
             f" this build reads version {MODEL_FORMAT_VERSION}"
         )
-    encoder = FeatureEncoder.from_dict(payload["encoder"])
+    try:
+        for key in ("treatment", "outcome", "parents_excl_t", "encoder", "m1", "m0"):
+            if key not in payload:
+                raise ValueError(f"missing key {key!r}")
+        encoder = FeatureEncoder.from_dict(payload["encoder"])
+        if payload["parents_excl_t"] != [entry["name"] for entry in encoder.entries]:
+            raise ValueError("parents_excl_t must list the encoder's entry names, in order")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     arms = {}
     for arm in ("m1", "m0"):
         entry = payload[arm]

@@ -13,9 +13,10 @@ All trees grow in one call of ``_kernels.grow_forest``, one level at a
 time: every node of a depth, across all trees, is scored with one array
 operation per step. A node's feature draw depends only on its own tree's
 seed and its path from the root, so every tree is the one it would be if
-grown alone. Each tree stores its nodes in level order as the arrays
-``(child_left, split_feat, split_bin, leaf_pos, leaf_n)``; a split's right
-child is ``child_left + 1``.
+grown alone. A tree is the arrays ``TREE_KEYS``, in memory and on file:
+``split_feat`` per node in level order (-1 for a leaf), ``split_bin`` per
+split, ``leaf_pos`` and ``leaf_n`` per leaf. The k-th split's children are
+nodes ``2k + 1`` and ``2k + 2``.
 """
 
 import numpy as np
@@ -25,8 +26,8 @@ from .logistic import merge_hyperparameters, single_class_model
 
 MAX_BINS = 64
 
-# A tree's per-node arrays, in the order of its tuple and its model-file keys.
-TREE_KEYS = ("child_left", "split_feat", "split_bin", "leaf_pos", "leaf_n")
+# A tree's arrays, in the order of its tuple and its model-file keys.
+TREE_KEYS = ("split_feat", "split_bin", "leaf_pos", "leaf_n")
 
 FOREST_DEFAULTS = {
     "n_trees": 100,
@@ -81,8 +82,8 @@ class ForestModel:
         codes = _encode(X, self.cuts)
         total = np.zeros(X.shape[0])
         for tree in self.trees:
-            leaves = tree_leaves(codes, *tree[:3])
-            total += (tree[3][leaves] + 1.0) / (tree[4][leaves] + 2.0)
+            leaves = tree_leaves(codes, *tree[:2])
+            total += (tree[2][leaves] + 1.0) / (tree[3][leaves] + 2.0)
         return total / len(self.trees)
 
     def to_dict(self):
@@ -127,31 +128,33 @@ class ForestModel:
 
 
 def _checked_tree(i, payload, n_feats):
-    """Tree ``i``'s node arrays from its model-file object, refused with a
-    ValueError unless every row reaches a leaf through valid indices."""
+    """Tree ``i``'s arrays from its model-file object, refused with a
+    ValueError unless they form one tree with every index in range. The
+    nodes form one tree when there are ``2 * splits + 1`` and each node
+    ``j`` has at least ``j / 2`` splits before it, one of them its parent."""
     try:
         tree = tuple(np.asarray(payload[key], dtype=np.int64) for key in TREE_KEYS)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"forest tree {i}: {exc}") from None
-    child_left, split_feat, split_bin, leaf_pos, leaf_n = tree
-    n = child_left.size
-    if n == 0 or any(a.shape != (n,) for a in tree):
-        raise ValueError(f"forest tree {i}: node arrays must be non-empty and of equal length")
-    leaf = split_feat == -1
-    inner = ~leaf
+    split_feat, split_bin, leaf_pos, leaf_n = tree
+    split = split_feat != -1
+    splits = int(split.sum())
+    before = np.cumsum(split) - split
+    if split_feat.shape != (2 * splits + 1,) or (np.arange(split_feat.size) > 2 * before).any():
+        raise ValueError(f"forest tree {i}: its nodes are not one tree")
+    for key, a, size in zip(TREE_KEYS[1:], tree[1:], (splits, splits + 1, splits + 1)):
+        if a.shape != (size,):
+            raise ValueError(f"forest tree {i}: {key} must be a list of length {size}")
     problems = {
-        "a leaf has a child": child_left[leaf] != -1,
-        "a child is out of range": (child_left[inner] <= np.flatnonzero(inner))
-        | (child_left[inner] + 1 >= n),
-        "a split feature is out of range": (split_feat[inner] < 0)
-        | (split_feat[inner] >= n_feats),
-        "a split bin is negative": split_bin[inner] < 0,
-        "a leaf count is out of range": (leaf_pos[leaf] < 0) | (leaf_pos[leaf] > leaf_n[leaf]),
+        "a split feature is out of range": (split_feat < -1) | (split_feat >= n_feats),
+        "a split bin is negative": split_bin < 0,
+        "a split bin is past the last bin": split_bin >= MAX_BINS,
+        "a leaf count is out of range": (leaf_pos < 0) | (leaf_pos > leaf_n),
     }
     for problem, bad in problems.items():
         if bad.any():
             raise ValueError(f"forest tree {i}: {problem}")
-    return tuple(a.astype(np.int32) for a in tree[:3]) + tree[3:]
+    return tuple(a.astype(np.int32) for a in tree[:2]) + tree[2:]
 
 
 def fit_forest(X, y, hyperparameters=None):

@@ -382,9 +382,9 @@ class TestEncoderAndPersistence:
         pair = train_cctm(data, "T", "Y", parents=["A"])
         payload = model_payload(pair)
         assert payload["format"] == "causaluplift-model"
-        assert payload["version"] == 2
+        assert payload["version"] == 3
 
-    @pytest.mark.parametrize("version", [99, 0, None, 1])
+    @pytest.mark.parametrize("version", [99, 0, None, 1, 2])
     def test_other_version_refused(self, tmp_path, version):
         pair = train_cctm(uplift_data(seed=83, n=300), "T", "Y", parents=["A"])
         payload = model_payload(pair)
@@ -398,7 +398,7 @@ class TestEncoderAndPersistence:
             load_model(path)
         message = str(info.value)
         assert str(path) in message
-        assert f"version {version!r}" in message and "reads version 2" in message
+        assert f"version {version!r}" in message and "reads version 3" in message
 
 
 def _refuse_constant(name):

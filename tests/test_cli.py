@@ -466,7 +466,8 @@ class TestTrainPredictEval:
     @pytest.mark.parametrize(
         "node, key, value, says",
         [
-            (0, "child_left", 10**6, "child is out of range"),
+            # the last node in level order is a leaf; the root is a split
+            (-1, "split_feat", 0, "its nodes are not one tree"),
             (0, "split_feat", 99, "split feature is out of range"),
         ],
     )
@@ -475,7 +476,7 @@ class TestTrainPredictEval:
     ):
         payload = json.loads(model_path.read_text())
         tree = payload["m1"]["trees"][0]
-        assert tree["split_feat"][node] >= 0  # an internal node
+        assert (tree["split_feat"][node] >= 0) == (node == 0)
         tree[key][node] = value
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(payload))
@@ -546,6 +547,54 @@ class TestTrainPredictEval:
         ) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tampered}: model arm {arm}: ") and says in err
+        assert err.count("\n") == 1  # one line, no traceback
+        assert not (tmp_path / "preds.csv").exists()
+
+    @pytest.mark.parametrize(
+        "tamper, says",
+        [
+            (lambda p: p.__delitem__("treatment"), "missing key 'treatment'"),
+            (lambda p: p.__delitem__("outcome"), "missing key 'outcome'"),
+            (lambda p: p.__delitem__("parents_excl_t"), "missing key 'parents_excl_t'"),
+            (lambda p: p.__delitem__("encoder"), "missing key 'encoder'"),
+            (lambda p: p.__delitem__("m0"), "missing key 'm0'"),
+            (lambda p: p.update(encoder={"entries": 5}), "encoder must be an object holding"),
+            (lambda p: p.update(encoder=[]), "encoder must be an object holding"),
+            (lambda p: p["encoder"]["entries"].__setitem__(0, 5),
+             "encoder entry 0 must be an object with a string name"),
+            (lambda p: p["encoder"]["entries"][1].update(name=7),
+             "encoder entry 1 must be an object with a string name"),
+            (lambda p: p["encoder"]["entries"][0].update(kind="ordinal"),
+             "encoder entry 0: kind must be one of binary, categorical, continuous"),
+            (lambda p: p["encoder"]["entries"][0].update(kind="categorical"),
+             "encoder entry 0: categories must be a list of strings"),
+            (lambda p: p["encoder"]["entries"][0].update(kind="categorical", categories=[0, 1]),
+             "encoder entry 0: categories must be a list of strings"),
+            (lambda p: p["parents_excl_t"].reverse(), "parents_excl_t must list the encoder's"),
+            (lambda p: p.update(parents_excl_t="X8"), "parents_excl_t must list the encoder's"),
+        ],
+        ids=[
+            "no-treatment", "no-outcome", "no-parents", "no-encoder", "no-m0",
+            "entries-not-a-list", "encoder-a-list",
+            "entry-not-an-object", "name-not-a-string", "unknown-kind", "no-categories",
+            "categories-not-strings", "parents-reordered", "parents-not-a-list",
+        ],
+    )
+    def test_predict_tampered_header_exits_2(
+        self, workspace, model_path, tmp_path, capsys, tamper, says
+    ):
+        payload = json.loads(model_path.read_text())
+        tamper(payload)
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(payload))
+        assert run(
+            "predict", "--model", tampered,
+            "--data", workspace / "test.csv",
+            "--schema", workspace / "schema.json",
+            "--out", tmp_path / "preds.csv",
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tampered}: {says}")
         assert err.count("\n") == 1  # one line, no traceback
         assert not (tmp_path / "preds.csv").exists()
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from causaluplift import _kernels as K
 from causaluplift.errors import DegenerateLabelsWarning
-from causaluplift.forest import ForestModel, fit_forest
+from causaluplift.forest import TREE_KEYS, ForestModel, fit_forest
 from causaluplift.logistic import ConstantModel
 
 
@@ -78,8 +81,7 @@ class TestBehaviour:
         y = (rng.random(300) < 0.5).astype(int)
         model = fit_forest(X, y, {"seed": 4, "n_trees": 10, "min_leaf": 25})
         for tree in model.trees:
-            leaf_sizes = tree[4][tree[1] < 0]
-            assert leaf_sizes.min() >= 25
+            assert tree[3].min() >= 25
 
     def test_tree_arrays_own_exactly_their_nodes(self):
         rng = np.random.default_rng(68)
@@ -87,10 +89,10 @@ class TestBehaviour:
         y = (X[:, 0] + 0.3 * rng.random(400) > 0.6).astype(int)
         model = fit_forest(X, y, {"seed": 6, "n_trees": 8})
         for tree in model.trees:
-            n_nodes = 1 + 2 * int(np.count_nonzero(tree[1] >= 0))
-            for array in tree:
+            splits = int(np.count_nonzero(tree[0] >= 0))
+            for array, size in zip(tree, (2 * splits + 1, splits, splits + 1, splits + 1)):
                 assert array.flags.owndata
-                assert array.shape == (n_nodes,)
+                assert array.shape == (size,)
 
     def test_continuous_split_quantization(self):
         # >64 distinct values collapse to quantile cuts; monotone signal
@@ -115,16 +117,19 @@ class TestBehaviour:
 
 def _stump(**changes):
     """A one-split forest over one feature, as its model file holds it."""
-    tree = {
-        "child_left": [1, -1, -1],
-        "split_feat": [0, -1, -1],
-        "split_bin": [0, -1, -1],
-        "leaf_pos": [3, 1, 2],
-        "leaf_n": [5, 2, 3],
-    }
+    tree = {"split_feat": [0, -1, -1], "split_bin": [0], "leaf_pos": [1, 2], "leaf_n": [2, 3]}
     tree.update(changes)
     params = {"n_trees": 1, "max_depth": None, "min_leaf": 1, "feature_subsample": None, "seed": 1}
     return {"type": "forest", "params": params, "cuts": [[0.5]], "trees": [tree]}
+
+
+# node 3 is a split no split leads to: 2 splits and 3 leaves, but not one tree
+_ORPHANED = {
+    "split_feat": [0, -1, -1, 0, -1],
+    "split_bin": [0, 0],
+    "leaf_pos": [1, 1, 1],
+    "leaf_n": [2, 2, 2],
+}
 
 
 class TestLoadChecksTrees:
@@ -135,20 +140,63 @@ class TestLoadChecksTrees:
     @pytest.mark.parametrize(
         "changes, says",
         [
-            ({"leaf_n": [5, 2]}, "equal length"),
-            ({key: [] for key in ("child_left", "split_feat", "split_bin", "leaf_pos", "leaf_n")},
-             "non-empty"),
-            ({"child_left": [1, 2, -1]}, "leaf has a child"),
-            ({"child_left": [0, -1, -1]}, "child is out of range"),
-            ({"child_left": [2, -1, -1]}, "child is out of range"),
+            ({key: [] for key in TREE_KEYS}, "not one tree"),
+            ({"leaf_n": [2]}, "leaf_n must be a list of length 2"),
+            ({"split_feat": [0, 0, -1]}, "not one tree"),
+            (_ORPHANED, "not one tree"),
+            ({"split_feat": [-1, -1, -1]}, "not one tree"),
             ({"split_feat": [1, -1, -1]}, "split feature is out of range"),
             ({"split_feat": [-2, -1, -1]}, "split feature is out of range"),
-            ({"split_bin": [-1, -1, -1]}, "split bin is negative"),
-            ({"leaf_pos": [3, 3, 2]}, "leaf count is out of range"),
-            ({"leaf_pos": [3, -1, 2]}, "leaf count is out of range"),
-            ({"leaf_n": [5, 2, [3]]}, "forest tree 0"),
+            ({"split_bin": [-1]}, "split bin is negative"),
+            ({"leaf_pos": [3, 2]}, "leaf count is out of range"),
+            ({"leaf_pos": [-1, 2]}, "leaf count is out of range"),
+            ({"leaf_n": [2, [3]]}, "forest tree 0"),
+            ({"split_feat": [[0, -1, -1]]}, "not one tree"),
+            ({"split_bin": [0, 0]}, "split_bin must be a list of length 1"),
+            ({"split_bin": 0}, "split_bin must be a list of length 1"),
+            ({"leaf_pos": [1, 2, 0]}, "leaf_pos must be a list of length 2"),
+            ({"split_bin": [64]}, "split bin is past the last bin"),
+            ({"split_bin": [2**32]}, "split bin is past the last bin"),
         ],
     )
     def test_bad_tree_refused(self, changes, says):
         with pytest.raises(ValueError, match=says):
             ForestModel.from_dict(_stump(**changes))
+
+
+def _flipped(tree, j):
+    """``tree`` with node ``j`` turned from a leaf into a split on feature 0,
+    or from a split into a leaf, its per-split and per-leaf arrays given one
+    entry more or less at the node's place."""
+    split_feat, split_bin, leaf_pos, leaf_n = (a.tolist() for a in tree)
+    k = sum(f >= 0 for f in split_feat[:j])  # splits before node j
+    if split_feat[j] >= 0:
+        split_feat[j] = -1
+        del split_bin[k]
+        leaf_pos.insert(j - k, 0)
+        leaf_n.insert(j - k, 1)
+    else:
+        split_feat[j] = 0
+        split_bin.insert(k, 0)
+        del leaf_pos[j - k]
+        del leaf_n[j - k]
+    return dict(zip(TREE_KEYS, (split_feat, split_bin, leaf_pos, leaf_n)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), rows=st.integers(1, 120), depth=st.integers(0, 6))
+def test_one_node_flip_refused(seed, rows, depth):
+    # every tree grown passes; every tree one node away from it is refused
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, 4, size=(rows, 3)).astype(np.uint8)
+    labels = (rng.random(rows) < 0.5).astype(np.uint8)
+    bootstraps = [rng.integers(0, rows, rows) for _ in range(3)]
+    trees = K.grow_forest(codes, labels, bootstraps, [seed + 1, seed + 2, seed + 3], 2, 4, depth, 1)
+    payload = {"cuts": [[0.5, 1.5, 2.5]] * 3, "params": {}, "trees": []}
+    for tree in trees:
+        payload["trees"] = [dict(zip(TREE_KEYS, (a.tolist() for a in tree)))]
+        ForestModel.from_dict(payload)
+        for j in range(tree[0].size):
+            payload["trees"] = [_flipped(tree, j)]
+            with pytest.raises(ValueError, match="not one tree"):
+                ForestModel.from_dict(payload)

@@ -27,11 +27,11 @@ GOLDEN = {
     "bif_plain/data.csv": "ba5ddc5500419534e5d70c805e76576e07ab32e853e33657f70eaa97bef78c53",
     "bif_plain/net.json": "8c96599b3e5e59e7fc95fbcddac2658044043ff07a276ccf63669227d5bc81bb",
     "bif_plain/schema.json": "72936fdc5f4c11c9678a8834f0aa3e8907070cc64c680e03168dd5abc78cec72",
-    "forest.json": "f5d253053edad5cd57fb97313292f8b13feed2b40048b60f996abc022c451e77",
+    "forest.json": "4d5f11bbd72af9d1d41436f0adbf9ee1f94a651a5c32df892d5737636a0607d4",
     "forest_curve.csv": "497385a136cc72001b9f94c6b4dff4fa73666a8cdb76214ab5651008d72ae7d4",
     "forest_eval.json": "ff4e0e64e68d0cbd84ee023354177341f3abd7c9bce4c0b6fc79eb4338e8dccb",
     "forest_preds.csv": "94e78f74330d1ec52ce063e59277c3606c520adf9f4603426dd333ec7be30a3e",
-    "forest_wide.json": "2a3bbc244fe492f6cc8d14fe7dd9e66154b1780ddc910d9c09fc84e331e71ffd",
+    "forest_wide.json": "c2b180448c3dc3ae21c39de9351fa625767e895652b610f56f09b8a2ac325604",
     "forest_wide_preds.csv": "97b1f693b544cfbe50dfc93256851a67a33d122f7f0aa4b8352e4158e2b20a7c",
     "gen/data.csv": "9812a9bd1b45cdd4c83ec3adb6f4045a50fc8d5445924d2205bfed9ce3e8abdc",
     "gen/ground_truth.csv": "93fedfb2a727e89e435aee001a2e660ebf2604199255e395bb00d748d51ab0d5",
@@ -49,7 +49,7 @@ GOLDEN = {
     "gen2/test_truth.csv": "887a66677b1f42a6f51c060791534ddeb5ca021c4d46899927e5a422b375bfa4",
     "gen2/train.csv": "d737f1749d2cec29cab56d32e12f9ff92bcf939048862dbe6e5e3d34fd70b86f",
     "gen2/train_truth.csv": "547876e0c6c9407e22b68514f407efdf900252563d177e3e620a1a41bec9f3cd",
-    "logistic.json": "6215b0dbcc9feef4fb2a80e8205d89be3ef7dc4d36ffaa67fd061f8e6339459a",
+    "logistic.json": "47877bc473558712a295a7fcef519e21d22aee5016ab678fe8b25617babb1f0f",
     "logistic_curve.csv": "359c8476938cbc17c3caa79f62d9da3dac90fc0477c6b7f8202cf301a17c9dc4",
     "logistic_eval.json": "c54b65ef748c199d0e3197f40b3006f8f7624c9d2a8a0c06cbaffe0f2f9959a7",
     "logistic_preds.csv": "59a7c5abe4c67f0226c8eda99756bf5fbf065df8699f8a00f746c03806c6a8f7",

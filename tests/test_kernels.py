@@ -106,7 +106,15 @@ def tree_leaves_oracle(codes, child_left, split_feat, split_bin):
 
 
 def assert_same_tree(got, want):
-    for x, y in zip(got, want):
+    """``got``, a kernel tree, is the oracle's tree ``want``: the oracle's
+    explicit left child of the k-th split is ``2k + 1``, its per-split
+    entries are ``got``'s split bins and its per-leaf entries ``got``'s leaf
+    counts."""
+    child_left, split_feat, split_bin, leaf_pos, leaf_n = (np.asarray(a) for a in want)
+    split = split_feat >= 0
+    assert np.array_equal(child_left, np.where(split, 2 * (np.cumsum(split) - split) + 1, -1))
+    assert len(got) == 4
+    for x, y in zip(got, (split_feat, split_bin[split], leaf_pos[~split], leaf_n[~split])):
         assert np.array_equal(x, y)
 
 
@@ -341,12 +349,16 @@ def test_tree_leaves_paths_agree(rng):
     labels = (rng.random(n) < 0.4).astype(np.uint8)
     rows = np.arange(n, dtype=np.int64)
     (tree,) = K.grow_forest(codes, labels, [rows], [99], 3, n_bins, 8, 2)
+    want = grow_tree_oracle(codes, labels, rows, 3, n_bins, 8, 2, 99)
+    assert_same_tree(tree, want)
     fresh = rng.integers(0, n_bins, size=(300, n_feats)).astype(np.uint8)
-    a = K.tree_leaves(fresh, *tree[:3])
-    b = tree_leaves_oracle(fresh, *tree[:3])
-    assert np.array_equal(a, b)
-    # every reached node is a leaf
-    assert (tree[1][a] < 0).all()
+    ranks = K.tree_leaves(fresh, *tree[:2])
+    nodes = tree_leaves_oracle(fresh, *want[:3])
+    # every reached node is a leaf, and the kernel gives its rank among them
+    leaf = np.asarray(want[1]) < 0
+    assert leaf[nodes].all()
+    assert np.array_equal(ranks, (np.cumsum(leaf) - 1)[nodes])
+    assert np.unique(ranks).size > 10
 
 
 def test_use_numba_is_false():

@@ -11,7 +11,7 @@ import re
 import numpy as np
 
 from .datagen import BayesNet
-from .errors import BifError, BifSyntaxError, MissingCptRow, UnknownVariable
+from .errors import BifError, BifSyntaxError, UnknownVariable
 from .graph import Dag
 
 _NUMBER = r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?"
@@ -82,195 +82,149 @@ class _Parser:
     def expect(self, text):
         tok = self.next()
         if tok.text != text:
-            raise BifSyntaxError(tok.line, tok.col, repr(text), found=tok.text)
+            raise _error(tok, repr(text))
         return tok
 
-    def expect_kind(self, kind, what):
+    def expect_kind(self, what, *kinds):
         tok = self.next()
-        if tok.kind != kind:
-            raise BifSyntaxError(tok.line, tok.col, what, found=tok.text)
+        if tok.kind not in kinds:
+            raise _error(tok, what)
         return tok
 
-    def expect_label(self, what):
-        # category labels may be bare names or numeric ("0", "1")
-        tok = self.next()
-        if tok.kind not in ("name", "number"):
-            raise BifSyntaxError(tok.line, tok.col, what, found=tok.text)
-        return tok
+    def items(self, read):
+        """A comma list of one or more items, each read by ``read()``."""
+        out = [read()]
+        while self.peek().text == ",":
+            self.next()
+            out.append(read())
+        return out
 
     def skip_properties(self):
         while self.peek().text == "property":
-            while self.next().text not in (";",):
+            while self.next().text != ";":
                 if self.peek().kind == "end":
-                    tok = self.peek()
-                    raise BifSyntaxError(tok.line, tok.col, "';'", found="end of input")
+                    raise _error(self.peek(), "';'", found="end of input")
+
+
+def _error(tok, expected, found=None):
+    """The syntax error of finding ``tok`` (or ``found``) where ``expected`` was due."""
+    return BifSyntaxError(tok.line, tok.col, expected, found=found or tok.text)
+
+
+def _distinct(tokens, what):
+    """The tokens' texts, refusing the first one that repeats an earlier one."""
+    seen = []
+    for tok in tokens:
+        if tok.text in seen:
+            raise _error(tok, what)
+        seen.append(tok.text)
+    return seen
 
 
 def parse_bif(text):
     """Parse BIF text into a validated BayesNet."""
     p = _Parser(text)
-    name_order = []
-    values = {}
-    blocks = {}  # child -> (parents tuple, rows dict config->probs, token)
-
-    tok = p.peek()
-    if tok.text == "network":
+    values = {}  # variable -> labels, in declaration order
+    parents = {}
+    cpts = {}
+    if p.peek().text == "network":
         p.next()
-        p.expect_kind("name", "network name")
+        p.expect_kind("network name", "name")
         p.expect("{")
         p.skip_properties()
         p.expect("}")
-
     while p.peek().kind != "end":
         tok = p.next()
         if tok.text == "variable":
-            name_tok = p.expect_kind("name", "variable name")
-            if name_tok.text in values:
-                raise BifSyntaxError(
-                    name_tok.line, name_tok.col, "a new variable name", found=name_tok.text
-                )
-            p.expect("{")
-            p.expect("type")
-            p.expect("discrete")
-            p.expect("[")
-            arity_tok = p.expect_kind("number", "variable arity")
-            arity = int(float(arity_tok.text))
-            p.expect("]")
-            p.expect("{")
-            labels = [p.expect_label("a category label").text]
-            while p.peek().text == ",":
-                p.next()
-                labels.append(p.expect_label("a category label").text)
-            p.expect("}")
-            p.expect(";")
-            p.skip_properties()
-            p.expect("}")
-            if len(labels) != arity:
-                raise BifSyntaxError(
-                    arity_tok.line,
-                    arity_tok.col,
-                    f"{arity} category labels",
-                    found=f"{len(labels)} labels",
-                )
-            name_order.append(name_tok.text)
-            values[name_tok.text] = tuple(labels)
+            _variable(p, values)
         elif tok.text == "probability":
-            p.expect("(")
-            child_tok = p.expect_kind("name", "variable name")
-            child = child_tok.text
-            if child not in values:
-                raise UnknownVariable(child, child_tok.line, child_tok.col)
-            parents = []
-            if p.peek().text == "|":
-                p.next()
-                while True:
-                    par_tok = p.expect_kind("name", "parent name")
-                    if par_tok.text not in values:
-                        raise UnknownVariable(par_tok.text, par_tok.line, par_tok.col)
-                    parents.append(par_tok.text)
-                    if p.peek().text != ",":
-                        break
-                    p.next()
-            p.expect(")")
-            if child in blocks:
-                raise BifSyntaxError(
-                    child_tok.line, child_tok.col, "a single probability block per variable",
-                    found=child,
-                )
-            p.expect("{")
-            rows = {}
-            while p.peek().text != "}":
-                p.skip_properties()
-                row_tok = p.peek()
-                if row_tok.text == "table":
-                    p.next()
-                    if parents:
-                        raise BifSyntaxError(
-                            row_tok.line,
-                            row_tok.col,
-                            "per-configuration rows for a variable with parents",
-                            found="table",
-                        )
-                    probs = _read_numbers(p)
-                    rows[()] = (probs, row_tok)
-                elif row_tok.text == "(":
-                    p.next()
-                    config = [p.expect_label("a parent value").text]
-                    while p.peek().text == ",":
-                        p.next()
-                        config.append(p.expect_label("a parent value").text)
-                    p.expect(")")
-                    if len(config) != len(parents):
-                        raise BifSyntaxError(
-                            row_tok.line,
-                            row_tok.col,
-                            f"{len(parents)} parent values",
-                            found=f"{len(config)} values",
-                        )
-                    key = []
-                    for par, label in zip(parents, config):
-                        if label not in values[par]:
-                            raise UnknownVariable(
-                                f"{par}={label}", row_tok.line, row_tok.col
-                            )
-                        key.append(values[par].index(label))
-                    key = tuple(key)
-                    if key in rows:
-                        raise BifSyntaxError(
-                            row_tok.line, row_tok.col, "a new parent configuration",
-                            found=str(tuple(config)),
-                        )
-                    probs = _read_numbers(p)
-                    rows[key] = (probs, row_tok)
-                else:
-                    raise BifSyntaxError(
-                        row_tok.line, row_tok.col, "'table' or '('", found=row_tok.text
-                    )
-            p.expect("}")
-            blocks[child] = (tuple(parents), rows, child_tok)
+            _probability(p, values, parents, cpts)
         else:
-            raise BifSyntaxError(
-                tok.line, tok.col, "'variable' or 'probability'", found=tok.text
-            )
-
-    # assemble and validate
-    edges = []
-    cpts = {}
-    cpt_parents = {}
-    for node in name_order:
-        if node not in blocks:
-            raise MissingCptRow(node)
-        parents, rows, tok = blocks[node]
-        for par in parents:
-            edges.append((par, node))
-        arity = len(values[node])
-        parent_arities = [len(values[par]) for par in parents]
-        n_rows = int(np.prod(parent_arities)) if parents else 1
-        table = np.full((n_rows, arity), np.nan)  # BayesNet rejects NaN rows
-        for key, (probs, row_tok) in rows.items():
-            if len(probs) != arity:
-                raise BifSyntaxError(
-                    row_tok.line, row_tok.col, f"{arity} probabilities",
-                    found=f"{len(probs)}",
-                )
-            flat = 0
-            for code, a in zip(key, parent_arities):
-                flat = flat * a + code
-            table[flat] = probs
-        cpts[node] = table
-        cpt_parents[node] = parents
-
-    dag = Dag(name_order, edges)
-    return BayesNet(dag, values, cpts, cpt_parents)
+            raise _error(tok, "'variable' or 'probability'")
+    edges = [(par, v) for v in values for par in parents.get(v, ())]
+    return BayesNet(Dag(values, edges), values, cpts, parents)
 
 
-def _read_numbers(p):
-    probs = [float(p.expect_kind("number", "a probability").text)]
-    while p.peek().text == ",":
-        p.next()
-        probs.append(float(p.expect_kind("number", "a probability").text))
+def _variable(p, values):
+    """Read one variable block's labels into ``values``."""
+    name_tok = p.expect_kind("variable name", "name")
+    if name_tok.text in values:
+        raise _error(name_tok, "a new variable name")
+    for text in ("{", "type", "discrete", "["):
+        p.expect(text)
+    arity_tok = p.next()
+    if not arity_tok.text.isdecimal():
+        raise _error(arity_tok, "an integer variable arity")
+    arity = int(arity_tok.text)
+    p.expect("]")
+    p.expect("{")
+    # category labels may be bare names or numeric ("0", "1")
+    labels = p.items(lambda: p.expect_kind("a category label", "name", "number"))
+    labels = _distinct(labels, "a new category label")
+    p.expect("}")
     p.expect(";")
-    return probs
+    p.skip_properties()
+    p.expect("}")
+    if len(labels) != arity:
+        raise _error(arity_tok, f"{arity} category labels", f"{len(labels)} labels")
+    values[name_tok.text] = tuple(labels)
+
+
+def _probability(p, values, parents, cpts):
+    """Read one probability block into ``parents`` and ``cpts``, placing
+    each row of the child's dense CPT at its row-major parent configuration
+    as it is read."""
+    p.expect("(")
+    child_tok = _known(p.expect_kind("variable name", "name"), values)
+    child = child_tok.text
+    names = []
+    if p.peek().text == "|":
+        p.next()
+        tokens = p.items(lambda: _known(p.expect_kind("parent name", "name"), values))
+        names = _distinct(tokens, "a new parent name")
+    p.expect(")")
+    if child in cpts:
+        raise _error(child_tok, "a single probability block per variable")
+    arities = [len(values[par]) for par in names]
+    # rows never read stay NaN, which BayesNet reports with their parent labels
+    table = np.full((int(np.prod(arities)), len(values[child])), np.nan)
+    parents[child], cpts[child] = names, table
+    p.expect("{")
+    while p.peek().text != "}":
+        p.skip_properties()
+        row_tok = p.next()
+        if row_tok.text == "table" and not names:
+            config = ()
+        elif row_tok.text == "table":
+            raise _error(row_tok, "per-configuration rows for a variable with parents")
+        elif row_tok.text == "(":
+            config = tuple(p.items(lambda: p.expect_kind("a parent value", "name", "number").text))
+            p.expect(")")
+            if len(config) != len(names):
+                raise _error(row_tok, f"{len(names)} parent values", f"{len(config)} values")
+        else:
+            raise _error(row_tok, "'table' or '('")
+        codes = []
+        for par, label in zip(names, config):
+            if label not in values[par]:
+                raise UnknownVariable(f"{par}={label}", row_tok.line, row_tok.col)
+            codes.append(values[par].index(label))
+        row = table[np.ravel_multi_index(codes, arities)]
+        if not np.isnan(row[0]):
+            raise _error(row_tok, "a new parent configuration", str(config))
+        probs = p.items(lambda: float(p.expect_kind("a probability", "number").text))
+        p.expect(";")
+        if len(probs) != len(row):
+            raise _error(row_tok, f"{len(row)} probabilities", str(len(probs)))
+        row[:] = probs
+    p.expect("}")
+
+
+def _known(tok, values):
+    """``tok``, refused unless it names a declared variable."""
+    if tok.text not in values:
+        raise UnknownVariable(tok.text, tok.line, tok.col)
+    return tok
 
 
 def emit_bif(net, name="network"):
@@ -279,8 +233,6 @@ def emit_bif(net, name="network"):
     Raises ``BifError`` for a node name that is not a BIF name token, or a
     label that is not a name or number token, since neither would read back.
     """
-    from itertools import product
-
     lines = [f"network {name} {{", "}"]
     for v in net.dag.nodes:
         if not _NAME_RE.fullmatch(v):
@@ -294,21 +246,12 @@ def emit_bif(net, name="network"):
         lines.append("}")
     for v in net.dag.nodes:
         parents = net.cpt_parents[v]
-        table = net.cpts[v]
-        if not parents:
-            lines.append(f"probability ( {v} ) {{")
-            lines.append("  table " + ", ".join(repr(float(x)) for x in table[0]) + ";")
-            lines.append("}")
-            continue
-        header = ", ".join(parents)
-        lines.append(f"probability ( {v} | {header} ) {{")
-        for flat, config in enumerate(
-            product(*(range(net.arity(par)) for par in parents))
-        ):
-            labels = ", ".join(
-                net.categories[par][c] for par, c in zip(parents, config)
-            )
-            row = ", ".join(repr(float(x)) for x in table[flat])
-            lines.append(f"  ( {labels} ) {row};")
+        head = f"{v} | {', '.join(parents)}" if parents else v
+        lines.append(f"probability ( {head} ) {{")
+        # rows in the row-major order the reader places them in
+        for config, row in zip(np.ndindex(*map(net.arity, parents)), net.cpts[v]):
+            labels = ", ".join(net.categories[par][c] for par, c in zip(parents, config))
+            key = f"( {labels} )" if parents else "table"
+            lines.append(f"  {key} " + ", ".join(map(repr, row.tolist())) + ";")
         lines.append("}")
     return "\n".join(lines) + "\n"

@@ -17,6 +17,7 @@ import numpy as np
 from .data import KINDS
 from .discovery import DiscoveryConfig, discover_parents
 from .errors import (
+    DataError,
     EmptyArm,
     EmptyParentSetWarning,
     MissingColumn,
@@ -55,7 +56,9 @@ class FeatureEncoder:
 
     Categorical columns one-hot encode against the vocabulary frozen at
     training time; unseen labels at prediction map to all-zero indicators
-    (with a warning). Binary and continuous columns pass through.
+    (with a warning). Binary and continuous columns pass through. A column
+    must have the kind it was trained as, except that a categorical entry
+    also reads a binary column; any other kind is a ``DataError``.
     """
 
     def __init__(self, entries):
@@ -86,10 +89,13 @@ class FeatureEncoder:
             if name not in data:
                 raise MissingColumn(name)
             values = data.values(name)
+            kind = data.spec(name).kind
+            if kind != entry["kind"] and (kind, entry["kind"]) != ("binary", "categorical"):
+                raise DataError(
+                    f"column {name!r} is {kind}, but the model was trained on it as {entry['kind']}"
+                )
             if entry["kind"] == "categorical":
                 vocab = {c: i for i, c in enumerate(entry["categories"])}
-                if data.spec(name).kind == "continuous":
-                    raise NonBinary(name)
                 # a binary column has no labels; its codes are its labels
                 labels = data.spec(name).categories or ("0", "1")
                 mapped = np.array([vocab.get(c, -1) for c in labels], dtype=np.int64)
@@ -181,11 +187,14 @@ def train_cctm(
 
     When ``parents`` is omitted the parent set is discovered from the data
     (continuous columns discretized once beforehand) and the treatment is
-    removed from the result.
+    removed from the result. A given parent set may list the treatment,
+    which is dropped, but not the outcome, nor any column twice.
     """
     for name in (t, y):
         if name not in data:
             raise UnknownColumn(name)
+    if t == y:
+        raise ValueError(f"the treatment {t!r} is also the outcome")
     t_values = _binary_values(data, t)
     y_values = _binary_values(data, y)
 
@@ -196,6 +205,11 @@ def train_cctm(
         discovery_info = found.to_dict(include_trace=False)
     else:
         members = list(parents)
+        for i, name in enumerate(members):
+            if name == y:
+                raise ValueError(f"the parents list the outcome {y!r}")
+            if name in members[:i]:
+                raise ValueError(f"the parents list {name!r} twice")
     parents_excl_t = [m for m in members if m != t]
     for name in parents_excl_t:
         if name not in data:

@@ -40,7 +40,11 @@ class ColumnSpec:
         if self.role not in ROLES:
             raise ValueError(f"bad column role {self.role!r}")
         if self.categories is not None:
-            object.__setattr__(self, "categories", tuple(self.categories))
+            cats = tuple(self.categories)
+            object.__setattr__(self, "categories", cats)
+            if len(set(cats)) < len(cats):
+                repeated = next(c for i, c in enumerate(cats) if c in cats[:i])
+                raise ValueError(f"category {repeated!r} is repeated")
 
     @property
     def cells(self):
@@ -207,19 +211,12 @@ class Dataset:
         outside the schema, or a cell outside a column's categories). A
         malformed schema is a ``SchemaError``, raised before the CSV is read.
         """
-        by_name = _schema_entries(schema)
-
-        specs = {}
+        specs = _schema_specs(schema)
 
         def kinds_of(header):
-            unknown = [h for h in header if h not in by_name]
+            unknown = [h for h in header if h not in specs]
             if unknown:
                 raise UnknownColumn(unknown[0])
-            for h in header:  # a bad kind or role is refused before any cell
-                entry = by_name[h]
-                specs[h] = ColumnSpec(
-                    h, entry["kind"], entry.get("role", "covariate"), entry.get("categories")
-                )
             return {h: specs[h].cells for h in header}
 
         arrays = csvio.read_typed(path, kinds_of)
@@ -230,9 +227,10 @@ class Dataset:
         return cls([specs[h] for h in arrays], arrays)
 
 
-def _schema_entries(schema):
-    """The schema's column entries by name, each with a string ``name`` and
-    ``kind``, an optional string ``role`` and optional string categories."""
+def _schema_specs(schema):
+    """The ``ColumnSpec`` of each schema column entry, by name. An entry has
+    a string ``name`` and ``kind``, an optional string ``role`` and optional
+    string categories, and a ``ColumnSpec`` that refuses none of them."""
     source = "schema"
     if isinstance(schema, str) or hasattr(schema, "read_text"):
         source = str(schema)
@@ -261,7 +259,12 @@ def _schema_entries(schema):
             isinstance(categories, list) and all(isinstance(c, str) for c in categories)
         ):
             raise SchemaError(f"{where}: 'categories' must be a list of strings")
-        by_name[entry["name"]] = entry
+        try:
+            by_name[entry["name"]] = ColumnSpec(
+                entry["name"], entry["kind"], entry.get("role", "covariate"), categories
+            )
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {exc}") from None
     return by_name
 
 

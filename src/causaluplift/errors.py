@@ -57,7 +57,7 @@ class EmptyColumn(DataError):
 
 class SchemaError(DataError):
     """A schema that is not an object of column entries, or an entry with a
-    missing or ill-typed key."""
+    missing or ill-typed key or a value its ``ColumnSpec`` refuses."""
 
 
 class MissingValues(DataError):

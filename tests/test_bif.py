@@ -1,10 +1,16 @@
+import importlib.resources as resources
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causaluplift.bif import emit_bif, parse_bif
 from causaluplift.errors import (
     BifError,
     BifSyntaxError,
+    CausalUpliftError,
     MissingCptRow,
     RowSumViolation,
     UnknownVariable,
@@ -124,6 +130,25 @@ class TestParse:
         )
         assert parse_bif(text) == parse_bif(TWO_NODE)
 
+    @pytest.mark.parametrize(
+        "old, new, line, col, expected, found",
+        [
+            ("[ 2 ] { yes, no }", "[ 2.5 ] { yes, no }", 5, 19, "an integer variable arity", "2.5"),
+            # Rain is parentless and Sprinkler's parent: a repeat fails at the label
+            ("[ 2 ] { yes, no }", "[ 3 ] { yes, no, yes }", 5, 34, "a new category label", "yes"),
+            ("[ 2 ] { on, off }", "[ 3 ] { on, off, on }", 8, 34, "a new category label", "on"),
+            ("0.8;", "0.8;\n  table 0.3, 0.7;", 12, 3, "a new parent configuration", "()"),
+            ("| Rain )", "| Rain, Rain )", 13, 33, "a new parent name", "Rain"),
+        ],
+        ids=["fractional-arity", "repeated-label", "repeated-child-label", "second-table-row",
+             "repeated-parent"],
+    )
+    def test_refused_at_the_token(self, old, new, line, col, expected, found):
+        with pytest.raises(BifSyntaxError) as exc:
+            parse_bif(TWO_NODE.replace(old, new, 1))
+        assert (exc.value.line, exc.value.col) == (line, col)
+        assert (exc.value.expected, exc.value.found) == (expected, found)
+
 
 class TestEmit:
     def test_round_trip_two_node(self):
@@ -220,3 +245,33 @@ class TestRandomRoundTrips:
             again = parse_bif(text)
             assert again == net
             assert emit_bif(again) == text
+
+
+CLINIC20 = resources.files("causaluplift").joinpath("fixtures/clinic20.bif").read_text()
+# whitespace-separated words and punctuation; the fixture has no comments
+CLINIC20_TOKENS = re.findall(r"[{}()\[\]|,;]|[^\s{}()\[\]|,;]+", CLINIC20)
+REPLACEMENTS = sorted(set(CLINIC20_TOKENS)) + ["2.5", "1e999", "property", "Ghost", "-"]
+
+
+class TestMutatedFixture:
+    def test_unmutated_tokens_parse_as_the_fixture(self):
+        assert parse_bif(" ".join(CLINIC20_TOKENS)) == parse_bif(CLINIC20)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, len(CLINIC20_TOKENS) - 1),
+        st.sampled_from(["delete", "duplicate", "replace"]),
+        st.sampled_from(REPLACEMENTS),
+    )
+    def test_one_token_mutation_parses_or_is_refused_by_name(self, i, op, other):
+        tokens = list(CLINIC20_TOKENS)
+        if op == "delete":
+            del tokens[i]
+        elif op == "duplicate":
+            tokens.insert(i, tokens[i])
+        else:
+            tokens[i] = other
+        try:
+            parse_bif(" ".join(tokens))
+        except CausalUpliftError:
+            pass  # never an IndexError, KeyError or bare ValueError

@@ -20,6 +20,7 @@ from causaluplift.classify import (
 )
 from causaluplift.data import ColumnSpec, Dataset
 from causaluplift.errors import (
+    DataError,
     DegenerateLabelsWarning,
     EmptyArm,
     EmptyParentSetWarning,
@@ -191,6 +192,19 @@ class TestTrain:
         with pytest.raises(NonBinary):
             train_cctm(data, "T", "Y", parents=[])
 
+    @pytest.mark.parametrize(
+        "t, y, parents, says",
+        [
+            ("T", "Y", ["A", "Y"], "the parents list the outcome 'Y'"),
+            ("T", "T", ["A"], "the treatment 'T' is also the outcome"),
+            ("T", "Y", ["A", "B", "A"], "the parents list 'A' twice"),
+        ],
+    )
+    def test_invalid_parent_set_refused(self, t, y, parents, says):
+        data = uplift_data(seed=75, n=200)
+        with pytest.raises(ValueError, match=f"^{says}$"):
+            train_cctm(data, t, y, parents=parents)
+
     def test_unknown_columns(self):
         data = uplift_data(seed=74, n=200)
         with pytest.raises(UnknownColumn):
@@ -361,6 +375,23 @@ class TestEncoderAndPersistence:
             X = enc.encode(probe)
         assert X[0].tolist() == [1.0, 0.0]
         assert X[1].tolist() == [0.0, 0.0]
+
+    def test_column_kind_must_match_entry(self):
+        codes = np.arange(6) % 2
+        columns = {
+            "binary": Dataset([ColumnSpec("c", "binary")], {"c": codes}),
+            "categorical": Dataset([ColumnSpec("c", "categorical", categories="01")], {"c": codes}),
+            "continuous": Dataset([ColumnSpec("c", "continuous")], {"c": codes / 2}),
+        }
+        # a categorical entry reads a binary column's codes as its labels
+        enc = FeatureEncoder.build(columns["categorical"], ["c"])
+        assert np.array_equal(enc.encode(columns["binary"]), enc.encode(columns["categorical"]))
+        for trained, kind in [
+            ("categorical", "continuous"), ("binary", "categorical"), ("continuous", "binary")
+        ]:
+            enc = FeatureEncoder.build(columns[trained], ["c"])
+            with pytest.raises(DataError, match=f"is {kind}, but .* trained on it as {trained}$"):
+                enc.encode(columns[kind])
 
     def test_save_load_round_trip(self, tmp_path):
         for spec in (

@@ -120,6 +120,16 @@ class TestGenerate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_bif_repeated_label_exits_2(self, tmp_path, capsys):
+        # a repeated label would write a code that reads back as another label
+        bif = tmp_path / "tiny.bif"
+        bif.write_text(TINY_BIF.replace("[ 2 ] { 0, 1 }", "[ 3 ] { 0, 1, 0 }", 1))
+        out = tmp_path / "g"
+        assert run("generate", "--bif", bif, "--seed", 1, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 5, col 31: expected a new category label, found '0'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "given, missing", [(("--treatment", "T"), "--outcome"), (("--outcome", "Y"), "--treatment")]
     )
@@ -206,12 +216,24 @@ class TestDiscover:
             ([1, 2], "expected an object, got list"),
             ({"cols": []}, "'columns' must be a list"),
             ("no kind", "columns[1]: 'kind' must be a string"),
+            ("ordinal kind", "column 'X1': bad column kind 'ordinal'"),
+            ("instrument role", "column 'T': bad column role 'instrument'"),
+            ("repeated category", "column 'X1': category '0' is repeated"),
         ],
     )
     def test_malformed_schema_exits_2(self, workspace, tmp_path, capsys, schema, says):
-        if schema == "no kind":
-            schema = json.loads((workspace / "schema.json").read_text())
-            del schema["columns"][1]["kind"]
+        edits = {  # each a change to the workspace schema's columns
+            "no kind": lambda cols: cols[1].pop("kind"),
+            "ordinal kind": lambda cols: cols[2].update(kind="ordinal"),
+            "instrument role": lambda cols: cols[0].update(role="instrument"),
+            "repeated category": lambda cols: cols[2].update(
+                kind="categorical", categories=["0", "1", "0"]
+            ),
+        }
+        if isinstance(schema, str):
+            edit, schema = edits[schema], json.loads((workspace / "schema.json").read_text())
+            assert [c["name"] for c in schema["columns"][:3]] == ["T", "Y", "X1"]
+            edit(schema["columns"])
         path = tmp_path / "s.json"
         path.write_text(json.dumps(schema))
         assert run(
@@ -597,6 +619,59 @@ class TestTrainPredictEval:
         assert err.startswith(f"error: {tampered}: {says}")
         assert err.count("\n") == 1  # one line, no traceback
         assert not (tmp_path / "preds.csv").exists()
+
+    @pytest.mark.parametrize(
+        "column, kind, trained",
+        [("N1", "categorical", "continuous"), ("X8", "continuous", "binary")],
+        ids=["continuous-read-as-categorical", "binary-read-as-continuous"],
+    )
+    def test_predict_column_of_another_kind_exits_2(
+        self, workspace, tmp_path, capsys, column, kind, trained
+    ):
+        model = tmp_path / "model.json"
+        assert run(
+            "train", "--data", workspace / "train.csv",
+            "--schema", workspace / "schema.json",
+            "--treatment", "T", "--outcome", "Y", "--parents", "X8,X9,N1", "--out", model,
+        ) == 0
+        schema = json.loads((workspace / "schema.json").read_text())
+        entry = next(c for c in schema["columns"] if c["name"] == column)
+        assert entry["kind"] == trained
+        entry["kind"] = kind
+        (tmp_path / "schema.json").write_text(json.dumps(schema))
+        capsys.readouterr()
+        assert run(
+            "predict", "--model", model,
+            "--data", workspace / "test.csv",
+            "--schema", tmp_path / "schema.json",
+            "--out", tmp_path / "preds.csv",
+        ) == 2
+        says = f"column {column!r} is {kind}, but the model was trained on it as {trained}"
+        assert capsys.readouterr().err == f"error: {says}\n"
+        assert not (tmp_path / "preds.csv").exists()
+
+    @pytest.mark.parametrize("command", ["train", "qini"])
+    @pytest.mark.parametrize(
+        "outcome, parents, says",
+        [
+            ("Y", ["--parents", "Y,X8"], "the parents list the outcome 'Y'"),
+            ("T", [], "the treatment 'T' is also the outcome"),
+            ("Y", ["--parents", "X8,X8"], "the parents list 'X8' twice"),
+        ],
+        ids=["outcome-as-parent", "treatment-is-outcome", "repeated-parent"],
+    )
+    def test_invalid_parent_set_exits_2(
+        self, workspace, tmp_path, capsys, command, outcome, parents, says
+    ):
+        out = tmp_path / "out"
+        assert run(
+            command, "--data", workspace / "train.csv",
+            "--schema", workspace / "schema.json",
+            "--treatment", "T", "--outcome", outcome, *parents,
+            "--out" if command == "train" else "--out-dir", out,
+        ) == 2
+        assert capsys.readouterr().err == f"error: {says}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("payload", [[], 5, "model", None], ids=["list", "int", "str", "null"])
     def test_predict_model_not_an_object_exits_2(self, workspace, tmp_path, capsys, payload):

@@ -267,6 +267,15 @@ class TestCsvRoundTrip:
                 {"columns": [{"name": "a", "kind": "categorical", "categories": [0, 1]}]},
                 "column 'a': 'categories'",
             ),
+            ({"columns": [{"name": "a", "kind": "ordinal"}]}, "'a': bad column kind 'ordinal'"),
+            (
+                {"columns": [{"name": "a", "kind": "binary", "role": "instrument"}]},
+                "column 'a': bad column role 'instrument'",
+            ),
+            (
+                {"columns": [{"name": "a", "kind": "categorical", "categories": ["1", "0", "1"]}]},
+                "column 'a': category '1' is repeated",
+            ),
         ],
     )
     def test_malformed_schema_named(self, tmp_path, schema, says):

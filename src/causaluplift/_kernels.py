@@ -98,8 +98,9 @@ def stacked_counts(x_columns, x_arities, columns, arities, x_bits=None, bits=Non
     for codes, arity in zip(columns[1:], arities[1:]):
         flat *= arity
         flat += codes
+    # widened first: under NEP 50 narrow codes times an int stay narrow and wrap
     out = [
-        np.bincount(x * cells + flat, minlength=nx * cells).reshape(nx, cells)
+        np.bincount(x.astype(np.intp) * cells + flat, minlength=nx * cells).reshape(nx, cells)
         for x, nx in zip(x_columns, x_arities)
     ]
     return np.concatenate(out) if out else np.empty((0, cells), dtype=np.int64)

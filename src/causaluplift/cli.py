@@ -320,6 +320,19 @@ def _write_curve_csv(path, points, config, fold=None):
     csvio.write(path, header, csvio.join_rows(columns), _meta_line(config))
 
 
+def _fold_curve(args, data, fit_pair, train_idx, test_idx):
+    """One fold's Qini curve. The fold's row copies and predictions are
+    freed on return, so no two folds' copies are ever held at once."""
+    test = data.take(test_idx)
+    preds = predict_cctm(fit_pair(data.take(train_idx)), test, theta=0.0)
+    return qini_curve(
+        preds.effect,
+        test.values(args.outcome),
+        test.values(args.treatment),
+        n_points=args.points,
+    )
+
+
 def cmd_qini(args):
     """cross-validated Qini curves"""
     data = _load_dataset(args)
@@ -343,15 +356,7 @@ def cmd_qini(args):
     per_point = {}
     areas = []
     for fold_id, (train_idx, test_idx) in enumerate(folds):
-        train = data.take(train_idx)
-        test = data.take(test_idx)
-        preds = predict_cctm(fit_pair(train), test, theta=0.0)
-        curve = qini_curve(
-            preds.effect,
-            test.values(args.outcome),
-            test.values(args.treatment),
-            n_points=args.points,
-        )
+        curve = _fold_curve(args, data, fit_pair, train_idx, test_idx)
         areas.append(curve.coefficient_area)
         for j, (frac, uplift) in enumerate(curve.points):
             rows.append((fold_id, frac, uplift))

@@ -19,7 +19,9 @@ label, text as objects), then each float column is checked finite. Any
 other body, or one that pass refuses, falls back to ``read``:
 ``csv.reader`` over the whole file, transposed into columns, each decoded
 in one pass by ``decode``. Every error comes from that path, so both
-accept the same files with the same values, bit for bit.
+accept the same files with the same values, bit for bit, and the same
+dtypes: a bit or label column comes back as codes of ``code_dtype`` of
+its arity, one byte a cell for up to 256 labels.
 
 Lines starting with ``#`` are comments only before the header; after it,
 every line is data. A byte-order mark before the first line is ignored
@@ -44,6 +46,14 @@ from .errors import (
 )
 
 BITS = ("0", "1")
+
+
+def code_dtype(arity):
+    """The narrowest unsigned dtype that holds codes ``0 .. arity - 1``:
+    uint8 up to 256 levels, uint16 up to 65536. Every binary, categorical
+    and discretized column's codes have it."""
+    return np.min_scalar_type(max(arity - 1, 0))
+
 
 # rows encoded together, which bounds the encoded cells held at once
 CHUNK_ROWS = 2048
@@ -199,12 +209,14 @@ def ints(columns, name):
 
 
 def codes(columns, name, labels):
-    """Each cell's position in ``labels``; a cell outside them raises
-    ``UnknownColumn``."""
+    """Each cell's position in ``labels``, as ``code_dtype(len(labels))``;
+    a cell outside them raises ``UnknownColumn``."""
     values = cells(columns, name)
     index = {label: i for i, label in enumerate(labels)}
     try:
-        return np.fromiter(map(index.__getitem__, values), np.int64, len(values))
+        return np.fromiter(
+            map(index.__getitem__, values), code_dtype(len(labels)), len(values)
+        )
     except KeyError as exc:
         raise UnknownColumn(
             f"value {exc.args[0]!r} not in categories of {name!r}"
@@ -226,9 +238,9 @@ def texts(columns, name):
 
 def decode(columns, name, kind):
     """One column of ``read``'s result as ``kind`` names it: ``"float"``
-    (finite float64), ``"int"`` (int64), ``"bit"`` (int64 codes of
+    (finite float64), ``"int"`` (int64), ``"bit"`` (uint8 codes of
     ``"0"``/``"1"``), ``"text"`` (an object array of the cells) or a tuple
-    of labels (int64 positions in it)."""
+    of labels (positions in it, as ``code_dtype(len(labels))``)."""
     if isinstance(kind, tuple):
         return codes(columns, name, kind)
     return {"float": floats, "int": ints, "bit": bits, "text": texts}[kind](columns, name)
@@ -333,18 +345,21 @@ def _checked(column, kind):
     """A ``np.loadtxt`` column as ``decode`` gives it; ``ValueError`` where
     ``decode`` would refuse it."""
     if isinstance(kind, tuple):
-        out = np.full(len(column), -1, np.int64)
+        out = np.zeros(len(column), code_dtype(len(kind)))
+        found = np.zeros(len(column), dtype=bool)
         for i, label in enumerate(kind):
             if label:  # an empty cell is missing, even where "" is a label
-                out[column == label] = i
-        if (out < 0).any():
+                hit = column == label
+                out[hit] = i
+                found |= hit
+        if not found.all():
             raise ValueError("cell outside the labels")
         return out
     if kind == "bit":
         ones = column == b"1"
         if not (ones | (column == b"0")).all():
             raise ValueError("non-binary cell")
-        return ones.astype(np.int64)
+        return ones.view(np.uint8)  # a new array, with one byte a cell already
     if kind == "float" and not np.isfinite(column).all():
         raise ValueError("non-finite cell")
     if kind == "text" and (column == "").any():

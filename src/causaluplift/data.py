@@ -1,24 +1,30 @@
 """Columnar dataset container with typed columns and treatment/outcome roles.
 
-Columns are binary (0/1 int codes), categorical (int codes plus a label
-vocabulary) or continuous (float64). On-disk format is an RFC-style CSV with
-a mandatory header plus a JSON schema sidecar carrying column kinds, roles
-and category vocabularies, read and written by ``csvio``. Lines starting
-with ``#`` before the header are comments (the CLI uses one to stamp tool
-version and config hash).
+Columns are binary (0/1 codes), categorical (codes plus a label
+vocabulary) or continuous (float64). The codes of a binary or categorical
+column have the narrowest unsigned dtype of its arity,
+``csvio.code_dtype(arity)``: one byte a cell up to 256 levels, from the CSV
+read through every row subset to the G-squared counts. On-disk format is
+an RFC-style CSV with a mandatory header plus a JSON schema sidecar
+carrying column kinds, roles and category vocabularies, read and written
+by ``csvio``. Lines starting with ``#`` before the header are comments (the
+CLI uses one to stamp tool version and config hash).
 """
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 
 from . import csvio
 from ._kernels import pack_level_block
 from .errors import (
+    DataError,
     LengthMismatch,
     MissingValues,
     NonBinary,
+    NonFinite,
     SchemaError,
     UnknownColumn,
 )
@@ -59,14 +65,20 @@ class ColumnSpec:
 
 class Dataset:
     """Immutable table; arrays are not copied on access, nor on construction
-    when they already have the column's dtype. Every stored array is made
+    when they already have the column's dtype (float64, or the codes'
+    ``csvio.code_dtype`` of the arity). Every stored array is made
     read-only, the caller's own included when it is kept as given, so an
     in-place write raises instead of desynchronising the column from the
     level bitsets the dataset keeps (a write through another view of the
     same memory is not caught).
 
-    A categorical column given without labels gets its codes as labels,
-    ``"0"`` to the largest; every categorical code must index its labels.
+    Codes may come in any integer, bool or float dtype. Each column is
+    checked in the dtype it came in, and only then narrowed, so no value
+    wraps: a negative or NaN code is ``MissingValues``, a fractional one a
+    ``DataError``, a binary code past 1 ``NonBinary``, and a categorical
+    code past its labels ``UnknownColumn``. A categorical column given
+    without labels gets its codes as labels, ``"0"`` to the largest. A
+    continuous value must be finite (``NonFinite``).
     """
 
     def __init__(self, specs, arrays):
@@ -77,19 +89,13 @@ class Dataset:
         for spec in specs:
             if spec.name in self._specs:
                 raise ValueError(f"duplicate column {spec.name!r}")
-            dtype = np.float64 if spec.kind == "continuous" else np.int64
-            values = np.asarray(arrays[spec.name], dtype=dtype)
+            if spec.kind == "continuous":
+                values = np.asarray(arrays[spec.name], dtype=np.float64)
+                if not np.isfinite(values).all():
+                    raise NonFinite(spec.name)
+            else:
+                spec, values = _checked_codes(spec, arrays[spec.name])
             values.flags.writeable = False
-            if spec.kind != "continuous":
-                if values.size and values.min() < 0:
-                    raise MissingValues(spec.name)
-                top = int(values.max()) if values.size else -1
-                if spec.kind == "binary" and top > 1:
-                    raise NonBinary(spec.name)
-                if spec.kind == "categorical" and spec.categories is None:
-                    spec = dataclasses.replace(spec, categories=map(str, range(top + 1)))
-                elif spec.kind == "categorical" and top >= len(spec.categories):
-                    raise UnknownColumn(f"value {top} not in categories of {spec.name!r}")
             if n is None:
                 n = values.shape[0]
             elif values.shape[0] != n:
@@ -227,10 +233,43 @@ class Dataset:
         return cls([specs[h] for h in arrays], arrays)
 
 
+def _checked_codes(spec, values):
+    """``spec`` (with labels, for a categorical column given none) and
+    ``values`` as codes of its ``csvio.code_dtype``, each checked before it
+    is narrowed."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        values = values.astype(np.float64)
+    if values.dtype.kind == "f":
+        if np.isnan(values).any():
+            raise MissingValues(spec.name)
+        fractional = values[values != np.trunc(values)]
+        if fractional.size:
+            raise DataError(
+                f"column {spec.name!r} has a code that is not an integer: {fractional[0]}"
+            )
+    # the extremes in the dtype the codes came in, compared as Python numbers
+    low, top = (values.min().item(), values.max().item()) if values.size else (0, -1)
+    low, top = (int(v) if math.isfinite(v) else v for v in (low, top))
+    if low < 0:
+        raise MissingValues(spec.name)
+    if spec.kind == "binary" and top > 1:
+        raise NonBinary(spec.name)
+    if spec.kind == "categorical" and spec.categories is None:
+        if top >= np.iinfo(np.intp).max:
+            raise DataError(f"column {spec.name!r} has a code too large to label: {top}")
+        spec = dataclasses.replace(spec, categories=map(str, range(top + 1)))
+    elif spec.kind == "categorical" and top >= len(spec.categories):
+        raise UnknownColumn(f"value {top} not in categories of {spec.name!r}")
+    arity = 2 if spec.kind == "binary" else len(spec.categories)
+    return spec, values.astype(csvio.code_dtype(arity), copy=False)
+
+
 def _schema_specs(schema):
     """The ``ColumnSpec`` of each schema column entry, by name. An entry has
     a string ``name`` and ``kind``, an optional string ``role`` and optional
-    string categories, and a ``ColumnSpec`` that refuses none of them."""
+    string categories, and a ``ColumnSpec`` that refuses none of them; no
+    two entries have one name."""
     source = "schema"
     if isinstance(schema, str) or hasattr(schema, "read_text"):
         source = str(schema)
@@ -259,6 +298,8 @@ def _schema_specs(schema):
             isinstance(categories, list) and all(isinstance(c, str) for c in categories)
         ):
             raise SchemaError(f"{where}: 'categories' must be a list of strings")
+        if entry["name"] in by_name:
+            raise SchemaError(f"{where}: the column is listed twice")
         try:
             by_name[entry["name"]] = ColumnSpec(
                 entry["name"], entry["kind"], entry.get("role", "covariate"), categories

@@ -98,10 +98,12 @@ class BayesNet:
 
     def flat_index(self, v, code_of):
         """Row-major flat CPT row index; ``code_of`` maps parent name to
-        an int or int array."""
+        an int or int array. Codes are widened to ``intp`` first: under
+        NEP 50, uint8 codes times an int stay uint8, and would wrap past
+        256 rows."""
         idx = 0
         for p in self.cpt_parents[v]:
-            idx = idx * self.arity(p) + code_of[p]
+            idx = idx * self.arity(p) + np.asarray(code_of[p], dtype=np.intp)
         return idx
 
     def __eq__(self, other):
@@ -178,7 +180,7 @@ def _forward_sample(net, n, rng, skip=()):
         cdf = np.cumsum(net.cpts[v], axis=1)
         rows = np.broadcast_to(cdf[net.flat_index(v, codes)], (n, cdf.shape[1]))
         u = rng.random(n)
-        codes[v] = (rows[:, :-1] <= u[:, None]).sum(axis=1).astype(np.int64)
+        codes[v] = (rows[:, :-1] <= u[:, None]).sum(axis=1).astype(csvio.code_dtype(net.arity(v)))
     return codes
 
 
@@ -413,7 +415,7 @@ def sample_with_ground_truth(net, t, y, n, rng):
     u_y = rng.random(n)
     y1 = (u_y < p1).astype(np.int64)
     y0 = (u_y < p0).astype(np.int64)
-    codes[y] = np.where(codes[t] == 1, y1, y0)
+    codes[y] = np.where(codes[t] == 1, y1, y0).astype(np.uint8)
 
     truth = GroundTruth(
         effect=_conditional_effects(net, t, y, codes, n),
@@ -446,5 +448,5 @@ def generate_group(cfg):
             arrays[name] = rng.standard_normal(n)
         else:
             specs.append(ColumnSpec(name, "binary", "noise"))
-            arrays[name] = rng.integers(0, 2, size=n).astype(np.int64)
+            arrays[name] = rng.integers(0, 2, size=n).astype(np.uint8)
     return Dataset(specs, arrays), truth, net

@@ -1,12 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causaluplift import csvio
 from causaluplift.data import ColumnSpec, Dataset, write_schema
+from causaluplift.datagen import SynthConfig, generate_group
 from causaluplift.errors import (
+    DataError,
     LengthMismatch,
     MissingValues,
     NonBinary,
@@ -14,6 +18,7 @@ from causaluplift.errors import (
     SchemaError,
     UnknownColumn,
 )
+from causaluplift.stats import discretize_dataset
 
 
 @pytest.fixture
@@ -70,7 +75,7 @@ class TestDataset:
             )
 
     def test_arrays_of_the_column_dtype_not_copied(self, small):
-        codes = np.array([0, 1, 1], dtype=np.int64)
+        codes = np.array([0, 1, 1], dtype=np.uint8)
         values = np.array([0.5, 1.5, 2.5])
         data = Dataset(
             [ColumnSpec("c", "binary"), ColumnSpec("v", "continuous")], {"c": codes, "v": values}
@@ -79,7 +84,7 @@ class TestDataset:
         assert small.select(["age"]).values("age") is small.values("age")
 
     def test_columns_are_read_only(self, small):
-        codes = np.array([0, 1, 1], dtype=np.int64)
+        codes = np.array([0, 1, 1], dtype=np.uint8)
         data = Dataset([ColumnSpec("c", "categorical")], {"c": codes})
         block, start = data.level_block()
         rows = slice(start["c"], start["c"] + data.arity("c"))
@@ -94,6 +99,28 @@ class TestDataset:
         for sub in (small.take([2, 0]), small.select(["age"])):
             with pytest.raises(ValueError, match="read-only"):
                 sub.values("age")[0] = 0.0
+
+    def test_fractional_code_refused(self):
+        with pytest.raises(DataError, match="'b' has a code that is not an integer: 0.7"):
+            Dataset([ColumnSpec("b", "binary")], {"b": np.array([0.7, 1.9])})
+
+    def test_code_past_int64_refused_not_wrapped(self):
+        big = np.array([0, 2**64 - 1], dtype=np.uint64)
+        with pytest.raises(NonBinary):
+            Dataset([ColumnSpec("b", "binary")], {"b": big})
+        with pytest.raises(UnknownColumn, match=f"value {2**64 - 1} not in categories"):
+            Dataset([ColumnSpec("c", "categorical", "covariate", ("a", "b"))], {"c": big})
+        with pytest.raises(DataError, match="a code too large to label"):
+            Dataset([ColumnSpec("c", "categorical")], {"c": big})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_continuous_refused(self, bad):
+        with pytest.raises(NonFinite, match="'v'"):
+            Dataset([ColumnSpec("v", "continuous")], {"v": np.array([0.5, bad])})
+
+    def test_nan_code_is_missing(self):
+        with pytest.raises(MissingValues):
+            Dataset([ColumnSpec("b", "binary")], {"b": np.array([0.0, np.nan])})
 
     def test_take_and_select(self, small):
         sub = small.take([2, 0])
@@ -276,6 +303,10 @@ class TestCsvRoundTrip:
                 {"columns": [{"name": "a", "kind": "categorical", "categories": ["1", "0", "1"]}]},
                 "column 'a': category '1' is repeated",
             ),
+            (
+                {"columns": [{"name": "a", "kind": "binary"}, {"name": "a", "kind": "continuous"}]},
+                "column 'a': the column is listed twice",
+            ),
         ],
     )
     def test_malformed_schema_named(self, tmp_path, schema, says):
@@ -388,3 +419,106 @@ def test_unlabelled_categorical_round_trip_property(data, tmp_path_factory):
     for name in data.columns:
         assert again.spec(name) == data.spec(name)
         assert again.values(name).tobytes() == data.values(name).tobytes()
+
+
+CODE_DTYPES = ["bool", "int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64",
+               "float32", "float64"]
+
+
+def code_values(dtype):
+    dtype = np.dtype(dtype)
+    if dtype.kind == "b":
+        return st.booleans()
+    if dtype.kind == "f":
+        return st.one_of(
+            st.floats(width=8 * dtype.itemsize),
+            st.integers(-2, 300).map(float),
+            st.sampled_from([0.5, 299.5, 2.0**64, -(2.0**64)]),
+        )
+    info = np.iinfo(dtype)
+    return st.one_of(
+        st.integers(max(info.min, -2), min(info.max, 300)),
+        st.sampled_from([info.min, info.max, min(info.max, 255), min(info.max, 256)]),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(dtype=st.sampled_from(CODE_DTYPES), arity=st.sampled_from([2, 3, 256, 257, 300]),
+       data=st.data())
+def test_codes_checked_before_narrowed(dtype, arity, data):
+    """Codes of any dtype are kept, exactly, iff every one is an integer in
+    ``[0, arity)``; else they are refused. No value wraps when narrowed."""
+    values = np.array(data.draw(st.lists(code_values(dtype), max_size=6)), dtype=dtype)
+    spec = (
+        ColumnSpec("c", "binary") if arity == 2
+        else ColumnSpec("c", "categorical", "covariate", tuple(map(str, range(arity))))
+    )
+    fits = all(
+        math.isfinite(v) and v == int(v) and 0 <= v < arity for v in values.tolist()
+    )
+    try:
+        stored = Dataset([spec], {"c": values}).values("c")
+    except DataError:
+        assert not fits
+    else:
+        assert fits
+        assert stored.dtype == csvio.code_dtype(arity)
+        assert stored.tolist() == [int(v) for v in values.tolist()]
+
+
+def column_bytes(data):
+    return sum(data.values(name).nbytes for name in data.columns)
+
+
+def assert_codes_narrow(data):
+    for name in data.columns:
+        if data.spec(name).kind != "continuous":
+            assert data.values(name).dtype == csvio.code_dtype(data.arity(name)), name
+
+
+class TestOneBytePerCode:
+    """A code column holds one byte a cell (up to 256 levels) wherever a
+    dataset comes from, so a change that widens one fails here."""
+
+    def test_generated_take_and_discretized(self):
+        rows = 2000
+        data, _, _ = generate_group(SynthConfig(group="group2", seed=5, n_samples=rows))
+        kinds = [data.spec(name).kind for name in data.columns]
+        continuous = kinds.count("continuous")
+        assert (continuous, len(kinds) - continuous) == (45, 57)
+        per_row = 8 * continuous + 1 * (len(kinds) - continuous)
+        assert column_bytes(data) == rows * per_row
+        half = data.take(np.arange(0, rows, 2))
+        assert column_bytes(half) == rows // 2 * per_row
+        binned = discretize_dataset(data, bins=3)
+        assert column_bytes(binned) == rows * len(kinds)
+        for each in (data, half, binned):
+            assert_codes_narrow(each)
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_read_csv_on_both_paths(self, tmp_path, monkeypatch, fast):
+        labels = tuple(f"l{i}" for i in range(300))
+        data = Dataset(
+            [
+                ColumnSpec("b", "binary"),
+                ColumnSpec("c", "categorical", "covariate", ("x", "y", "z")),
+                ColumnSpec("w", "categorical", "covariate", labels),
+                ColumnSpec("v", "continuous"),
+            ],
+            {"b": [0, 1, 1], "c": [2, 0, 1], "w": [299, 0, 256], "v": [0.5, 1.5, -2.0]},
+        )
+        data.write_csv(tmp_path / "d.csv")
+        write_schema(tmp_path / "s.json", data)
+        if not fast:
+
+            def refuse(*args):
+                raise ValueError("left to the csv.reader path")
+
+            monkeypatch.setattr(csvio, "_quote_free_columns", refuse)
+        again = Dataset.read_csv(tmp_path / "d.csv", tmp_path / "s.json")
+        assert [again.values(n).dtype for n in again.columns] == [
+            np.uint8, np.uint8, np.uint16, np.float64
+        ]
+        assert_codes_narrow(again)
+        for name in data.columns:
+            assert again.values(name).tobytes() == data.values(name).tobytes()

@@ -252,6 +252,23 @@ class TestResponses:
         ]
 
 
+def test_flat_index_of_narrow_codes_not_wrapped():
+    # nine binary parents give 512 CPT rows; uint8 codes times 2 would stay
+    # uint8 under NEP 50 and wrap past row 255
+    parents = [f"P{i}" for i in range(9)]
+    net = BayesNet(
+        Dag(parents + ["C"], [(p, "C") for p in parents]),
+        {v: ("0", "1") for v in parents + ["C"]},
+        {**{p: [[0.5, 0.5]] for p in parents}, "C": np.full((512, 2), 0.5)},
+        {"C": parents},
+    )
+    rows = np.arange(512)
+    wide = {p: (rows >> (8 - i)) & 1 for i, p in enumerate(parents)}
+    narrow = {p: c.astype(np.uint8) for p, c in wide.items()}
+    assert np.array_equal(net.flat_index("C", wide), rows)
+    assert np.array_equal(net.flat_index("C", narrow), rows)
+
+
 class TestGenerateGroup:
     def test_group1_column_count_and_roles(self):
         data, truth, net = generate_group(SynthConfig(group="group1", seed=0, n_samples=500))

@@ -190,6 +190,22 @@ def test_bit_counts_past_uint8():
     assert np.array_equal(by_bincount, want)
 
 
+def test_bincount_key_of_narrow_codes_not_wrapped():
+    # uint8 codes times the cell count stay uint8 under NEP 50 and would
+    # wrap: here the key x * cells + stratum reaches 3 * 90 + 89 = 359
+    rng = np.random.default_rng(8)
+    n = 2000
+    arities = [4, 9, 10]
+    wide = [rng.integers(0, a, n) for a in arities]
+    narrow = [c.astype(np.uint8) for c in wide]
+    got = one_x_counts(narrow, arities)
+    want = one_x_counts(wide, arities)
+    assert got.size > 255 and got.sum() == n
+    assert np.array_equal(got, want)
+    zf = strata_oracle(wide[2:], arities[2:], n)
+    assert np.array_equal(want, joint_counts_oracle(wide[0], wide[1], zf, 4, 9, 10))
+
+
 def test_bit_counts_keep_empty_strata():
     rng = np.random.default_rng(5)
     n = 700

@@ -164,7 +164,7 @@ def test_discretize_dataset_matches_per_column_reference(columns, bins):
     for name, values in zip(names, columns):
         codes, n_bins, edges = discretize_reference(values, bins)
         degenerate += n_bins == 1
-        assert out.values(name).dtype == np.int64
+        assert out.values(name).dtype == np.min_scalar_type(n_bins - 1)
         assert out.values(name).tolist() == codes.tolist()
         assert out.arity(name) == n_bins
         with warnings.catch_warnings(record=True) as alone:

@@ -24,6 +24,8 @@ GOLDEN = {
     "bif/test_truth.csv": "d8b5ed167c358110e206b4386cd7159fbda3d8f62c2a864eab84f6b50d6b05c2",
     "bif/train.csv": "d177d5b59d1c805302595d8528cdf46632a97a16cc8847b0ca6839d95ee1ef38",
     "bif/train_truth.csv": "cb6c5b7b54bdf9186634f3627aa36716aa851000838a01ed7ec0180a0bb9759d",
+    "bif_logistic.json": "f57d1edf62b4f741b11954b493bd4dab93ee0d143fb71e25eafad6a2aaaba2b6",
+    "bif_logistic_preds.csv": "f4ee92cbc1a01b3406c3838a87f206a180416c094c752bbdd89f64fdb0d53e11",
     "bif_plain/data.csv": "ba5ddc5500419534e5d70c805e76576e07ab32e853e33657f70eaa97bef78c53",
     "bif_plain/net.json": "8c96599b3e5e59e7fc95fbcddac2658044043ff07a276ccf63669227d5bc81bb",
     "bif_plain/schema.json": "72936fdc5f4c11c9678a8834f0aa3e8907070cc64c680e03168dd5abc78cec72",
@@ -67,8 +69,9 @@ def _run(*argv):
 
 def pipeline_hashes(root):
     """Run generate (both bundled groups, and BIF with and without ground
-    truth), discover (with and without the test trace), train, predict, eval
-    and qini under ``root``; return {relative path: sha256 hex}."""
+    truth), discover (with and without the test trace), train (on group 1,
+    and on BIF data with categorical covariates), predict, eval and qini
+    under ``root``; return {relative path: sha256 hex}."""
     root = Path(root)
     gen, bif_gen = root / "gen", root / "bif"
     _run(
@@ -110,6 +113,17 @@ def pipeline_hashes(root):
         "train", "--data", train, "--treatment", "T", "--outcome", "Y",
         "--classifier", "forest", "--seed", 3, "--n-trees", 5, "--max-depth", 6,
         "--parents", "X1,X2,N1,N2,N3,N4", "--out", root / "forest_wide.json",
+    )
+    # Age and Diet are categorical, so the model pins an encoder category
+    # list and the predictions pin the one-hot path
+    _run(
+        "train", "--data", bif_gen / "train.csv", "--treatment", "ChestPain",
+        "--outcome", "Referral", "--parents", "Age,Diet,ECGAbnormal",
+        "--out", root / "bif_logistic.json",
+    )
+    _run(
+        "predict", "--model", root / "bif_logistic.json", "--data", bif_gen / "test.csv",
+        "--out", root / "bif_logistic_preds.csv",
     )
     for kind in ("logistic", "forest", "forest_wide"):
         _run(

@@ -10,11 +10,11 @@ and the assignment thresholds it strictly.
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import KINDS
+from .data import column_specs
 from .discovery import DiscoveryConfig, discover_parents
 from .errors import (
     DataError,
@@ -22,6 +22,7 @@ from .errors import (
     EmptyParentSetWarning,
     MissingColumn,
     NonBinary,
+    SchemaError,
     UnknownColumn,
     UnseenCategoryWarning,
 )
@@ -52,7 +53,7 @@ class ClassifierSpec:
 
 
 class FeatureEncoder:
-    """Maps named dataset columns to the numeric training matrix.
+    """Maps the columns of its training-time ``ColumnSpec``s to a numeric matrix.
 
     Categorical columns one-hot encode against the vocabulary frozen at
     training time; unseen labels at prediction map to all-zero indicators
@@ -61,41 +62,33 @@ class FeatureEncoder:
     also reads a binary column; any other kind is a ``DataError``.
     """
 
-    def __init__(self, entries):
-        self.entries = entries
+    def __init__(self, specs):
+        self.specs = specs
 
     @classmethod
     def build(cls, data, names):
-        entries = []
-        for name in names:
-            spec = data.spec(name)
-            entry = {"name": name, "kind": spec.kind}
-            if spec.kind == "categorical":
-                entry["categories"] = list(spec.categories)
-            entries.append(entry)
-        return cls(entries)
+        return cls([replace(data.spec(name), role="covariate") for name in names])
 
     @property
     def width(self):
         return sum(
-            len(e["categories"]) if e["kind"] == "categorical" else 1
-            for e in self.entries
+            len(spec.categories) if spec.kind == "categorical" else 1 for spec in self.specs
         )
 
     def encode(self, data):
         cols = []
-        for entry in self.entries:
-            name = entry["name"]
+        for spec in self.specs:
+            name = spec.name
             if name not in data:
                 raise MissingColumn(name)
             values = data.values(name)
             kind = data.spec(name).kind
-            if kind != entry["kind"] and (kind, entry["kind"]) != ("binary", "categorical"):
+            if kind != spec.kind and (kind, spec.kind) != ("binary", "categorical"):
                 raise DataError(
-                    f"column {name!r} is {kind}, but the model was trained on it as {entry['kind']}"
+                    f"column {name!r} is {kind}, but the model was trained on it as {spec.kind}"
                 )
-            if entry["kind"] == "categorical":
-                vocab = {c: i for i, c in enumerate(entry["categories"])}
+            if spec.kind == "categorical":
+                vocab = {c: i for i, c in enumerate(spec.categories)}
                 # a binary column has no labels; its codes are its labels
                 labels = data.spec(name).categories or ("0", "1")
                 mapped = np.array([vocab.get(c, -1) for c in labels], dtype=np.int64)
@@ -106,7 +99,7 @@ class FeatureEncoder:
                         UnseenCategoryWarning,
                         stacklevel=3,
                     )
-                block = np.zeros((data.n_rows, len(entry["categories"])))
+                block = np.zeros((data.n_rows, len(spec.categories)))
                 seen = idx >= 0
                 block[np.nonzero(seen)[0], idx[seen]] = 1.0
                 cols.append(block)
@@ -117,32 +110,26 @@ class FeatureEncoder:
         return np.hstack(cols)
 
     def to_dict(self):
-        return {"entries": self.entries}
+        return {"entries": [spec.to_dict(role=False) for spec in self.specs]}
 
     @classmethod
     def from_dict(cls, payload):
-        """The encoder of a model file's ``encoder`` object, refused with a
-        ValueError naming the first malformed entry."""
+        """The encoder of a model file's ``encoder`` object, read as a schema
+        is (``data.column_specs``); a categorical entry must list categories."""
         entries = payload.get("entries") if isinstance(payload, dict) else None
         if not isinstance(entries, list):
             raise ValueError("encoder must be an object holding a list of entries")
-        for j, entry in enumerate(entries):
-            if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
-                raise ValueError(f"encoder entry {j} must be an object with a string name")
-            if entry.get("kind") not in KINDS:
-                raise ValueError(f"encoder entry {j}: kind must be one of {', '.join(KINDS)}")
-            labels = entry.get("categories")
-            if entry["kind"] == "categorical" and not (
-                isinstance(labels, list) and all(isinstance(c, str) for c in labels)
-            ):
-                raise ValueError(f"encoder entry {j}: categories must be a list of strings")
-        return cls(entries)
+        specs = column_specs(entries, "encoder", "entries")
+        for spec in specs:
+            if spec.kind == "categorical" and spec.categories is None:
+                raise SchemaError(f"encoder: column {spec.name!r}: 'categories' must be listed")
+        return cls(specs)
 
 
 @dataclass(frozen=True)
 class UpliftPrediction:
-    """Per-row arm probabilities, their difference and the 0/1 assignment,
-    as equal-length arrays."""
+    """Per-row arm probabilities, their difference and the 0/1 assignment
+    (uint8, as a predictions file reads back), as equal-length arrays."""
 
     p1: np.ndarray
     p0: np.ndarray
@@ -161,7 +148,8 @@ class TwoModelPair:
     metadata: dict = field(default_factory=dict)
 
 
-def _binary_values(data, name):
+def binary_values(data, name):
+    """The codes of a binary column, or a categorical one of two labels."""
     kind = data.spec(name).kind
     if kind == "binary" or (kind == "categorical" and data.arity(name) == 2):
         return data.values(name)
@@ -195,8 +183,8 @@ def train_cctm(
             raise UnknownColumn(name)
     if t == y:
         raise ValueError(f"the treatment {t!r} is also the outcome")
-    t_values = _binary_values(data, t)
-    y_values = _binary_values(data, y)
+    t_values = binary_values(data, t)
+    y_values = binary_values(data, y)
 
     discovery_info = None
     if parents is None:
@@ -270,7 +258,7 @@ def predict_cctm(pair, rows, theta=0.0):
     p1 = pair.m1.predict_proba(X)
     p0 = pair.m0.predict_proba(X)
     effect = p1 - p0
-    return UpliftPrediction(p1, p0, effect, (effect > theta).astype(np.int64))
+    return UpliftPrediction(p1, p0, effect, (effect > theta).view(np.uint8))
 
 
 def rank_by_effect(effects):
@@ -335,9 +323,9 @@ def load_model(path):
             if key not in payload:
                 raise ValueError(f"missing key {key!r}")
         encoder = FeatureEncoder.from_dict(payload["encoder"])
-        if payload["parents_excl_t"] != [entry["name"] for entry in encoder.entries]:
+        if payload["parents_excl_t"] != [spec.name for spec in encoder.specs]:
             raise ValueError("parents_excl_t must list the encoder's entry names, in order")
-    except ValueError as exc:
+    except (ValueError, SchemaError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     arms = {}
     for arm in ("m1", "m0"):

@@ -24,6 +24,7 @@ from . import __version__, csvio
 from .classify import (
     ClassifierSpec,
     UpliftPrediction,
+    binary_values,
     load_model,
     predict_cctm,
     save_model,
@@ -256,7 +257,7 @@ def cmd_train(args):
 
 
 # the cells of each prediction field, written after a ``row_id`` index
-_PREDICTION_KINDS = {"p1": "float", "p0": "float", "effect": "float", "assign": "int"}
+_PREDICTION_KINDS = {"p1": "float", "p0": "float", "effect": "float", "assign": "bit"}
 
 
 def cmd_predict(args):
@@ -299,8 +300,8 @@ def cmd_eval(args):
         payload["theta"] = args.theta
     if args.data is not None:
         data = _load_dataset(args)
-        outcomes = data.values(args.outcome)
-        treatments = data.values(args.treatment)
+        outcomes = binary_values(data, args.outcome)
+        treatments = binary_values(data, args.treatment)
         curve = qini_curve(preds.effect, outcomes, treatments, n_points=args.points)
         payload["qini_coefficient"] = qini_coefficient(outcomes, treatments)
         payload["coefficient_area"] = curve.coefficient_area

@@ -205,7 +205,10 @@ def floats(columns, name):
 
 def ints(columns, name):
     values = cells(columns, name)
-    return np.fromiter(map(int, values), np.int64, len(values))
+    try:
+        return np.fromiter(map(int, values), np.int64, len(values))
+    except OverflowError:
+        raise DataError(f"column {name!r} has an integer outside the int64 range") from None
 
 
 def codes(columns, name, labels):

@@ -62,6 +62,16 @@ class ColumnSpec:
             return "bit"
         return "text" if self.categories is None else self.categories
 
+    def to_dict(self, role=True):
+        """The JSON entry that ``column_specs`` reads back as this spec of a
+        dataset column; without ``role``, it reads back with the default."""
+        entry = {"name": self.name, "kind": self.kind}
+        if role:
+            entry["role"] = self.role
+        if self.kind == "categorical":
+            entry["categories"] = list(self.categories)
+        return entry
+
 
 class Dataset:
     """Immutable table; arrays are not copied on access, nor on construction
@@ -77,8 +87,8 @@ class Dataset:
     wraps: a negative or NaN code is ``MissingValues``, a fractional one a
     ``DataError``, a binary code past 1 ``NonBinary``, and a categorical
     code past its labels ``UnknownColumn``. A categorical column given
-    without labels gets its codes as labels, ``"0"`` to the largest. A
-    continuous value must be finite (``NonFinite``).
+    without labels gets its codes, below 2**16, as labels, ``"0"`` to the
+    largest. A continuous value must be finite (``NonFinite``).
     """
 
     def __init__(self, specs, arrays):
@@ -186,12 +196,7 @@ class Dataset:
     # ------------------------------------------------------------- schema io
 
     def schema_dict(self):
-        cols = []
-        for spec in self._specs.values():
-            entry = {"name": spec.name, "kind": spec.kind, "role": spec.role}
-            if spec.categories is not None:
-                entry["categories"] = list(spec.categories)
-            cols.append(entry)
+        cols = [spec.to_dict() for spec in self._specs.values()]
         return {"format": "causaluplift-schema", "version": 1, "columns": cols}
 
     # ---------------------------------------------------------------- csv io
@@ -256,7 +261,7 @@ def _checked_codes(spec, values):
     if spec.kind == "binary" and top > 1:
         raise NonBinary(spec.name)
     if spec.kind == "categorical" and spec.categories is None:
-        if top >= np.iinfo(np.intp).max:
+        if top >= 1 << 16:  # past the uint16 codes
             raise DataError(f"column {spec.name!r} has a code too large to label: {top}")
         spec = dataclasses.replace(spec, categories=map(str, range(top + 1)))
     elif spec.kind == "categorical" and top >= len(spec.categories):
@@ -266,10 +271,8 @@ def _checked_codes(spec, values):
 
 
 def _schema_specs(schema):
-    """The ``ColumnSpec`` of each schema column entry, by name. An entry has
-    a string ``name`` and ``kind``, an optional string ``role`` and optional
-    string categories, and a ``ColumnSpec`` that refuses none of them; no
-    two entries have one name."""
+    """The ``ColumnSpec`` of each schema column entry (see
+    ``column_specs``), by name; the schema is a dict or a JSON file's path."""
     source = "schema"
     if isinstance(schema, str) or hasattr(schema, "read_text"):
         source = str(schema)
@@ -282,14 +285,21 @@ def _schema_specs(schema):
         raise SchemaError(f"{source}: expected an object, got {type(schema).__name__}")
     if not isinstance(schema.get("columns"), list):
         raise SchemaError(f"{source}: 'columns' must be a list of column objects")
-    by_name = {}
-    for i, entry in enumerate(schema["columns"]):
-        where = f"{source}: columns[{i}]"
+    return {spec.name: spec for spec in column_specs(schema["columns"], source)}
+
+
+def column_specs(entries, source, key="columns"):
+    """The ``ColumnSpec`` of each JSON column entry of ``source``'s list
+    ``key``: an object with a string ``name`` and ``kind``, optional string
+    ``role`` and ``categories``, that ``ColumnSpec`` accepts, and whose name
+    no earlier entry has; else a ``SchemaError`` naming the entry."""
+    specs = {}
+    for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
-            raise SchemaError(f"{where} is not an object")
-        for key in ("name", "kind"):
-            if not isinstance(entry.get(key), str):
-                raise SchemaError(f"{where}: {key!r} must be a string")
+            raise SchemaError(f"{source}: {key}[{i}] is not an object")
+        for field in ("name", "kind"):
+            if not isinstance(entry.get(field), str):
+                raise SchemaError(f"{source}: {key}[{i}]: {field!r} must be a string")
         where = f"{source}: column {entry['name']!r}"
         if not isinstance(entry.get("role", ""), str):
             raise SchemaError(f"{where}: 'role' must be a string")
@@ -298,15 +308,15 @@ def _schema_specs(schema):
             isinstance(categories, list) and all(isinstance(c, str) for c in categories)
         ):
             raise SchemaError(f"{where}: 'categories' must be a list of strings")
-        if entry["name"] in by_name:
+        if entry["name"] in specs:
             raise SchemaError(f"{where}: the column is listed twice")
         try:
-            by_name[entry["name"]] = ColumnSpec(
+            specs[entry["name"]] = ColumnSpec(
                 entry["name"], entry["kind"], entry.get("role", "covariate"), categories
             )
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from None
-    return by_name
+    return list(specs.values())
 
 
 def write_schema(path, dataset, extra=None):

@@ -35,7 +35,7 @@ _ROW_SUM_TOL = 1e-9
 RESPONSE_LABELS = ("nonresponse0", "positive", "negative", "nonresponse1")
 
 # the cells of each ground-truth field, written after a ``row`` index
-_TRUTH_KINDS = {"effect": "float", "response": "text", "potential_y0": "int", "potential_y1": "int"}
+_TRUTH_KINDS = {"effect": "float", "response": "text", "potential_y0": "bit", "potential_y1": "bit"}
 
 
 class BayesNet:
@@ -413,9 +413,9 @@ def sample_with_ground_truth(net, t, y, n, rng):
     codes = _forward_sample(net, n, rng, skip=(y,))
     p1, p0 = _arm_probabilities(net, t, y, codes)
     u_y = rng.random(n)
-    y1 = (u_y < p1).astype(np.int64)
-    y0 = (u_y < p0).astype(np.int64)
-    codes[y] = np.where(codes[t] == 1, y1, y0).astype(np.uint8)
+    y1 = (u_y < p1).view(np.uint8)
+    y0 = (u_y < p0).view(np.uint8)
+    codes[y] = np.where(codes[t] == 1, y1, y0)
 
     truth = GroundTruth(
         effect=_conditional_effects(net, t, y, codes, n),

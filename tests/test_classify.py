@@ -26,6 +26,7 @@ from causaluplift.errors import (
     EmptyParentSetWarning,
     MissingColumn,
     NonBinary,
+    SchemaError,
     UnknownColumn,
     UnseenCategoryWarning,
 )
@@ -262,9 +263,9 @@ class TestPredict:
         assert isinstance(preds, UpliftPrediction)
         for column in (preds.p1, preds.p0, preds.effect, preds.assign):
             assert column.shape == (300,)
-        assert preds.assign.dtype == np.int64
+        assert preds.assign.dtype == np.uint8
         assert np.array_equal(preds.effect, preds.p1 - preds.p0)
-        assert np.array_equal(preds.assign, (preds.effect > 0.1).astype(np.int64))
+        assert np.array_equal(preds.assign, (preds.effect > 0.1).astype(np.uint8))
 
     def test_negative_theta_rejected(self):
         with pytest.raises(ValueError):
@@ -392,6 +393,57 @@ class TestEncoderAndPersistence:
             enc = FeatureEncoder.build(columns[trained], ["c"])
             with pytest.raises(DataError, match=f"is {kind}, but .* trained on it as {trained}$"):
                 enc.encode(columns[kind])
+
+    def test_encoder_holds_the_specs_its_file_reads_back(self):
+        data = self.categorical_data(["a", "b", "c"])
+        enc = FeatureEncoder.build(data, ["c", "T"])
+        assert enc.specs == [
+            ColumnSpec("c", "categorical", categories=("a", "b", "c")), ColumnSpec("T", "binary")
+        ]
+        assert enc.to_dict() == {"entries": [
+            {"name": "c", "kind": "categorical", "categories": ["a", "b", "c"]},
+            {"name": "T", "kind": "binary"},
+        ]}
+        assert FeatureEncoder.from_dict(json.loads(json.dumps(enc.to_dict()))).specs == enc.specs
+
+    @pytest.mark.parametrize(
+        "entries, says",
+        [
+            (["a"], "[0] is not an object"),
+            ([{"name": 3, "kind": "binary"}], "[0]: 'name' must be a string"),
+            ([{"name": "a", "kind": "ordinal"}], "column 'a': bad column kind 'ordinal'"),
+            (
+                [{"name": "a", "kind": "categorical", "categories": [0, 1]}],
+                "column 'a': 'categories' must be a list of strings",
+            ),
+            (
+                [{"name": "a", "kind": "categorical", "categories": ["1", "1"]}],
+                "column 'a': category '1' is repeated",
+            ),
+            (
+                [{"name": "a", "kind": "binary"}, {"name": "a", "kind": "binary"}],
+                "column 'a': the column is listed twice",
+            ),
+        ],
+        ids=[
+            "not-an-object", "name-not-a-string", "unknown-kind", "categories-not-strings",
+            "repeated-category", "repeated-name",
+        ],
+    )
+    def test_schema_and_encoder_refuse_an_entry_alike(self, tmp_path, entries, says):
+        (tmp_path / "d.csv").write_text("a\n1\n")
+        with pytest.raises(SchemaError) as schema_refused:
+            Dataset.read_csv(tmp_path / "d.csv", {"columns": entries})
+        assert str(schema_refused.value).startswith("schema: column")
+        assert says in str(schema_refused.value)
+        payload = model_payload(train_cctm(uplift_data(seed=83, n=300), "T", "Y", parents=["A"]))
+        payload["encoder"]["entries"] = entries
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as model_refused:
+            load_model(path)
+        assert str(model_refused.value).startswith(f"{path}: encoder: ")
+        assert says in str(model_refused.value)
 
     def test_save_load_round_trip(self, tmp_path):
         for spec in (

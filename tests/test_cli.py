@@ -583,15 +583,19 @@ class TestTrainPredictEval:
             (lambda p: p.update(encoder={"entries": 5}), "encoder must be an object holding"),
             (lambda p: p.update(encoder=[]), "encoder must be an object holding"),
             (lambda p: p["encoder"]["entries"].__setitem__(0, 5),
-             "encoder entry 0 must be an object with a string name"),
+             "encoder: entries[0] is not an object"),
             (lambda p: p["encoder"]["entries"][1].update(name=7),
-             "encoder entry 1 must be an object with a string name"),
+             "encoder: entries[1]: 'name' must be a string"),
             (lambda p: p["encoder"]["entries"][0].update(kind="ordinal"),
-             "encoder entry 0: kind must be one of binary, categorical, continuous"),
+             "encoder: column 'X9': bad column kind 'ordinal'"),
             (lambda p: p["encoder"]["entries"][0].update(kind="categorical"),
-             "encoder entry 0: categories must be a list of strings"),
+             "encoder: column 'X9': 'categories' must be listed"),
             (lambda p: p["encoder"]["entries"][0].update(kind="categorical", categories=[0, 1]),
-             "encoder entry 0: categories must be a list of strings"),
+             "encoder: column 'X9': 'categories' must be a list of strings"),
+            (lambda p: p["encoder"]["entries"][0].update(kind="categorical", categories=["1", "1"]),
+             "encoder: column 'X9': category '1' is repeated"),
+            (lambda p: p["encoder"]["entries"].append(p["encoder"]["entries"][0]),
+             "encoder: column 'X9': the column is listed twice"),
             (lambda p: p["parents_excl_t"].reverse(), "parents_excl_t must list the encoder's"),
             (lambda p: p.update(parents_excl_t="X8"), "parents_excl_t must list the encoder's"),
         ],
@@ -599,7 +603,8 @@ class TestTrainPredictEval:
             "no-treatment", "no-outcome", "no-parents", "no-encoder", "no-m0",
             "entries-not-a-list", "encoder-a-list",
             "entry-not-an-object", "name-not-a-string", "unknown-kind", "no-categories",
-            "categories-not-strings", "parents-reordered", "parents-not-a-list",
+            "categories-not-strings", "repeated-category", "repeated-name",
+            "parents-reordered", "parents-not-a-list",
         ],
     )
     def test_predict_tampered_header_exits_2(
@@ -705,6 +710,44 @@ class TestTrainPredictEval:
         preds_path = tmp_path / "p.csv"
         preds_path.write_text("row_id,p1,p0,effect,assign\n0,0.5,0.5,0.0,0\n")
         assert run("eval", "--predictions", preds_path) == 2
+
+    @pytest.mark.parametrize("flag", ["--outcome", "--treatment"])
+    def test_eval_data_column_must_be_binary(self, workspace, model_path, tmp_path, capsys, flag):
+        preds_path = tmp_path / "preds.csv"
+        assert run(
+            "predict", "--model", model_path, "--data", workspace / "test.csv",
+            "--schema", workspace / "schema.json", "--out", preds_path,
+        ) == 0
+        capsys.readouterr()
+        metrics = tmp_path / "m.json"
+        assert run(  # N1 is a continuous noise column
+            "eval", "--predictions", preds_path, "--data", workspace / "test.csv",
+            "--schema", workspace / "schema.json", flag, "N1", "--out", metrics,
+        ) == 2
+        assert capsys.readouterr().err == "error: column 'N1' is not binary 0/1\n"
+        assert not metrics.exists()
+
+    @pytest.mark.parametrize(
+        "cell, column",
+        [
+            ("7", "assign"),
+            ("99999999999999999999", "assign"),
+            ("2", "potential_y0"),
+            ("-1", "potential_y1"),
+        ],
+    )
+    def test_eval_side_file_bits(self, tmp_path, capsys, cell, column):
+        cells = {"assign": "1", "potential_y0": "0", "potential_y1": "1"}
+        cells[column] = cell
+        preds = tmp_path / "p.csv"
+        preds.write_text(f"row_id,p1,p0,effect,assign\n0,0.5,0.5,0.0,{cells['assign']}\n")
+        truth = tmp_path / "t.csv"
+        truth.write_text(
+            "row,effect,response,potential_y0,potential_y1\n"
+            f"0,0.1,positive,{cells['potential_y0']},{cells['potential_y1']}\n"
+        )
+        assert run("eval", "--predictions", preds, "--ground-truth", truth) == 2
+        assert capsys.readouterr().err == f"error: column {column!r} is not binary 0/1\n"
 
 
 class TestQiniFormulaPipeline:

@@ -343,6 +343,13 @@ class TestReadTyped:
         write_body(tmp_path / "d.csv", "n\n+1\n01\n1_0\n -4 \n")
         assert self.read(tmp_path / "d.csv", {"n": "int"})["n"].tolist() == [1, 1, 10, -4]
 
+    @pytest.mark.parametrize("cell", ["99999999999999999999", '"-9223372036854775809"'])
+    def test_int_past_int64_is_a_data_error(self, tmp_path, cell):
+        # the unquoted cell reaches the np.loadtxt pass first, the quoted one does not
+        write_body(tmp_path / "d.csv", f"n\n1\n{cell}\n")
+        with pytest.raises(DataError, match="'n' has an integer outside the int64 range"):
+            self.read(tmp_path / "d.csv", {"n": "int"})
+
     def test_line_separators_stay_inside_cells(self, tmp_path, monkeypatch):
         write_body(tmp_path / "d.csv", "c,t,v\nb\u2028,x\u2028y,1\nc\x85d,\x85,2\n")
         fast_pass_only(monkeypatch)

@@ -113,6 +113,13 @@ class TestDataset:
         with pytest.raises(DataError, match="a code too large to label"):
             Dataset([ColumnSpec("c", "categorical")], {"c": big})
 
+    def test_unlabelled_codes_stop_at_uint16(self):
+        top = Dataset([ColumnSpec("c", "categorical")], {"c": np.array([0, 2**16 - 1])})
+        assert top.arity("c") == 2**16 and top.values("c").dtype == np.uint16
+        for code in (2**16, 10**6):
+            with pytest.raises(DataError, match=f"'c' has a code too large to label: {code}"):
+                Dataset([ColumnSpec("c", "categorical")], {"c": np.array([0, code])})
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_continuous_refused(self, bad):
         with pytest.raises(NonFinite, match="'v'"):

@@ -392,8 +392,8 @@ class TestGroundTruthCsv:
         truth = GroundTruth(
             effect=np.array([0.1, -0.0, 1e-300]),
             response=np.array(["positive", "a,\"b\"", "negative"], dtype=object),
-            potential_y0=np.array([0, 1, 0]),
-            potential_y1=np.array([1, 1, 0]),
+            potential_y0=np.array([0, 1, 0], dtype=np.uint8),
+            potential_y1=np.array([1, 1, 0], dtype=np.uint8),
         )
         path = tmp_path / "gt.csv"
         truth.write_csv(path, meta="x")

@@ -89,8 +89,7 @@ class FeatureEncoder:
                 )
             if spec.kind == "categorical":
                 vocab = {c: i for i, c in enumerate(spec.categories)}
-                # a binary column has no labels; its codes are its labels
-                labels = data.spec(name).categories or ("0", "1")
+                labels = data.spec(name).categories
                 mapped = np.array([vocab.get(c, -1) for c in labels], dtype=np.int64)
                 idx = mapped[values]
                 if (idx < 0).any():
@@ -150,10 +149,9 @@ class TwoModelPair:
 
 def binary_values(data, name):
     """The codes of a binary column, or a categorical one of two labels."""
-    kind = data.spec(name).kind
-    if kind == "binary" or (kind == "categorical" and data.arity(name) == 2):
-        return data.values(name)
-    raise NonBinary(name)
+    if data.spec(name).kind == "continuous" or data.arity(name) != 2:
+        raise NonBinary(name)
+    return data.values(name)
 
 
 def _fit(spec, X, y):

@@ -257,7 +257,7 @@ def cmd_train(args):
 
 
 # the cells of each prediction field, written after a ``row_id`` index
-_PREDICTION_KINDS = {"p1": "float", "p0": "float", "effect": "float", "assign": "bit"}
+_PREDICTION_KINDS = {"p1": "float", "p0": "float", "effect": "float", "assign": csvio.BITS}
 
 
 def cmd_predict(args):

@@ -1,27 +1,28 @@
 """The package's one CSV layer: every CSV file is written and read here,
 a column at a time.
 
-``write_typed`` takes each column as its kind and values, with the kinds
-``read_typed`` reads: ``"float"``, ``"int"``, ``"bit"``, a tuple of labels
-(integer codes into it), or ``"text"``. It encodes each column in one pass
-(shortest round-trip ``repr`` for floats, shared ``"0"``/``"1"`` cells for
-bits, each label quoted once by ``csv.writer``'s minimal-quoting rules) and
-joins the cells into lines, which are written as they are, never joined
-into one string of the whole file. ``write`` writes lines already encoded.
+``write_typed`` takes each column as its kind and values: ``"float"``,
+``"int"`` (written only, for row index columns), a tuple of labels
+(integer codes into it; a binary column's are ``BITS``), or ``"text"``.
+It encodes each column in one pass (shortest round-trip ``repr`` for
+floats, each label quoted once by ``csv.writer``'s minimal-quoting rules)
+and joins the cells into lines, which are written as they are, never
+joined into one string of the whole file. ``write`` writes lines already
+encoded.
 
-``read_typed`` reads with the caller naming each column's kind. The
-header, which may be quoted and span lines, is always parsed by
-``csv.reader``. A body with no quote, no carriage return, no blank line
-and none of a few control characters is decoded by one ``np.loadtxt`` pass
-with a structured dtype (``f8``, ``i8``, ``S2`` bits checked against
-``"0"``/``"1"``, labels as strings one character longer than the longest
-label, text as objects), then each float column is checked finite. Any
-other body, or one that pass refuses, falls back to ``read``:
-``csv.reader`` over the whole file, transposed into columns, each decoded
-in one pass by ``decode``. Every error comes from that path, so both
-accept the same files with the same values, bit for bit, and the same
-dtypes: a bit or label column comes back as codes of ``code_dtype`` of
-its arity, one byte a cell for up to 256 labels.
+``read_typed`` reads with the caller naming each column's kind:
+``"float"``, a tuple of labels or ``"text"``. The header, which may be
+quoted and span lines, is always parsed by ``csv.reader``. A body with no
+quote, no carriage return, no blank line and none of a few control
+characters is decoded by one ``np.loadtxt`` pass with a structured dtype
+(``f8``; labels as strings one character longer than the longest label,
+bytes where every label fits in latin-1; text as objects), then each
+float column is checked finite. Any other body, or one that pass refuses,
+falls back to ``read``: ``csv.reader`` over the whole file, transposed
+into columns, each decoded in one pass by ``decode``. Every error comes
+from that path, so both accept the same files with the same values, bit
+for bit, and the same dtypes: a label column comes back as codes of
+``code_dtype`` of its arity, one byte a cell for up to 256 labels.
 
 Lines starting with ``#`` are comments only before the header; after it,
 every line is data. A byte-order mark before the first line is ignored
@@ -84,10 +85,6 @@ def _int_cells(values):
     return list(map(str, np.asarray(values).tolist()))
 
 
-def _bit_cells(codes):
-    return list(map(BITS.__getitem__, np.asarray(codes).tolist()))
-
-
 def _text_cells(values):
     """Strings as cells, each distinct string quoted once."""
     values = list(values)
@@ -101,7 +98,7 @@ def _encoder(kind):
     if isinstance(kind, tuple):
         table = [quote(label) for label in kind]
         return lambda codes: list(map(table.__getitem__, np.asarray(codes).tolist()))
-    return {"float": _float_cells, "int": _int_cells, "bit": _bit_cells, "text": _text_cells}[kind]
+    return {"float": _float_cells, "int": _int_cells, "text": _text_cells}[kind]
 
 
 def join_rows(columns):
@@ -203,17 +200,10 @@ def floats(columns, name):
     return out
 
 
-def ints(columns, name):
-    values = cells(columns, name)
-    try:
-        return np.fromiter(map(int, values), np.int64, len(values))
-    except OverflowError:
-        raise DataError(f"column {name!r} has an integer outside the int64 range") from None
-
-
 def codes(columns, name, labels):
     """Each cell's position in ``labels``, as ``code_dtype(len(labels))``;
-    a cell outside them raises ``UnknownColumn``."""
+    a cell outside them raises ``UnknownColumn``, or ``NonBinary`` where
+    they are ``BITS``."""
     values = cells(columns, name)
     index = {label: i for i, label in enumerate(labels)}
     try:
@@ -221,18 +211,11 @@ def codes(columns, name, labels):
             map(index.__getitem__, values), code_dtype(len(labels)), len(values)
         )
     except KeyError as exc:
+        if labels == BITS:
+            raise NonBinary(name) from None
         raise UnknownColumn(
             f"value {exc.args[0]!r} not in categories of {name!r}"
         ) from None
-
-
-def bits(columns, name):
-    try:
-        return codes(columns, name, BITS)
-    except UnknownColumn:
-        if name not in columns:
-            raise
-        raise NonBinary(name) from None
 
 
 def texts(columns, name):
@@ -241,12 +224,11 @@ def texts(columns, name):
 
 def decode(columns, name, kind):
     """One column of ``read``'s result as ``kind`` names it: ``"float"``
-    (finite float64), ``"int"`` (int64), ``"bit"`` (uint8 codes of
-    ``"0"``/``"1"``), ``"text"`` (an object array of the cells) or a tuple
+    (finite float64), ``"text"`` (an object array of the cells) or a tuple
     of labels (positions in it, as ``code_dtype(len(labels))``)."""
     if isinstance(kind, tuple):
         return codes(columns, name, kind)
-    return {"float": floats, "int": ints, "bit": bits, "text": texts}[kind](columns, name)
+    return {"float": floats, "text": texts}[kind](columns, name)
 
 
 # ----------------------------------------------------------- typed reading
@@ -339,9 +321,12 @@ def _quote_free_columns(path, kinds_of):
 
 def _loadtxt_format(kind):
     if isinstance(kind, tuple):
-        # one longer than the longest label, so no longer cell is cut to one
-        return f"U{max(map(len, kind), default=0) + 1}"
-    return {"float": "f8", "int": "i8", "bit": "S2", "text": "O"}[kind]
+        # one longer than the longest label, so no longer cell is cut to one;
+        # bytes where every label fits in latin-1, by which numpy fills an
+        # "S" field (refusing any other character), so a compare is exact
+        width = max(map(len, kind), default=0) + 1
+        return f"S{width}" if max(map(ord, "".join(kind)), default=0) < 256 else f"U{width}"
+    return {"float": "f8", "text": "O"}[kind]
 
 
 def _checked(column, kind):
@@ -350,19 +335,16 @@ def _checked(column, kind):
     if isinstance(kind, tuple):
         out = np.zeros(len(column), code_dtype(len(kind)))
         found = np.zeros(len(column), dtype=bool)
+        as_bytes = column.dtype.kind == "S"
         for i, label in enumerate(kind):
             if label:  # an empty cell is missing, even where "" is a label
-                hit = column == label
-                out[hit] = i
+                hit = column == (label.encode("latin-1") if as_bytes else label)
+                # in the codes' own dtype: a Python int past 255 overflows uint8
+                out += hit.view(np.uint8) * out.dtype.type(i)
                 found |= hit
         if not found.all():
             raise ValueError("cell outside the labels")
         return out
-    if kind == "bit":
-        ones = column == b"1"
-        if not (ones | (column == b"0")).all():
-            raise ValueError("non-binary cell")
-        return ones.view(np.uint8)  # a new array, with one byte a cell already
     if kind == "float" and not np.isfinite(column).all():
         raise ValueError("non-finite cell")
     if kind == "text" and (column == "").any():

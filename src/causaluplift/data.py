@@ -1,14 +1,14 @@
 """Columnar dataset container with typed columns and treatment/outcome roles.
 
-Columns are binary (0/1 codes), categorical (codes plus a label
-vocabulary) or continuous (float64). The codes of a binary or categorical
-column have the narrowest unsigned dtype of its arity,
-``csvio.code_dtype(arity)``: one byte a cell up to 256 levels, from the CSV
-read through every row subset to the G-squared counts. On-disk format is
-an RFC-style CSV with a mandatory header plus a JSON schema sidecar
-carrying column kinds, roles and category vocabularies, read and written
-by ``csvio``. Lines starting with ``#`` before the header are comments (the
-CLI uses one to stamp tool version and config hash).
+Columns are binary (codes of the labels ``"0"``, ``"1"``), categorical
+(codes plus a label vocabulary) or continuous (float64). The codes of a
+binary or categorical column have the narrowest unsigned dtype of its
+arity, ``csvio.code_dtype(arity)``: one byte a cell up to 256 levels, from
+the CSV read through every row subset to the G-squared counts. On-disk
+format is an RFC-style CSV with a mandatory header plus a JSON schema
+sidecar carrying column kinds, roles and category vocabularies, read and
+written by ``csvio``. Lines starting with ``#`` before the header are
+comments (the CLI uses one to stamp tool version and config hash).
 """
 
 import dataclasses
@@ -45,12 +45,17 @@ class ColumnSpec:
             raise ValueError(f"bad column kind {self.kind!r}")
         if self.role not in ROLES:
             raise ValueError(f"bad column role {self.role!r}")
-        if self.categories is not None:
-            cats = tuple(self.categories)
-            object.__setattr__(self, "categories", cats)
-            if len(set(cats)) < len(cats):
-                repeated = next(c for i, c in enumerate(cats) if c in cats[:i])
-                raise ValueError(f"category {repeated!r} is repeated")
+        cats = None if self.categories is None else tuple(self.categories)
+        if self.kind == "binary":
+            if cats not in (None, csvio.BITS):
+                raise ValueError(f"a binary column's categories are '0', '1', not {list(cats)}")
+            cats = csvio.BITS
+        elif self.kind == "continuous" and cats is not None:
+            raise ValueError("a continuous column has no categories")
+        object.__setattr__(self, "categories", cats)
+        if cats is not None and len(set(cats)) < len(cats):
+            repeated = next(c for i, c in enumerate(cats) if c in cats[:i])
+            raise ValueError(f"category {repeated!r} is repeated")
 
     @property
     def cells(self):
@@ -58,8 +63,6 @@ class ColumnSpec:
         without labels, which no ``Dataset`` holds, is read as ``"text"``."""
         if self.kind == "continuous":
             return "float"
-        if self.kind == "binary":
-            return "bit"
         return "text" if self.categories is None else self.categories
 
     def to_dict(self, role=True):
@@ -155,8 +158,6 @@ class Dataset:
         spec = self.spec(name)
         if spec.kind == "continuous":
             raise ValueError(f"column {name!r} is continuous; it has no arity")
-        if spec.kind == "binary":
-            return 2
         return len(spec.categories)
 
     def level_block(self):
@@ -258,16 +259,15 @@ def _checked_codes(spec, values):
     low, top = (int(v) if math.isfinite(v) else v for v in (low, top))
     if low < 0:
         raise MissingValues(spec.name)
-    if spec.kind == "binary" and top > 1:
-        raise NonBinary(spec.name)
-    if spec.kind == "categorical" and spec.categories is None:
+    if spec.categories is None:
         if top >= 1 << 16:  # past the uint16 codes
             raise DataError(f"column {spec.name!r} has a code too large to label: {top}")
         spec = dataclasses.replace(spec, categories=map(str, range(top + 1)))
-    elif spec.kind == "categorical" and top >= len(spec.categories):
+    elif top >= len(spec.categories):
+        if spec.kind == "binary":
+            raise NonBinary(spec.name)
         raise UnknownColumn(f"value {top} not in categories of {spec.name!r}")
-    arity = 2 if spec.kind == "binary" else len(spec.categories)
-    return spec, values.astype(csvio.code_dtype(arity), copy=False)
+    return spec, values.astype(csvio.code_dtype(len(spec.categories)), copy=False)
 
 
 def _schema_specs(schema):

@@ -35,7 +35,9 @@ _ROW_SUM_TOL = 1e-9
 RESPONSE_LABELS = ("nonresponse0", "positive", "negative", "nonresponse1")
 
 # the cells of each ground-truth field, written after a ``row`` index
-_TRUTH_KINDS = {"effect": "float", "response": "text", "potential_y0": "bit", "potential_y1": "bit"}
+_TRUTH_KINDS = {
+    "effect": "float", "response": "text", "potential_y0": csvio.BITS, "potential_y1": csvio.BITS
+}
 
 
 class BayesNet:
@@ -142,12 +144,6 @@ class BayesNet:
         )
 
 
-def _column_kind(net, v):
-    if net.categories[v] == ("0", "1"):
-        return "binary"
-    return "categorical"
-
-
 def dataset_from_codes(net, codes, roles=None):
     """Wrap sampled code arrays as a Dataset, skipping hidden nodes."""
     roles = roles or {}
@@ -156,8 +152,8 @@ def dataset_from_codes(net, codes, roles=None):
     for v in net.dag.nodes:
         if v in net.hidden:
             continue
-        kind = _column_kind(net, v)
-        cats = net.categories[v] if kind == "categorical" else None
+        cats = net.categories[v]
+        kind = "binary" if cats == csvio.BITS else "categorical"
         specs.append(ColumnSpec(v, kind, roles.get(v, "covariate"), cats))
         arrays[v] = codes[v]
     return Dataset(specs, arrays)
@@ -404,6 +400,8 @@ def sample_with_ground_truth(net, t, y, n, rng):
     outcome. Requires a childless outcome (otherwise its descendants would
     be inconsistent with the counterfactual draw).
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if t not in net.dag.parents(y):
         raise TNotParent(t, y)
     if net.arity(y) != 2 or net.arity(t) != 2:

@@ -424,10 +424,23 @@ class TestEncoderAndPersistence:
                 [{"name": "a", "kind": "binary"}, {"name": "a", "kind": "binary"}],
                 "column 'a': the column is listed twice",
             ),
+            (
+                [{"name": "a", "kind": "binary", "categories": ["no", "yes"]}],
+                "column 'a': a binary column's categories are '0', '1', not ['no', 'yes']",
+            ),
+            (
+                [{"name": "a", "kind": "binary", "categories": ["1", "0"]}],
+                "column 'a': a binary column's categories are '0', '1', not ['1', '0']",
+            ),
+            (
+                [{"name": "a", "kind": "continuous", "categories": ["a"]}],
+                "column 'a': a continuous column has no categories",
+            ),
         ],
         ids=[
             "not-an-object", "name-not-a-string", "unknown-kind", "categories-not-strings",
-            "repeated-category", "repeated-name",
+            "repeated-category", "repeated-name", "binary-other-labels", "binary-reordered",
+            "continuous-with-categories",
         ],
     )
     def test_schema_and_encoder_refuse_an_entry_alike(self, tmp_path, entries, says):
@@ -444,6 +457,19 @@ class TestEncoderAndPersistence:
             load_model(path)
         assert str(model_refused.value).startswith(f"{path}: encoder: ")
         assert says in str(model_refused.value)
+
+    def test_binary_entry_may_list_its_bits(self, tmp_path):
+        entries = [{"name": "A", "kind": "binary", "categories": ["0", "1"]}]
+        (tmp_path / "d.csv").write_text("A\n1\n0\n")
+        data = Dataset.read_csv(tmp_path / "d.csv", {"columns": entries})
+        assert data.spec("A") == ColumnSpec("A", "binary", categories=("0", "1"))
+        assert data.values("A").tolist() == [1, 0]
+        pair = train_cctm(uplift_data(seed=83, n=300), "T", "Y", parents=["A"])
+        payload = model_payload(pair)
+        payload["encoder"]["entries"] = entries
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        assert load_model(path).encoder.specs == pair.encoder.specs
 
     def test_save_load_round_trip(self, tmp_path):
         for spec in (

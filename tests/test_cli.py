@@ -131,6 +131,19 @@ class TestGenerate:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "given", [(), ("--treatment", "T", "--outcome", "Y")], ids=["sample", "ground-truth"]
+    )
+    def test_bif_negative_samples_exits_2(self, tmp_path, capsys, given):
+        bif = tmp_path / "tiny.bif"
+        bif.write_text(TINY_BIF)
+        out = tmp_path / "g"
+        assert run(
+            "generate", "--bif", bif, *given, "--samples", -5, "--seed", 1, "--out", out
+        ) == 2
+        assert capsys.readouterr().err == "error: n must be >= 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "given, missing", [(("--treatment", "T"), "--outcome"), (("--outcome", "Y"), "--treatment")]
     )
     def test_bif_needs_treatment_and_outcome_together(self, tmp_path, capsys, given, missing):
@@ -219,6 +232,8 @@ class TestDiscover:
             ("ordinal kind", "column 'X1': bad column kind 'ordinal'"),
             ("instrument role", "column 'T': bad column role 'instrument'"),
             ("repeated category", "column 'X1': category '0' is repeated"),
+            ("binary reordered", "column 'X1': a binary column's categories are '0', '1'"),
+            ("continuous labelled", "column 'X1': a continuous column has no categories"),
         ],
     )
     def test_malformed_schema_exits_2(self, workspace, tmp_path, capsys, schema, says):
@@ -228,6 +243,10 @@ class TestDiscover:
             "instrument role": lambda cols: cols[0].update(role="instrument"),
             "repeated category": lambda cols: cols[2].update(
                 kind="categorical", categories=["0", "1", "0"]
+            ),
+            "binary reordered": lambda cols: cols[2].update(categories=["1", "0"]),
+            "continuous labelled": lambda cols: cols[2].update(
+                kind="continuous", categories=["a"]
             ),
         }
         if isinstance(schema, str):
@@ -596,6 +615,8 @@ class TestTrainPredictEval:
              "encoder: column 'X9': category '1' is repeated"),
             (lambda p: p["encoder"]["entries"].append(p["encoder"]["entries"][0]),
              "encoder: column 'X9': the column is listed twice"),
+            (lambda p: p["encoder"]["entries"][0].update(categories=["1", "0"]),
+             "encoder: column 'X9': a binary column's categories are '0', '1'"),
             (lambda p: p["parents_excl_t"].reverse(), "parents_excl_t must list the encoder's"),
             (lambda p: p.update(parents_excl_t="X8"), "parents_excl_t must list the encoder's"),
         ],
@@ -604,7 +625,7 @@ class TestTrainPredictEval:
             "entries-not-a-list", "encoder-a-list",
             "entry-not-an-object", "name-not-a-string", "unknown-kind", "no-categories",
             "categories-not-strings", "repeated-category", "repeated-name",
-            "parents-reordered", "parents-not-a-list",
+            "binary-reordered", "parents-reordered", "parents-not-a-list",
         ],
     )
     def test_predict_tampered_header_exits_2(

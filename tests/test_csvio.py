@@ -137,9 +137,9 @@ class TestRead:
         (tmp_path / "d.csv").write_text("a,b\n1,\n")
         columns = csvio.read(tmp_path / "d.csv")
         with pytest.raises(MissingValues):
-            csvio.ints(columns, "b")
+            csvio.floats(columns, "b")
         with pytest.raises(UnknownColumn):
-            csvio.ints(columns, "zz")
+            csvio.floats(columns, "zz")
 
 
 def test_csv_imported_by_one_module():
@@ -176,7 +176,8 @@ def test_loadtxt_called_by_one_module():
 
 # ------------------------------------------------------------- typed read
 
-LABEL_KIND = ("a", "b\u2028", "c\x85d", "#x", "ab")
+LABEL_KIND = ("a", "b\u2028", "c\x85d", "#x", "ab")  # "\u2028" is outside latin-1
+ASCII_KIND = ("a", "b", "#x", "ab", "")
 
 
 def write_body(path, text):
@@ -224,8 +225,8 @@ MALFORMED = [
 ]
 VALID = {
     "float": st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    "int": st.integers(-(2**63), 2**63 - 1).map(str),
-    "bit": st.sampled_from(csvio.BITS),
+    csvio.BITS: st.sampled_from(csvio.BITS),
+    ASCII_KIND: st.sampled_from(ASCII_KIND),
     "text": st.text(alphabet=st.sampled_from(list("ab #\u2028\x85-")), min_size=1, max_size=4),
     LABEL_KIND: st.sampled_from(LABEL_KIND),
     None: st.text(alphabet=st.sampled_from(list("ab1 \u2028")), max_size=3),
@@ -271,7 +272,7 @@ def test_typed_read_matches_csv_reader_path(drawn, tmp_path_factory):
         if not isinstance(fast, type):
             assert_same_columns(fast, want)
         for name, kind in kinds.items():  # codes are one byte a cell, on both paths
-            if kind == "bit" or isinstance(kind, tuple):
+            if isinstance(kind, tuple):
                 assert want[name].dtype == np.uint8
 
 
@@ -279,13 +280,13 @@ class TestReadTyped:
     """Where ``np.loadtxt`` and ``csv.reader`` differ, the typed read
     behaves as the csv.reader path."""
 
-    KINDS = {"v": "float", "b": "bit", "c": LABEL_KIND, "t": "text", "n": "int"}
+    KINDS = {"v": "float", "b": csvio.BITS, "c": LABEL_KIND, "t": "text"}
 
     def read(self, path, kinds=None):
         return csvio.read_typed(path, lambda header: kinds or self.KINDS)
 
     def test_quote_free_body_read_in_one_loadtxt_pass(self, tmp_path, monkeypatch):
-        write_body(tmp_path / "d.csv", "# m\nv,b,c,t,n,row\n1.5,1,ab,x y,-3,0\n-0.0,0,a,#,7,1\n")
+        write_body(tmp_path / "d.csv", "# m\nv,b,c,t,row\n1.5,1,ab,x y,0\n-0.0,0,a,#,1\n")
         fast_pass_only(monkeypatch)
         calls = []
         loadtxt = np.loadtxt
@@ -296,11 +297,10 @@ class TestReadTyped:
         assert out["v"].tobytes() == np.array([1.5, -0.0]).tobytes()
         assert out["b"].tolist() == [1, 0] and out["b"].dtype == np.uint8
         assert out["c"].tolist() == [4, 0] and out["t"].tolist() == ["x y", "#"]
-        assert out["n"].tolist() == [-3, 7] and out["n"].dtype == np.int64
 
     @pytest.mark.parametrize("meta", ["", "# m\n"])
     def test_byte_order_mark_ignored(self, tmp_path, monkeypatch, meta):
-        kinds = {"T": "bit", "Y": "bit"}
+        kinds = {"T": csvio.BITS, "Y": csvio.BITS}
         write_body(tmp_path / "q.csv", "\ufeff" + meta + 'T,Y\n"0",1\n1,0\n')  # csv.reader path
         want = self.read(tmp_path / "q.csv", kinds)
         assert want["T"].tolist() == [0, 1] and want["Y"].tolist() == [1, 0]
@@ -332,24 +332,6 @@ class TestReadTyped:
         out = self.read(tmp_path / "d.csv", {"c": LABEL_KIND, "t": "text"})
         assert out["c"].tolist() == [3, 0] and out["t"].tolist() == ["#1", "b"]
 
-    @pytest.mark.parametrize("cell", ["1.0", "1e5", "-2.5"])
-    def test_float_text_in_int_column_fails(self, tmp_path, cell):
-        write_body(tmp_path / "d.csv", f"n\n1\n{cell}\n")
-        with pytest.raises(ValueError):
-            self.read(tmp_path / "d.csv", {"n": "int"})
-
-    def test_int_cells_read_as_int_reads_them(self, tmp_path):
-        # np.loadtxt refuses "1_0"; int() takes it, so the file still reads
-        write_body(tmp_path / "d.csv", "n\n+1\n01\n1_0\n -4 \n")
-        assert self.read(tmp_path / "d.csv", {"n": "int"})["n"].tolist() == [1, 1, 10, -4]
-
-    @pytest.mark.parametrize("cell", ["99999999999999999999", '"-9223372036854775809"'])
-    def test_int_past_int64_is_a_data_error(self, tmp_path, cell):
-        # the unquoted cell reaches the np.loadtxt pass first, the quoted one does not
-        write_body(tmp_path / "d.csv", f"n\n1\n{cell}\n")
-        with pytest.raises(DataError, match="'n' has an integer outside the int64 range"):
-            self.read(tmp_path / "d.csv", {"n": "int"})
-
     def test_line_separators_stay_inside_cells(self, tmp_path, monkeypatch):
         write_body(tmp_path / "d.csv", "c,t,v\nb\u2028,x\u2028y,1\nc\x85d,\x85,2\n")
         fast_pass_only(monkeypatch)
@@ -358,12 +340,35 @@ class TestReadTyped:
         assert out["t"].tolist() == ["x\u2028y", "\x85"]
         assert out["v"].tolist() == [1.0, 2.0]
 
+    def test_labels_parsed_as_bytes_where_latin1_holds_them(self):
+        formats = [csvio._loadtxt_format(k) for k in (csvio.BITS, ASCII_KIND, ("\u00e9",), LABEL_KIND)]
+        assert formats == ["S2", "S3", "S2", "U4"]
+
+    def test_latin1_labels_compared_exactly(self, tmp_path, monkeypatch):
+        # "\u00e9" in UTF-8 is the two bytes that latin-1 reads as "\u00c3\u00a9"
+        write_body(tmp_path / "bad.csv", "c\n\u00e9\n\u00c3\u00a9\n")
+        with pytest.raises(UnknownColumn, match="'\u00c3\u00a9' not in categories of 'c'"):
+            self.read(tmp_path / "bad.csv", {"c": ("\u00e9", "x")})
+        write_body(tmp_path / "d.csv", "c\n\u00e9\nx\n")
+        fast_pass_only(monkeypatch)
+        assert self.read(tmp_path / "d.csv", {"c": ("\u00e9", "x")})["c"].tolist() == [0, 1]
+
+    def test_wide_label_column_on_the_fast_path(self, tmp_path, monkeypatch):
+        labels = tuple(f"L{i}" for i in range(300))
+        codes = np.random.default_rng(4).integers(0, 300, 1000)
+        write_body(tmp_path / "d.csv", "c\n" + "".join(f"{labels[i]}\n" for i in codes))
+        want = reference(tmp_path / "d.csv", lambda header: {"c": labels})
+        fast_pass_only(monkeypatch)
+        got = self.read(tmp_path / "d.csv", {"c": labels})
+        assert_same_columns(got, want)
+        assert got["c"].dtype == np.uint16 and got["c"].tolist() == codes.tolist()
+
     @pytest.mark.parametrize(
         "text, kinds, error",
         [
             ("v\n\x1c1\n", {"v": "float"}, ValueError),  # numpy strips \x1c, float() does not
-            ("n\n1\x1f\n", {"n": "int"}, ValueError),
-            ("b\n1\x00\n", {"b": "bit"}, NonBinary),  # numpy drops a trailing NUL
+            ("v\n1\x1f\n", {"v": "float"}, ValueError),
+            ("b\n1\x00\n", {"b": csvio.BITS}, NonBinary),  # numpy drops a trailing NUL
             ("c\na\x00\n", {"c": LABEL_KIND}, UnknownColumn),
             ("c\nc\x85dz\n", {"c": LABEL_KIND}, UnknownColumn),  # never cut to a label
             ("c,b\n,1\n", {"c": ("", "a")}, MissingValues),

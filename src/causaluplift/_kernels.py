@@ -178,6 +178,7 @@ def _best_splits(coded, rows, seg, feats, m, pos_total, n_bins, min_leaf):
     key = (seg * (mtry * 2 * n_bins))[:, None] + np.arange(mtry) * (2 * n_bins)
     key += coded.ravel().take(cell)
     hist = np.bincount(key.ravel(), minlength=k * mtry * 2 * n_bins).reshape(-1, 2)
+    del cell, key  # freed before the scores are built
 
     # Score only non-empty bins: an empty bin scores as the last non-empty
     # one before it, or has no left rows, so it is never the first best.

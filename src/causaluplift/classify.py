@@ -76,7 +76,9 @@ class FeatureEncoder:
         )
 
     def encode(self, data):
-        cols = []
+        """The float matrix of ``data``'s rows, filled column by column."""
+        X = np.zeros((data.n_rows, self.width))
+        at = 0
         for spec in self.specs:
             name = spec.name
             if name not in data:
@@ -98,15 +100,13 @@ class FeatureEncoder:
                         UnseenCategoryWarning,
                         stacklevel=3,
                     )
-                block = np.zeros((data.n_rows, len(spec.categories)))
                 seen = idx >= 0
-                block[np.nonzero(seen)[0], idx[seen]] = 1.0
-                cols.append(block)
+                X[np.nonzero(seen)[0], at + idx[seen]] = 1.0
+                at += len(spec.categories)
             else:
-                cols.append(values.astype(np.float64).reshape(-1, 1))
-        if not cols:
-            return np.zeros((data.n_rows, 0))
-        return np.hstack(cols)
+                X[:, at] = values
+                at += 1
+        return X
 
     def to_dict(self):
         return {"entries": [spec.to_dict(role=False) for spec in self.specs]}
@@ -168,6 +168,7 @@ def train_cctm(
     spec=ClassifierSpec(),
     cfg=DiscoveryConfig(),
     bins=3,
+    rows=None,
 ):
     """Fit the per-arm model pair over the outcome's non-treatment parents.
 
@@ -175,18 +176,23 @@ def train_cctm(
     (continuous columns discretized once beforehand) and the treatment is
     removed from the result. A given parent set may list the treatment,
     which is dropped, but not the outcome, nor any column twice.
+
+    ``rows`` (an index array), when given, fits on those rows alone, as
+    ``train_cctm(data.take(rows), ...)`` would: they are discretized
+    straight from ``data``, and only the treatment, the outcome and the
+    parents are copied for the fit.
     """
     for name in (t, y):
         if name not in data:
             raise UnknownColumn(name)
     if t == y:
         raise ValueError(f"the treatment {t!r} is also the outcome")
-    t_values = binary_values(data, t)
-    y_values = binary_values(data, y)
+    binary_values(data, t)
+    binary_values(data, y)
 
     discovery_info = None
     if parents is None:
-        found = discover_parents(discretize_dataset(data, bins), y, cfg)
+        found = discover_parents(discretize_dataset(data, bins, rows), y, cfg)
         members = found.members
         discovery_info = found.to_dict(include_trace=False)
     else:
@@ -207,7 +213,11 @@ def train_cctm(
             stacklevel=2,
         )
 
-    treated = t_values == 1
+    data = data.select([t, y, *parents_excl_t])
+    if rows is not None:
+        data = data.take(rows)
+    y_values = data.values(y)
+    treated = data.values(t) == 1
     n1 = int(treated.sum())
     n0 = int(data.n_rows - n1)
     if n1 == 0:
@@ -216,14 +226,14 @@ def train_cctm(
         raise EmptyArm(0, n1, n0)
 
     encoder = FeatureEncoder.build(data, parents_excl_t)
-    X = encoder.encode(data)
     if encoder.width == 0:
         # no covariates to model; each arm collapses to its smoothed rate
         m1 = ConstantModel.smoothed(int(y_values[treated].sum()), n1)
         m0 = ConstantModel.smoothed(int(y_values[~treated].sum()), n0)
     else:
-        m1 = _fit(spec, X[treated], y_values[treated])
-        m0 = _fit(spec, X[~treated], y_values[~treated])
+        # each arm's matrix is encoded from its own rows and freed after its fit
+        m1 = _fit(spec, encoder.encode(data.take(treated)), y_values[treated])
+        m0 = _fit(spec, encoder.encode(data.take(~treated)), y_values[~treated])
 
     metadata = {
         "n_treated": n1,
@@ -276,7 +286,8 @@ _MODEL_TYPES = {
 }
 
 
-def model_payload(pair, extra=None):
+def _entries(pair, extra):
+    """The model file's entries in order; each arm's holds its model."""
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_FORMAT_VERSION,
@@ -285,19 +296,46 @@ def model_payload(pair, extra=None):
         "parents_excl_t": list(pair.parents_excl_t),
         "encoder": pair.encoder.to_dict(),
         "metadata": pair.metadata,
-        "m1": pair.m1.to_dict(),
-        "m0": pair.m0.to_dict(),
+        "m1": pair.m1,
+        "m0": pair.m0,
     }
     if extra:
         payload.update(extra)
     return payload
 
 
-def save_model(pair, path, extra=None):
+def model_payload(pair, extra=None):
+    payload = _entries(pair, extra)
+    for arm in ("m1", "m0"):
+        payload[arm] = payload[arm].to_dict()
+    return payload
+
+
+def _json(value):
     # json.dumps encodes in C; json.dump would encode in Python, chunk by chunk
-    text = json.dumps(model_payload(pair, extra), separators=(",", ":"))
+    return json.dumps(value, separators=(",", ":"))
+
+
+def save_model(pair, path, extra=None):
+    """Write ``model_payload(pair, extra)`` as one compact ``json.dumps``
+    would, an entry at a time: each arm's object is made as it is written,
+    and a forest's one tree at a time, so the Python lists of the whole
+    payload never exist at once."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        for i, (key, value) in enumerate(_entries(pair, extra).items()):
+            fh.write(("," if i else "{") + _json(key) + ":")
+            if key not in ("m1", "m0"):
+                fh.write(_json(value))
+            elif isinstance(value, ForestModel):
+                # the head's closing brace cut off; "trees", its last entry,
+                # written tree by tree
+                fh.write(_json(value.head_dict())[:-1] + ',"trees":[')
+                for j, tree in enumerate(value.tree_dicts()):
+                    fh.write(("," if j else "") + _json(tree))
+                fh.write("]}")
+            else:
+                fh.write(_json(value.to_dict()))
+        fh.write("}\n")
 
 
 def load_model(path):

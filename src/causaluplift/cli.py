@@ -121,7 +121,7 @@ def _training(args, command, **entries):
         **discovery_entries,
     }
 
-    def fit_pair(data):
+    def fit_pair(data, rows=None):
         return train_cctm(
             data,
             args.treatment,
@@ -130,6 +130,7 @@ def _training(args, command, **entries):
             spec=spec,
             cfg=cfg,
             bins=args.bins,
+            rows=rows,
         )
 
     return config, fit_pair
@@ -186,9 +187,20 @@ def cmd_generate(args):
             "split": args.split,
         }
 
+    parts = []
+    if args.split is not None:
+        rng = np.random.default_rng([args.seed, 1])
+        perm = rng.permutation(dataset.n_rows)
+        n_train = int(round(args.split * dataset.n_rows))
+        parts = [("train", np.sort(perm[:n_train])), ("test", np.sort(perm[n_train:]))]
+
     os.makedirs(args.out, exist_ok=True)
     meta = _meta_line(config)
-    lines = dataset.write_csv(os.path.join(args.out, "data.csv"), meta)
+    dataset.write_csv(
+        os.path.join(args.out, "data.csv"),
+        meta,
+        [(os.path.join(args.out, f"{part}.csv"), idx) for part, idx in parts],
+    )
     write_schema(
         os.path.join(args.out, "schema.json"), dataset, extra={"tool": _tool_block(config)}
     )
@@ -196,21 +208,8 @@ def cmd_generate(args):
         fh.write(net.to_json())
     if truth is not None:
         truth.write_csv(os.path.join(args.out, "ground_truth.csv"), meta=meta)
-
-    if args.split is not None:
-        rng = np.random.default_rng([args.seed, 1])
-        perm = rng.permutation(dataset.n_rows)
-        n_train = int(round(args.split * dataset.n_rows))
-        train_idx = np.sort(perm[:n_train])
-        test_idx = np.sort(perm[n_train:])
-        for part, idx in (("train", train_idx), ("test", test_idx)):
-            dataset.write_csv(
-                os.path.join(args.out, f"{part}.csv"), meta, [lines[i] for i in idx]
-            )
-            if truth is not None:
-                truth.take(idx).write_csv(
-                    os.path.join(args.out, f"{part}_truth.csv"), meta=meta
-                )
+        for part, idx in parts:
+            truth.take(idx).write_csv(os.path.join(args.out, f"{part}_truth.csv"), meta=meta)
     print(f"wrote {dataset.n_rows} rows x {len(dataset.columns)} columns to {args.out}")
     return 0
 
@@ -227,7 +226,8 @@ def cmd_discover(args):
         "tool": _tool_block(config),
         "target": found.target,
         "members": list(found.members),
-        "n_tests": len(found.trace),
+        # a symmetry-removed record has no p-value: it is no test
+        "n_tests": sum(r.p_value is not None for r in found.trace),
     }
     if args.explain:
         payload["trace"] = [r.to_dict() for r in found.trace]
@@ -317,15 +317,21 @@ def cmd_eval(args):
 
 def _write_curve_csv(path, points, config, fold=None):
     header = ["fraction", "uplift"] if fold is None else ["fold", "fraction", "uplift"]
-    columns = [["" if v is None else str(v) for v in column] for column in zip(*points)]
-    csvio.write(path, header, csvio.join_rows(columns), _meta_line(config))
+    columns = list(zip(*points)) or [()] * len(header)
+    cells = {
+        name: ("text", ["" if v is None else str(v) for v in column])
+        for name, column in zip(header, columns)
+    }
+    csvio.write_typed(path, cells, _meta_line(config))
 
 
 def _fold_curve(args, data, fit_pair, train_idx, test_idx):
-    """One fold's Qini curve. The fold's row copies and predictions are
-    freed on return, so no two folds' copies are ever held at once."""
-    test = data.take(test_idx)
-    preds = predict_cctm(fit_pair(data.take(train_idx)), test, theta=0.0)
+    """One fold's Qini curve. The fold copies only the columns it reads,
+    and its copies and predictions are freed on return, so no two folds'
+    copies are ever held at once."""
+    pair = fit_pair(data, train_idx)
+    test = data.select([args.treatment, args.outcome, *pair.parents_excl_t]).take(test_idx)
+    preds = predict_cctm(pair, test, theta=0.0)
     return qini_curve(
         preds.effect,
         test.values(args.outcome),

@@ -4,11 +4,12 @@ a column at a time.
 ``write_typed`` takes each column as its kind and values: ``"float"``,
 ``"int"`` (written only, for row index columns), a tuple of labels
 (integer codes into it; a binary column's are ``BITS``), or ``"text"``.
-It encodes each column in one pass (shortest round-trip ``repr`` for
-floats, each label quoted once by ``csv.writer``'s minimal-quoting rules)
-and joins the cells into lines, which are written as they are, never
-joined into one string of the whole file. ``write`` writes lines already
-encoded.
+It encodes ``CHUNK_ROWS`` rows at a time, each column of a chunk in one
+pass (shortest round-trip ``repr`` for floats, each label quoted once by
+``csv.writer``'s minimal-quoting rules), and joins the cells into lines.
+A chunk's lines are written to the file, and those of the rows each part
+file holds to that file, before the next chunk is encoded: nothing is
+returned, and no more than one chunk's lines is ever held.
 
 ``read_typed`` reads with the caller naming each column's kind:
 ``"float"``, a tuple of labels or ``"text"``. The header, which may be
@@ -29,6 +30,7 @@ every line is data. A byte-order mark before the first line is ignored
 (files are written without one). Continuous cells must be finite.
 """
 
+import contextlib
 import csv
 import io
 import os
@@ -43,6 +45,7 @@ from .errors import (
     MissingValues,
     NonBinary,
     NonFinite,
+    NonNumeric,
     UnknownColumn,
 )
 
@@ -56,8 +59,10 @@ def code_dtype(arity):
     return np.min_scalar_type(max(arity - 1, 0))
 
 
-# rows encoded together, which bounds the encoded cells held at once
-CHUNK_ROWS = 2048
+# Rows encoded together, which bounds the encoded cells held at once: a
+# 2048-row chunk of 102 columns held about 12 MB of cell strings, and 256
+# rows write as fast.
+CHUNK_ROWS = 256
 
 
 # ------------------------------------------------------------------ encode
@@ -101,7 +106,7 @@ def _encoder(kind):
     return {"float": _float_cells, "int": _int_cells, "text": _text_cells}[kind]
 
 
-def join_rows(columns):
+def _join_rows(columns):
     """One line (with terminator) per row of equal-length cell lists."""
     if len(columns) == 1:
         # csv.writer quotes an empty field when it is a row's only one
@@ -109,41 +114,48 @@ def join_rows(columns):
     return list(map("{}\n".format, map(",".join, zip(*columns))))
 
 
-def write(path, header, lines, meta=None):
-    """Write a ``# meta`` comment, the header and the encoded lines.
+def _create(stack, path, header, meta):
+    """Open ``path`` for writing on ``stack`` and write its ``# meta``
+    comment and header.
 
     Header cells are quoted as labels are. A first header cell starting
     with ``#`` is always quoted, so that ``read`` does not take the header
     for a comment.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if meta:
-            fh.write(f"# {meta}\n")
-        if header and header[0].startswith("#"):
-            first, header = header[0].replace('"', '""'), header[1:]
-            fh.write(f'"{first}",' if header else f'"{first}"')
-        fh.writelines(join_rows([[quote(name)] for name in header]) or ["\n"])
-        fh.writelines(lines)
+    fh = stack.enter_context(open(path, "w", newline="", encoding="utf-8"))
+    if meta:
+        fh.write(f"# {meta}\n")
+    if header and header[0].startswith("#"):
+        first, header = header[0].replace('"', '""'), header[1:]
+        fh.write(f'"{first}",' if header else f'"{first}"')
+    fh.writelines(_join_rows([[quote(name)] for name in header]) or ["\n"])
+    return fh
 
 
-def write_typed(path, columns, meta=None, lines=None):
+def write_typed(path, columns, meta=None, parts=()):
     """Write ``columns``, header name to ``(kind, values)`` with the kinds
-    ``read_typed`` takes, under a ``# meta`` comment; return the encoded row
-    lines.
+    ``read_typed`` takes, under a ``# meta`` comment.
 
-    Encodes ``CHUNK_ROWS`` rows at a time. ``lines`` may be (a subset of)
-    lines an earlier call returned for the same columns, which are then
-    written in place of encoding the values again.
+    ``parts`` holds ``(part_path, rows)`` pairs, ``rows`` sorted row
+    indices: each part's file gets the same comment and header, and the
+    lines of its rows. Rows are encoded ``CHUNK_ROWS`` at a time, and each
+    chunk's lines go to every file that holds them before the next chunk
+    is encoded, so every row is encoded once and one chunk's lines are
+    held at a time.
     """
-    if lines is None:
-        encoders = [(_encoder(kind), values) for kind, values in columns.values()]
-        n_rows = len(encoders[0][1]) if encoders else 0
-        lines = []
+    header = list(columns)
+    encoders = [(_encoder(kind), values) for kind, values in columns.values()]
+    n_rows = len(encoders[0][1]) if encoders else 0
+    with contextlib.ExitStack() as stack:
+        whole = _create(stack, path, header, meta)
+        subsets = [(_create(stack, p, header, meta), np.asarray(rows)) for p, rows in parts]
         for start in range(0, n_rows, CHUNK_ROWS):
             stop = start + CHUNK_ROWS
-            lines += join_rows([encode(values[start:stop]) for encode, values in encoders])
-    write(path, list(columns), lines, meta)
-    return lines
+            lines = _join_rows([encode(values[start:stop]) for encode, values in encoders])
+            whole.writelines(lines)
+            for fh, rows in subsets:
+                lo, hi = np.searchsorted(rows, (start, stop)).tolist()
+                fh.writelines(map(lines.__getitem__, (rows[lo:hi] - start).tolist()))
 
 
 # ------------------------------------------------------------------ decode
@@ -192,9 +204,19 @@ def cells(columns, name):
     return values
 
 
-def floats(columns, name):
+def floats(columns, name, source=None):
+    """A column's cells as float64; a cell ``float`` cannot read raises
+    ``NonNumeric`` naming ``source`` (the file), the column and the row."""
     values = cells(columns, name)
-    out = np.fromiter(map(float, values), np.float64, len(values))
+    try:
+        out = np.fromiter(map(float, values), np.float64, len(values))
+    except ValueError:
+        for row, cell in enumerate(values, 1):
+            try:
+                float(cell)
+            except ValueError:
+                raise NonNumeric(name, row, cell, source) from None
+        raise
     if not np.isfinite(out).all():
         raise NonFinite(name)
     return out
@@ -222,13 +244,18 @@ def texts(columns, name):
     return np.array(cells(columns, name), dtype=object)
 
 
-def decode(columns, name, kind):
+def decode(columns, name, kind, source=None):
     """One column of ``read``'s result as ``kind`` names it: ``"float"``
     (finite float64), ``"text"`` (an object array of the cells) or a tuple
-    of labels (positions in it, as ``code_dtype(len(labels))``)."""
+    of labels (positions in it, as ``code_dtype(len(labels))``). ``source``
+    names the file in a ``NonNumeric`` error."""
     if isinstance(kind, tuple):
         return codes(columns, name, kind)
-    return {"float": floats, "text": texts}[kind](columns, name)
+    if kind == "float":
+        return floats(columns, name, source)
+    if kind == "text":
+        return texts(columns, name)
+    raise KeyError(kind)
 
 
 # ----------------------------------------------------------- typed reading
@@ -253,7 +280,7 @@ def read_typed(path, kinds_of):
         pass
     columns = read(path)
     kinds = kinds_of(list(columns))
-    return {name: decode(columns, name, kind) for name, kind in kinds.items()}
+    return {name: decode(columns, name, kind, path) for name, kind in kinds.items()}
 
 
 def _quote_free_lines(fh):

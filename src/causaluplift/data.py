@@ -202,14 +202,12 @@ class Dataset:
 
     # ---------------------------------------------------------------- csv io
 
-    def write_csv(self, path, meta=None, lines=None):
-        """Write the header and rows; return the encoded row lines.
-
-        ``lines`` may be (a subset of) lines an earlier call returned, so a
-        caller writing several row subsets of one dataset encodes it once.
-        """
+    def write_csv(self, path, meta=None, parts=()):
+        """Write the header and rows, and each ``(part_path, rows)`` of
+        ``parts`` (sorted row indices) as ``take(rows).write_csv`` would,
+        every row encoded once (``csvio.write_typed``)."""
         columns = {n: (self._specs[n].cells, v) for n, v in self._values.items()}
-        return csvio.write_typed(path, columns, meta, lines)
+        csvio.write_typed(path, columns, meta, parts)
 
     @classmethod
     def read_csv(cls, path, schema):

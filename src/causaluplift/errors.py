@@ -86,6 +86,18 @@ class NonFinite(DataError):
         super().__init__(f"column {name!r} contains a non-finite value (nan or inf)")
 
 
+class NonNumeric(DataError, ValueError):
+    """A continuous cell that ``float`` cannot read; ``row`` counts data
+    rows from 1, after the header."""
+
+    def __init__(self, name, row, cell, source=None):
+        self.name = name
+        self.row = row
+        self.cell = cell
+        where = f"{source}: " if source else ""
+        super().__init__(f"{where}column {name!r}, data row {row}: {cell!r} is not a number")
+
+
 class LengthMismatch(CausalUpliftError):
     pass
 

@@ -87,15 +87,19 @@ class ForestModel:
         return total / len(self.trees)
 
     def to_dict(self):
+        return {**self.head_dict(), "trees": list(self.tree_dicts())}
+
+    def head_dict(self):
+        """The model-file object's entries before its last, ``"trees"``."""
         return {
             "type": "forest",
             "params": {k: self.params[k] for k in FOREST_DEFAULTS},
             "cuts": [[float(v) for v in c] for c in self.cuts],
-            "trees": [
-                {key: column.tolist() for key, column in zip(TREE_KEYS, t)}
-                for t in self.trees
-            ],
         }
+
+    def tree_dicts(self):
+        """Each tree's model-file object, made only as it is reached."""
+        return ({key: column.tolist() for key, column in zip(TREE_KEYS, t)} for t in self.trees)
 
     def check(self, width):
         """Raise a ValueError unless the model has trees and reads ``width``

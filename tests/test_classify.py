@@ -19,6 +19,7 @@ from causaluplift.classify import (
     train_cctm,
 )
 from causaluplift.data import ColumnSpec, Dataset
+from causaluplift.datagen import SynthConfig, generate_group
 from causaluplift.errors import (
     DataError,
     DegenerateLabelsWarning,
@@ -205,6 +206,26 @@ class TestTrain:
         data = uplift_data(seed=75, n=200)
         with pytest.raises(ValueError, match=f"^{says}$"):
             train_cctm(data, t, y, parents=parents)
+
+    @pytest.mark.parametrize(
+        "spec, parents",
+        [
+            (ClassifierSpec("logistic"), None),
+            (ClassifierSpec("forest", {"seed": 4, "n_trees": 5}), None),
+            (ClassifierSpec("forest", {"seed": 4, "n_trees": 5}), ["X9", "N1", "N2", "N4"]),
+        ],
+        ids=["logistic-discovered", "forest-discovered", "forest-continuous-parents"],
+    )
+    def test_rows_fit_as_take(self, spec, parents):
+        """The fold path (rows given) discretizes and encodes the rows
+        straight from the dataset, and fits the pair ``take`` would."""
+        config = SynthConfig(group="group2", seed=3, n_samples=1200, n_noise_vars=6)
+        data, _, _ = generate_group(config)
+        rows = np.random.default_rng(0).permutation(data.n_rows)[:900]
+        got = train_cctm(data, "T", "Y", parents=parents, spec=spec, rows=rows)
+        want = train_cctm(data.take(rows), "T", "Y", parents=parents, spec=spec)
+        assert json.dumps(model_payload(got)) == json.dumps(model_payload(want))
+        assert got.metadata["n_treated"] + got.metadata["n_control"] == 900
 
     def test_unknown_columns(self):
         data = uplift_data(seed=74, n=200)
@@ -532,7 +553,10 @@ def test_save_load_round_trip_property(tmp_path_factory, seed, n, forest, parent
         warnings.simplefilter("ignore")  # single-class arms and slow convergence
         pair = train_cctm(data, "T", "Y", parents=parents, spec=spec)
     path = tmp_path_factory.mktemp("prop") / "model.json"
-    save_model(pair, path)
+    save_model(pair, path, extra={"tool": {"seed": seed}})
+    # written an entry at a time, as one compact json.dumps of the payload
+    text = json.dumps(model_payload(pair, {"tool": {"seed": seed}}), separators=(",", ":"))
+    assert path.read_text() == text + "\n"
     json.loads(path.read_text(), parse_constant=_refuse_constant)  # strict JSON
     again = load_model(path)
     want, got = predict_cctm(pair, data), predict_cctm(again, data)

@@ -223,6 +223,24 @@ class TestDiscover:
         record = payload["trace"][0]
         assert {"x", "y", "given", "p_value", "phase"} <= set(record)
 
+    def test_n_tests_counts_records_with_a_p_value(self, tmp_path):
+        gen = tmp_path / "gen"
+        run(
+            "generate", "--group", "group2", "--samples", 300, "--noise-vars", 4,
+            "--seed", 7, "--split", 0.4, "--out", gen,
+        )
+        out = tmp_path / "parents.json"
+        run(
+            "discover", "--data", gen / "test.csv", "--target", "Y", "--alpha", 0.5,
+            "--explain", "--out", out,
+        )
+        payload = json.loads(out.read_text())
+        phases = [record["phase"] for record in payload["trace"]]
+        assert "symmetry-removed" in phases  # a record that is no test
+        tests = [record for record in payload["trace"] if record["p_value"] is not None]
+        assert payload["n_tests"] == len(tests)
+        assert len(tests) == len(phases) - phases.count("symmetry-removed")
+
     @pytest.mark.parametrize(
         "schema, says",
         [
@@ -1038,6 +1056,27 @@ class TestNonFiniteInput:
             "--outcome", "Y", "--parents", "V", "--out", tmp_path / "m.json",
         ) == 2
         assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("first", ["0", '"0"'], ids=["quote-free", "quoted"])
+    def test_non_numeric_training_cell_exits_2(self, tmp_path, capsys, first):
+        # a quoted cell sends the file down the csv.reader path
+        (tmp_path / "d.csv").write_text(f"T,Y,V\n{first},1,0.5\n1,0,0.25\n1,1,abc\n0,0,1\n")
+        schema = {
+            "columns": [
+                {"name": "T", "kind": "binary", "role": "treatment"},
+                {"name": "Y", "kind": "binary", "role": "outcome"},
+                {"name": "V", "kind": "continuous", "role": "covariate"},
+            ]
+        }
+        (tmp_path / "schema.json").write_text(json.dumps(schema))
+        assert run(
+            "train", "--data", tmp_path / "d.csv", "--treatment", "T",
+            "--outcome", "Y", "--parents", "V", "--out", tmp_path / "m.json",
+        ) == 2
+        err = capsys.readouterr().err
+        says = f"{tmp_path / 'd.csv'}: column 'V', data row 3: 'abc' is not a number"
+        assert err == f"error: {says}\n"
         assert not (tmp_path / "m.json").exists()
 
     def test_infinite_prediction_exits_2(self, tmp_path):

@@ -4,6 +4,7 @@ plus its parse-time checks."""
 import csv
 import io
 import re
+import tracemalloc
 import warnings
 from importlib import resources
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from causaluplift import csvio
 from causaluplift.data import ColumnSpec, Dataset
+from causaluplift.datagen import SynthConfig, generate_group
 from causaluplift.errors import (
     DataError,
     EmptyColumn,
@@ -94,17 +96,57 @@ def test_write_matches_row_writer(labels, n, seed, single, tmp_path_factory):
         assert fh.read() == reference_csv(data, meta="m")
 
 
-def test_subset_lines_match_take(tmp_path):
-    rng = np.random.default_rng(3)
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(0, 3 * csvio.CHUNK_ROWS),
+    shares=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_parts_match_take(n, shares, seed, tmp_path_factory):
+    """Each part file written beside the whole is byte-equal to writing
+    ``take`` of its rows, and the whole file to a write without parts."""
+    rng = np.random.default_rng(seed)
     data = Dataset(
-        [ColumnSpec("v", "continuous"), ColumnSpec("b", "binary")],
-        {"v": rng.standard_normal(5000), "b": rng.integers(0, 2, 5000)},
+        [
+            ColumnSpec("v", "continuous"),
+            ColumnSpec("b", "binary"),
+            ColumnSpec("k", "categorical", categories=("a", 'q"', "x,y", "")),
+        ],
+        {"v": rng.standard_normal(n), "b": rng.integers(0, 2, n), "k": rng.integers(0, 4, n)},
     )
-    lines = data.write_csv(tmp_path / "all.csv")
-    idx = np.sort(rng.permutation(5000)[:1700])
-    data.write_csv(tmp_path / "sub.csv", "m", [lines[i] for i in idx])
-    data.take(idx).write_csv(tmp_path / "take.csv", "m")
-    assert (tmp_path / "sub.csv").read_bytes() == (tmp_path / "take.csv").read_bytes()
+    tmp = tmp_path_factory.mktemp("parts")
+    parts = [
+        (tmp / f"part{i}.csv", np.flatnonzero(rng.random(n) < share))
+        for i, share in enumerate(shares)
+    ]
+    data.write_csv(tmp / "all.csv", "m", parts)
+    data.write_csv(tmp / "alone.csv", "m")
+    assert (tmp / "all.csv").read_bytes() == (tmp / "alone.csv").read_bytes()
+    for path, idx in parts:
+        data.take(idx).write_csv(tmp / "take.csv", "m")
+        assert path.read_bytes() == (tmp / "take.csv").read_bytes()
+
+
+def test_split_write_holds_one_chunk(tmp_path):
+    """Memory guard: writing a 10k x 102 group1 dataset with a 0.5 split
+    holds its column data plus one chunk's encoded lines, not every line of
+    the file (about 15 MB), nor a 2048-row chunk (about 12 MB)."""
+    tracemalloc.start()
+    try:
+        data, _, _ = generate_group(SynthConfig(group="group1", seed=1, n_samples=10000))
+        columns = sum(data.values(name).nbytes for name in data.columns)
+        perm = np.random.default_rng(0).permutation(data.n_rows)
+        parts = [
+            (tmp_path / "train.csv", np.sort(perm[:5000])),
+            (tmp_path / "test.csv", np.sort(perm[5000:])),
+        ]
+        tracemalloc.reset_peak()
+        data.write_csv(tmp_path / "data.csv", "m", parts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(data.columns) == 102
+    assert peak < columns + (4 << 20)
 
 
 class TestRead:

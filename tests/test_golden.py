@@ -55,8 +55,8 @@ GOLDEN = {
     "logistic_curve.csv": "359c8476938cbc17c3caa79f62d9da3dac90fc0477c6b7f8202cf301a17c9dc4",
     "logistic_eval.json": "c54b65ef748c199d0e3197f40b3006f8f7624c9d2a8a0c06cbaffe0f2f9959a7",
     "logistic_preds.csv": "59a7c5abe4c67f0226c8eda99756bf5fbf065df8699f8a00f746c03806c6a8f7",
-    "parents.json": "5585e33b70538e701b8fdfccb0ee1586381daac22a79d398a0d35cc11d04978e",
-    "parents_explain.json": "abd15cdde7266e0b1571d95193c9f0a7f4a03a56832883705c243a4640d2f508",
+    "parents.json": "02fee444ac72bc9d6a18553eb4b732d81137019fd6d45886bdab7cde6dafde7e",
+    "parents_explain.json": "9e2df456eb9659230d79b9f55a0b32046119642a3ea664ebbadfb5d5c342f125",
     "qini/folds.csv": "3567ff84eaeb7470ac097a04311e12926a99dcfdce71ed3e78db7a64e7c18454",
     "qini/mean_curve.csv": "beee9c1f6322af7def0f30cd3c507ba82384174000742e7ffe065ca40f5d65cb",
     "qini/metrics.json": "f99d4c41e2848070d03ffe7918ed4d760799cfaa9e9a6c78c6bff85ec79f25a0",

@@ -284,9 +284,11 @@ def read_predictions(path):
 
 def cmd_eval(args):
     """score predictions against truth or outcomes"""
-    preds = read_predictions(args.predictions)
     if args.ground_truth is None and args.data is None:
         raise ValueError("eval needs --ground-truth or --data")
+    if args.curve_out and args.data is None:
+        raise ValueError("eval --curve-out needs --data")
+    preds = read_predictions(args.predictions)
     config = {
         "command": "eval",
         "predictions": os.path.basename(args.predictions),

@@ -12,34 +12,36 @@ file holds to that file, before the next chunk is encoded: nothing is
 returned, and no more than one chunk's lines is ever held.
 
 ``read_typed`` reads with the caller naming each column's kind:
-``"float"``, a tuple of labels or ``"text"``. The header, which may be
-quoted and span lines, is always parsed by ``csv.reader``. A body with no
-quote, no carriage return, no blank line and none of a few control
-characters is decoded by one ``np.loadtxt`` pass with a structured dtype
-(``f8``; labels as strings one character longer than the longest label,
-bytes where every label fits in latin-1; text as objects), then each
-float column is checked finite. Any other body, or one that pass refuses,
-falls back to ``read``: ``csv.reader`` over the whole file, transposed
-into columns, each decoded in one pass by ``decode``. Every error comes
-from that path, so both accept the same files with the same values, bit
-for bit, and the same dtypes: a label column comes back as codes of
-``code_dtype`` of its arity, one byte a cell for up to 256 labels.
+``"float"``, a tuple of labels or ``"text"``. One tokenizer splits every
+line into cells, ``np.loadtxt`` with RFC 4180 quoting, so a quoted cell
+may hold commas, doubled quotes and line ends. A binary pre-scan counts
+lines and finds the bytes the typed pass could misread. A body with none
+is decoded by that one pass (``f8``; labels as strings one character
+longer than the longest, bytes where every label fits in latin-1; text
+as objects), then each float column checked finite. Any other body, or
+one that pass refuses, is read as cells and decoded a column at a time
+by ``decode``, which names every error. Both give the same values, bit
+for bit, and dtypes: labels come back as codes of ``code_dtype``.
 
-Lines starting with ``#`` are comments only before the header; after it,
-every line is data. A byte-order mark before the first line is ignored
-(files are written without one). Continuous cells must be finite.
+Lines end in ``\\n``, ``\\r\\n`` or ``\\r``. Lines starting with ``#``
+are comments only before the header; after it, every line is data. A
+blank line in the body, a row not as wide as the header, or a quote left
+open at the end of the file that takes in a line end is
+``LengthMismatch``. A byte-order mark before the first line is ignored.
+Continuous cells must be finite.
 """
 
+import codecs
 import contextlib
 import csv
 import io
 import os
+import re
 from itertools import chain
 
 import numpy as np
 
 from .errors import (
-    DataError,
     EmptyColumn,
     LengthMismatch,
     MissingValues,
@@ -73,7 +75,7 @@ def quote(label):
 
     The ``"\r\n"`` terminator makes minimal quoting quote a ``"\r"`` as
     well as a ``"\n"`` (Python 3.11 leaves a bare ``"\r"`` unquoted under
-    ``"\n"``, and ``csv.reader`` then splits the row there); files still
+    ``"\n"``, and a reader then splits the row there); files still
     end their lines in ``"\n"``.
     """
     buf = io.StringIO()
@@ -119,8 +121,8 @@ def _create(stack, path, header, meta):
     comment and header.
 
     Header cells are quoted as labels are. A first header cell starting
-    with ``#`` is always quoted, so that ``read`` does not take the header
-    for a comment.
+    with ``#`` is always quoted, so that ``read_typed`` does not take the
+    header for a comment.
     """
     fh = stack.enter_context(open(path, "w", newline="", encoding="utf-8"))
     if meta:
@@ -161,57 +163,13 @@ def write_typed(path, columns, meta=None, parts=()):
 # ------------------------------------------------------------------ decode
 
 
-def _records(fh):
-    """``csv.reader`` over ``fh`` from its header on, and the number of
-    comment lines skipped before the header."""
-    comments = 0
-    for first in fh:
-        if not first.startswith("#"):
-            return csv.reader(chain([first], fh)), comments
-        comments += 1
-    raise EmptyColumn("CSV has no header row")
-
-
-def read(path):
-    """Columns of a CSV file by header name, in header order; each column
-    is a tuple of its cells. Rows must be as wide as the header."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader, _ = _records(fh)
-        try:
-            header = next(reader)
-            rows = list(reader)
-        except csv.Error as exc:
-            raise DataError(f"CSV line {reader.line_num}: {exc}") from None
-    width = len(header)
-    if len(set(header)) != width:
-        dup = next(h for h in header if header.count(h) > 1)
-        raise ValueError(f"duplicate column {dup!r}")
-    if set(map(len, rows)) - {width}:
-        bad = next(len(row) for row in rows if len(row) != width)
-        raise LengthMismatch(f"row with {bad} cells, expected {width}")
-    columns = zip(*rows) if rows else [()] * width
-    return dict(zip(header, columns))
-
-
-def cells(columns, name):
-    """A column's cells; it must exist and have no empty cell."""
+def _floats(cells, name, source):
+    """Cells as float64; a cell ``float`` cannot read raises ``NonNumeric``
+    naming ``source`` (the file), the column and the row."""
     try:
-        values = columns[name]
-    except KeyError:
-        raise UnknownColumn(name) from None
-    if "" in values:
-        raise MissingValues(name)
-    return values
-
-
-def floats(columns, name, source=None):
-    """A column's cells as float64; a cell ``float`` cannot read raises
-    ``NonNumeric`` naming ``source`` (the file), the column and the row."""
-    values = cells(columns, name)
-    try:
-        out = np.fromiter(map(float, values), np.float64, len(values))
+        out = np.fromiter(map(float, cells), np.float64, len(cells))
     except ValueError:
-        for row, cell in enumerate(values, 1):
+        for row, cell in enumerate(cells, 1):
             try:
                 float(cell)
             except ValueError:
@@ -222,43 +180,43 @@ def floats(columns, name, source=None):
     return out
 
 
-def codes(columns, name, labels):
+def _codes(cells, name, labels):
     """Each cell's position in ``labels``, as ``code_dtype(len(labels))``;
     a cell outside them raises ``UnknownColumn``, or ``NonBinary`` where
     they are ``BITS``."""
-    values = cells(columns, name)
     index = {label: i for i, label in enumerate(labels)}
     try:
-        return np.fromiter(
-            map(index.__getitem__, values), code_dtype(len(labels)), len(values)
-        )
+        return np.fromiter(map(index.__getitem__, cells), code_dtype(len(labels)), len(cells))
     except KeyError as exc:
         if labels == BITS:
             raise NonBinary(name) from None
-        raise UnknownColumn(
-            f"value {exc.args[0]!r} not in categories of {name!r}"
-        ) from None
+        raise UnknownColumn(f"value {exc.args[0]!r} not in categories of {name!r}") from None
 
 
-def texts(columns, name):
-    return np.array(cells(columns, name), dtype=object)
-
-
-def decode(columns, name, kind, source=None):
-    """One column of ``read``'s result as ``kind`` names it: ``"float"``
-    (finite float64), ``"text"`` (an object array of the cells) or a tuple
-    of labels (positions in it, as ``code_dtype(len(labels))``). ``source``
-    names the file in a ``NonNumeric`` error."""
+def decode(cells, name, kind, source=None):
+    """Column ``name``'s cells (a list of strings) as ``kind`` names it:
+    ``"float"`` (finite float64), ``"text"`` (an object array of the cells)
+    or a tuple of labels (positions in it, as ``code_dtype(len(labels))``).
+    An empty cell is ``MissingValues``; ``source`` names the file in a
+    ``NonNumeric`` error."""
+    if "" in cells:
+        raise MissingValues(name)
     if isinstance(kind, tuple):
-        return codes(columns, name, kind)
+        return _codes(cells, name, kind)
     if kind == "float":
-        return floats(columns, name, source)
+        return _floats(cells, name, source)
     if kind == "text":
-        return texts(columns, name)
+        return np.array(cells, dtype=object)
     raise KeyError(kind)
 
 
 # ----------------------------------------------------------- typed reading
+
+# bytes the typed pass would read otherwise than ``float`` and ``decode``: a
+# quote opens a quoted cell, numpy drops a trailing NUL from a string, and it
+# strips \x1c-\x1f around a number as whitespace
+_MISREAD = (b'"', b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_COMMENT_LINES = re.compile(rb"(?:#[^\r\n]*(?:\r\n|\r|\n))*")
 
 
 def read_typed(path, kinds_of):
@@ -266,84 +224,118 @@ def read_typed(path, kinds_of):
 
     ``kinds_of(header)`` maps the names to decode, in the order to decode
     them, to their kinds (see ``decode``); other columns are parsed but not
-    returned. A quote-free body is decoded by one ``np.loadtxt`` pass
-    (``_quote_free_columns``); any other file, or one that pass refuses,
-    is read by ``read`` and decoded a column at a time by ``decode``, so
-    every file is accepted or refused, with the same error, as that path
-    would.
+    returned. A body with no byte of ``_MISREAD``, after a header that may
+    have them, is decoded by one typed pass; any other, or one that pass
+    refuses, is read as cells and decoded a column at a time by
+    ``decode``, which names every error.
     """
-    try:
-        return _quote_free_columns(path, kinds_of)
-    except Exception:
-        # whatever stopped the fast pass, ``read`` and ``decode`` decide
-        # whether the file is accepted and which error it gets, in their order
-        pass
-    columns = read(path)
-    kinds = kinds_of(list(columns))
-    return {name: decode(columns, name, kind, path) for name, kind in kinds.items()}
+    comments, lines, tail, flagged = _scan(path)
+    header = _cells(path, comments, max_rows=1)[0].tolist()
+    if len(set(header)) != len(header):
+        raise ValueError(f"duplicate column {next(h for h in header if header.count(h) > 1)!r}")
+    kinds = kinds_of(header)
+    if absent := [name for name in kinds if name not in header]:
+        raise UnknownColumn(absent[0])
+    header_lines = 1 + _line_ends(",".join(header))
+    body_lines = lines - header_lines
+    # the last ``tail - 1`` lines are blank: a body of no more holds no row
+    any_row = 0 < body_lines and tail <= body_lines
+    if flagged < header_lines and any_row:
+        try:
+            return _typed_columns(path, comments + header_lines, body_lines, header, kinds)
+        except ValueError:
+            pass  # the cells pass decides whether the file is accepted
+    width = len(header)
+    body = _cells(path, comments + header_lines) if any_row else np.empty((0, width), object)
+    if body.shape[1] != width:
+        raise LengthMismatch(f"{path}: a row is not as wide as the header")
+    rows, columns = len(body), dict(zip(header, body.T.tolist()))
+    del body  # the lists hold every cell
+    # np.loadtxt skips a blank line, and a quote left open at the end of the
+    # file takes in the line ends after it
+    if (spanned := rows + sum(_line_ends(",".join(c)) for c in columns.values())) != body_lines:
+        what = "a blank line" if spanned < body_lines else "a quote left open"
+        raise LengthMismatch(f"{path}: {what} in the body")
+    return {name: decode(columns[name], name, kind, path) for name, kind in kinds.items()}
 
 
-def _quote_free_lines(fh):
-    """Read the rest of ``fh``; whether it holds a line.
-
-    Raises ``ValueError`` unless ``np.loadtxt`` splits it into the rows and
-    cells ``csv.reader`` does: no quote; no carriage return (a line end to
-    both, but ``csv.reader`` may see one inside a field); no NUL (numpy
-    drops one from the end of a string); none of the separators \\x1c-\\x1f,
-    which numpy strips around a number as whitespace and ``float``/``int``
-    refuse; no blank line, which ``np.loadtxt`` skips; and no line that
-    could hold a field longer than ``csv.reader`` takes. Reads whole lines
-    about a MB at a time, so the body is never held at once.
-    """
-    limit = csv.field_size_limit()
-    any_line = False
-    while chunk := fh.read(1 << 20) + fh.readline():
-        if any(c in chunk for c in '"\r\x00\x1c\x1d\x1e\x1f'):
-            raise ValueError("body is not quote-free")
-        start = 0
-        while start < len(chunk):
-            end = chunk.find("\n", start, start + limit + 1)
-            if end == start or (end < 0 and len(chunk) - start > limit):
-                raise ValueError("blank or overlong line")
-            start = len(chunk) if end < 0 else end + 1
-        any_line = True
-    return any_line
+def _loadtxt(source, dtype, **kwargs):
+    """The one CSV tokenizer: ``np.loadtxt`` with RFC 4180 quoting."""
+    return np.loadtxt(source, dtype, delimiter=",", comments=None, quotechar='"', **kwargs)
 
 
-def _quote_free_columns(path, kinds_of):
-    """``read_typed``'s result from one structured ``np.loadtxt`` pass over
-    a quote-free body; raises where it cannot give the values the ``read``
-    path would, which includes every file that path refuses."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader, comments = _records(fh)
-        header = next(reader)
-        kinds = kinds_of(header)
-        if not header or len(set(header)) != len(header) or set(kinds) - set(header):
-            raise ValueError("header left to the csv.reader path")
-        any_line = _quote_free_lines(fh)
-    position = {name: i for i, name in enumerate(header)}
-    formats = ["U1"] * len(header)  # columns not asked for: any cell goes
-    for name, kind in kinds.items():
-        formats[position[name]] = _loadtxt_format(kind)
+def _line_ends(text):
+    """The line ends in ``text``, str or bytes; ``\\r\\n`` counts as one."""
+    lf, cr = ("\n", "\r") if isinstance(text, str) else (b"\n", b"\r")
+    if cr not in text:
+        return text.count(lf)
+    return text.count(lf) + text.count(cr) - text.count(cr + lf)
+
+
+def _chunks(fh):
+    """A binary file's bytes about a MB at a time, no ``\\r\\n`` cut in two."""
+    while chunk := fh.read(1 << 20):
+        if chunk.endswith(b"\r") and fh.peek(1)[:1] == b"\n":
+            chunk += fh.read(1)
+        yield chunk
+
+
+def _scan(path):
+    """One binary pass over a CSV file: the number of ``#`` lines before
+    its header (``EmptyColumn`` where a blank line or none follows them);
+    the number of lines from the header on; the number of line ends that
+    close the file, one more than its trailing blank lines; and the line,
+    counted from the header's first as 0, of the last byte of ``_MISREAD``
+    (-1 for none)."""
+    with open(path, "rb") as fh:
+        chunks = _chunks(fh)
+        head = next(chunks, b"").removeprefix(codecs.BOM_UTF8)
+        # joined with the next chunk while a comment line may run on into it
+        while (end := _COMMENT_LINES.match(head).end()) == len(head) or head.startswith(b"#", end):
+            if not (more := next(chunks, b"")):
+                break
+            head += more
+        if head[end : end + 1] in (b"", b"#", b"\r", b"\n"):
+            raise EmptyColumn("CSV has no header row")
+        lines, tail, flagged = 0, 0, -1
+        for chunk in chain([head[end:]], chunks):
+            if (last := max(chunk.rfind(byte) for byte in _MISREAD)) >= 0:
+                flagged = lines + _line_ends(chunk[:last])
+            lines += _line_ends(chunk)
+            text = len(chunk.rstrip(b"\r\n"))
+            tail = _line_ends(chunk[text:]) + (0 if text else tail)
+    lines += not chunk.endswith((b"\r", b"\n"))  # a last line without a line end
+    return _line_ends(head[:end]), lines, tail, flagged
+
+
+def _cells(path, skiprows, max_rows=None):
+    """The rows after the first ``skiprows`` lines, as a 2-d object array
+    of cells; rows of unequal widths are ``LengthMismatch``. Read through a
+    ``newline=""`` handle: numpy's own opener turns a quoted ``\\r`` into
+    ``\\n``."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        try:
+            return _loadtxt(fh, object, skiprows=skiprows, max_rows=max_rows, ndmin=2)
+        except UnicodeError:
+            raise
+        except ValueError:
+            raise LengthMismatch(f"{path}: a row is not as wide as the header") from None
+
+
+def _typed_columns(path, skiprows, body_lines, header, kinds):
+    """``read_typed``'s result from one structured pass over a body with no
+    byte of ``_MISREAD``; ``ValueError`` where it cannot give the values
+    the cells pass would, which includes every file that pass refuses."""
+    # a column not asked for takes any cell
+    formats = [_loadtxt_format(kinds[h]) if h in kinds else "U1" for h in header]
     dtype = np.dtype([(f"c{i}", f) for i, f in enumerate(formats)])
-    if any_line:
-        # by absolute path, so numpy's opener takes it for neither a URL nor
-        # an archive; it reads in chunks, with the header's lines skipped
-        table = np.loadtxt(
-            os.path.abspath(path),
-            dtype,
-            delimiter=",",
-            comments=None,
-            skiprows=comments + reader.line_num,
-            encoding="utf-8",
-            ndmin=1,
-        )
-    else:
-        table = np.empty(0, dtype)  # np.loadtxt warns on an empty body
-    return {
-        name: _checked(table[f"c{position[name]}"], kind)
-        for name, kind in kinds.items()
-    }
+    # by absolute path, so numpy's opener takes it for neither a URL nor an
+    # archive; it reads in chunks, with the comments and header skipped
+    table = _loadtxt(os.path.abspath(path), dtype, skiprows=skiprows, encoding="utf-8", ndmin=1)
+    if len(table) != body_lines:
+        raise ValueError("a blank line")
+    position = {name: i for i, name in enumerate(header)}
+    return {name: _checked(table[f"c{position[name]}"], kind) for name, kind in kinds.items()}
 
 
 def _loadtxt_format(kind):

@@ -213,12 +213,15 @@ class Dataset:
     def read_csv(cls, path, schema):
         """Load a CSV against a schema dict (or path to a schema JSON).
 
-        The body is decoded by ``csvio.read_typed``: a quote-free body in one
-        typed ``np.loadtxt`` pass, any other (or one that pass refuses) by
-        ``csv.reader`` a column at a time. Every error comes from the
-        ``csv.reader`` path: ``LengthMismatch``, ``MissingValues``,
-        ``NonFinite``, ``NonBinary`` or ``UnknownColumn`` (a header name
-        outside the schema, or a cell outside a column's categories). A
+        The file is read by ``csvio.read_typed``, which splits every line
+        into cells by ``np.loadtxt``: a body with no quote, NUL or
+        ``\\x1c``-``\\x1f`` byte is decoded in one typed pass, any other
+        (or one that pass refuses) as cells a column at a time, which names
+        every error. A header name outside the schema is ``UnknownColumn``,
+        raised before the body is read; a blank line, or a row not as wide
+        as the header, is ``LengthMismatch`` naming the file; then
+        ``MissingValues``, ``NonNumeric``, ``NonFinite``, ``NonBinary`` or
+        ``UnknownColumn`` (a cell outside a column's categories). A
         malformed schema is a ``SchemaError``, raised before the CSV is read.
         """
         specs = _schema_specs(schema)

@@ -750,6 +750,23 @@ class TestTrainPredictEval:
         preds_path.write_text("row_id,p1,p0,effect,assign\n0,0.5,0.5,0.0,0\n")
         assert run("eval", "--predictions", preds_path) == 2
 
+    def test_eval_reference_checked_before_any_file_is_read(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        assert run("eval", "--predictions", missing) == 2
+        assert capsys.readouterr().err == "error: eval needs --ground-truth or --data\n"
+
+    def test_eval_curve_out_needs_data(self, tmp_path, capsys):
+        preds_path = tmp_path / "p.csv"
+        preds_path.write_text("row_id,p1,p0,effect,assign\n0,0.5,0.5,0.0,0\n")
+        truth_path = tmp_path / "t.csv"
+        truth_path.write_text("row,effect,response,potential_y0,potential_y1\n0,0.1,positive,0,1\n")
+        assert run(
+            "eval", "--predictions", preds_path, "--ground-truth", truth_path,
+            "--curve-out", tmp_path / "c.csv",
+        ) == 2
+        assert capsys.readouterr().err == "error: eval --curve-out needs --data\n"
+        assert not (tmp_path / "c.csv").exists()
+
     @pytest.mark.parametrize("flag", ["--outcome", "--treatment"])
     def test_eval_data_column_must_be_binary(self, workspace, model_path, tmp_path, capsys, flag):
         preds_path = tmp_path / "preds.csv"
@@ -1060,7 +1077,7 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("first", ["0", '"0"'], ids=["quote-free", "quoted"])
     def test_non_numeric_training_cell_exits_2(self, tmp_path, capsys, first):
-        # a quoted cell sends the file down the csv.reader path
+        # a quoted cell sends the file down the cells pass
         (tmp_path / "d.csv").write_text(f"T,Y,V\n{first},1,0.5\n1,0,0.25\n1,1,abc\n0,0,1\n")
         schema = {
             "columns": [

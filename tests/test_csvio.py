@@ -7,6 +7,8 @@ import re
 import tracemalloc
 import warnings
 from importlib import resources
+from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -150,38 +152,46 @@ def test_split_write_holds_one_chunk(tmp_path):
 
 
 class TestRead:
+    """Tokenizing and header rules, read as text columns."""
+
+    def read(self, path, kinds=None):
+        return csvio.read_typed(path, lambda header: kinds or {h: "text" for h in header})
+
     def test_comments_only_before_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("# one\n# two\na,b\n#x,1\ny,0\n")
-        assert csvio.read(path) == {"a": ("#x", "y"), "b": ("1", "0")}
+        out = self.read(path)
+        assert {name: values.tolist() for name, values in out.items()} == {
+            "a": ["#x", "y"], "b": ["1", "0"]
+        }
 
     def test_no_header(self, tmp_path):
         (tmp_path / "d.csv").write_text("# only a comment\n")
         with pytest.raises(EmptyColumn):
-            csvio.read(tmp_path / "d.csv")
+            self.read(tmp_path / "d.csv")
+
+    @pytest.mark.parametrize("text", ["# no line end", "", "\na\n", "# m\r\n\r\na\r\n"])
+    def test_blank_or_absent_header(self, tmp_path, text):
+        write_body(tmp_path / "d.csv", text)
+        with pytest.raises(EmptyColumn):
+            self.read(tmp_path / "d.csv")
 
     def test_header_only(self, tmp_path):
         (tmp_path / "d.csv").write_text("a,b\n")
-        assert csvio.read(tmp_path / "d.csv") == {"a": (), "b": ()}
-
-    def test_parser_error_is_a_data_error(self, tmp_path):
-        # a field beyond csv.field_size_limit()
-        (tmp_path / "d.csv").write_text("a\n" + "x" * (csv.field_size_limit() + 1) + "\n")
-        with pytest.raises(DataError, match="line"):
-            csvio.read(tmp_path / "d.csv")
+        out = self.read(tmp_path / "d.csv")
+        assert list(out) == ["a", "b"] and out["a"].shape == out["b"].shape == (0,)
 
     def test_duplicate_header(self, tmp_path):
         (tmp_path / "d.csv").write_text("a,a\n1,0\n")
         with pytest.raises(ValueError, match="duplicate"):
-            csvio.read(tmp_path / "d.csv")
+            self.read(tmp_path / "d.csv")
 
     def test_missing_and_absent_columns(self, tmp_path):
         (tmp_path / "d.csv").write_text("a,b\n1,\n")
-        columns = csvio.read(tmp_path / "d.csv")
         with pytest.raises(MissingValues):
-            csvio.floats(columns, "b")
+            self.read(tmp_path / "d.csv", {"b": "float"})
         with pytest.raises(UnknownColumn):
-            csvio.floats(columns, "zz")
+            self.read(tmp_path / "d.csv", {"zz": "float"})
 
 
 def test_csv_imported_by_one_module():
@@ -193,6 +203,19 @@ def test_csv_imported_by_one_module():
         and re.search(r"^\s*(import csv|from csv )", path.read_text(), re.M)
     )
     assert importers == ["csvio.py"]
+
+
+def test_csv_reader_called_by_no_module():
+    """``np.loadtxt`` is the one tokenizer; ``csv.reader`` is only the
+    oracle of these tests."""
+    package = resources.files("causaluplift")
+    call = re.compile(r"\bcsv\.reader\s*\(|^\s*from csv import .*\breader\b", re.M)
+    callers = sorted(
+        path.name
+        for path in package.iterdir()
+        if path.name.endswith(".py") and call.search(path.read_text())
+    )
+    assert callers == []
 
 
 def test_cell_encoders_named_by_one_module():
@@ -228,9 +251,34 @@ def write_body(path, text):
 
 
 def reference(path, kinds_of):
-    """The csv.reader path: ``read``, then one ``decode`` per column."""
-    columns = csvio.read(path)
-    return {name: csvio.decode(columns, name, kind) for name, kind in kinds_of(list(columns)).items()}
+    """The oracle: ``csv.reader`` over the file from its header on; rows
+    as wide as the header; then one ``decode`` per column."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        for first in fh:
+            if not first.startswith("#"):
+                break
+        else:
+            raise EmptyColumn("CSV has no header row")
+        header, *rows = csv.reader(chain([first], fh))
+    if len(set(header)) != len(header):
+        raise ValueError("duplicate column")
+    if any(len(row) != len(header) for row in rows):
+        raise LengthMismatch("row of another width")
+    columns = dict(zip(header, map(list, zip(*rows)))) if rows else {h: [] for h in header}
+    kinds = kinds_of(header)
+    absent = [name for name in kinds if name not in columns]
+    if absent:
+        raise UnknownColumn(absent[0])
+    return {name: csvio.decode(columns[name], name, kind) for name, kind in kinds.items()}
+
+
+def ends_in_open_quote(text):
+    """Whether ``csv.reader`` is inside a quoted cell at the end of
+    ``text``: only then does a further line add no row."""
+    def rows(t):
+        return sum(1 for _ in csv.reader(io.StringIO(t, newline="")))
+
+    return rows(text + "\n,\n") == rows(text)
 
 
 def outcome(read, path, kinds_of):
@@ -250,17 +298,17 @@ def assert_same_columns(got, want):
             assert got[name].tobytes() == values.tobytes()
 
 
+def refuse_decode(*args):
+    raise AssertionError("cells pass taken")
+
+
 def fast_pass_only(monkeypatch):
-    """Make the csv.reader path fail, so a read that succeeds took the
-    typed ``np.loadtxt`` pass."""
-
-    def refuse(path):
-        raise AssertionError("csv.reader path taken")
-
-    monkeypatch.setattr(csvio, "read", refuse)
+    """Make the cells pass fail, so a read that succeeds took the typed
+    ``np.loadtxt`` pass."""
+    monkeypatch.setattr(csvio, "decode", refuse_decode)
 
 
-# cells either path must refuse, or read alike
+# cells the reader must refuse, or read as the oracle does
 MALFORMED = [
     "", " 1", "1 ", "1.0", "+1", "01", "2", "1_0", "1e5", "nan", "-Infinity",
     "#x", "a\u2028", "\x85", "\x1c1", "1\x1f", "1\x00", "a\x00", "-0", " ", "ab",
@@ -273,47 +321,91 @@ VALID = {
     LABEL_KIND: st.sampled_from(LABEL_KIND),
     None: st.text(alphabet=st.sampled_from(list("ab1 \u2028")), max_size=3),
 }
+# in a file with quotes: labels only a quoted cell holds, any value holding
+# what must be quoted, and a stray quote inside an unquoted cell
+QUOTED_KIND = ("a,b", 'q"', "x\ny", "r\rs", "t\r\nu", '"')
+QUOTED = [
+    st.sampled_from(QUOTED_KIND),
+    st.text(alphabet=st.sampled_from(list('ab1,"\n\r')), min_size=1, max_size=4),
+    st.sampled_from(['a"b', '1"', '0"']),
+]
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
 
 
 @st.composite
-def quote_free_files(draw):
-    """A header, then quote-free rows over a mixed schema with some cells
-    and rows malformed; the kinds asked for, in a drawn order."""
-    kinds = draw(st.lists(st.sampled_from(list(VALID)), min_size=1, max_size=5))
-    names = [f"c{i}" for i in range(len(kinds))]
-    cell = {kind: st.one_of(VALID[kind], VALID[kind], st.sampled_from(MALFORMED)) for kind in VALID}
+def csv_files(draw):
+    """A header, then rows over a mixed schema with some cells and rows
+    malformed or blank; each line ended by a drawn line end; at times a
+    byte-order mark or a body cut short. Half the files are quote-free;
+    in the others, a value is quoted where it must be, else at random, and
+    a header cell may span lines. Returns the text and the kinds asked
+    for, in a drawn order."""
+    quoted = draw(st.booleans())
+
+    def cell(raw):
+        if raw[:1] == '"' or any(c in raw for c in ",\n\r") or quoted and draw(st.booleans()):
+            return '"' + raw.replace('"', '""') + '"'
+        return raw
+
+    def value(kind):
+        choices = [st.sampled_from(MALFORMED), *QUOTED * quoted]
+        if kind in VALID:
+            choices += [VALID[kind]] * 2
+        return draw(st.one_of(choices))
+
+    kinds = list(VALID) + [QUOTED_KIND] * quoted
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=5))
+    spans = st.sampled_from(["\n", "\r\nx", "\r"])
+    names = [
+        f"c{i}" + (draw(spans) if quoted and draw(st.integers(0, 3)) == 0 else "")
+        for i in range(len(kinds))
+    ]
     rows = [
-        ",".join(draw(cell[kind]) for kind in kinds)
+        ",".join(cell(value(kind)) for kind in kinds)
         for _ in range(draw(st.integers(0, 6)))
     ]
     if rows and draw(st.booleans()):
         i = draw(st.integers(0, len(rows) - 1))
         rows[i] = draw(st.sampled_from(["", " ", rows[i] + ",1", rows[i].rpartition(",")[0]]))
-    text = "# meta\n" * draw(st.integers(0, 1)) + ",".join(names) + "\n" + "\n".join(rows)
+    for where in ("start", "middle", "end"):
+        if draw(st.integers(0, 7)) == 0:  # a blank line
+            rows.insert({"start": 0, "middle": len(rows) // 2, "end": len(rows)}[where], "")
+    head = "\ufeff" * draw(st.integers(0, 1))
+    head += ("# meta" + draw(LINE_ENDS)) * draw(st.integers(0, 1)) + ",".join(map(cell, names))
+    text = head + "".join(draw(LINE_ENDS) + row for row in rows)
     if rows and draw(st.booleans()):
-        text += "\n"  # else the last row has no line end
+        text += draw(LINE_ENDS)  # else the last row has no line end
+    if draw(st.integers(0, 7)) == 0:  # a body cut short, perhaps inside a quote
+        text = text[: draw(st.integers(len(head), len(text)))]
     asked = draw(st.permutations([(n, k) for n, k in zip(names, kinds) if k is not None]))
     return text, dict(asked)
 
 
-@settings(max_examples=60, deadline=None)
-@given(drawn=quote_free_files())
+@settings(max_examples=300, deadline=None)
+@given(drawn=csv_files())
 def test_typed_read_matches_csv_reader_path(drawn, tmp_path_factory):
+    """Values, dtypes and error class as the ``csv.reader`` oracle gives
+    them, on the typed pass where it accepts and on the cells pass; but
+    where the body ends inside a quote (``test_open_quote_at_end_of_file``)."""
     text, kinds = drawn
     path = tmp_path_factory.mktemp("typed") / "d.csv"
     write_body(path, text)
     kinds_of = lambda header: kinds  # noqa: E731
-    want = outcome(reference, path, kinds_of)
-    fast = outcome(csvio._quote_free_columns, path, kinds_of)
     got = outcome(csvio.read_typed, path, kinds_of)
+    with mock.patch.object(csvio, "decode", refuse_decode):
+        fast = outcome(csvio.read_typed, path, kinds_of)
+    if ends_in_open_quote(text):
+        assert isinstance(got, dict) or issubclass(got, (DataError, LengthMismatch))
+        return
+    want = outcome(reference, path, kinds_of)
     if isinstance(want, type):
-        assert isinstance(fast, type)  # the fast pass never accepts a refused file
+        assert isinstance(fast, type)  # the typed pass never accepts a refused file
         assert got is want
     else:
         assert_same_columns(got, want)
         if not isinstance(fast, type):
             assert_same_columns(fast, want)
-        for name, kind in kinds.items():  # codes are one byte a cell, on both paths
+        for name, kind in kinds.items():  # codes are one byte a cell, on both passes
             if isinstance(kind, tuple):
                 assert want[name].dtype == np.uint8
 
@@ -332,18 +424,79 @@ class TestReadTyped:
         fast_pass_only(monkeypatch)
         calls = []
         loadtxt = np.loadtxt
-        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+
+        def record(source, dtype, **kwargs):
+            calls.append((dtype == object, kwargs["skiprows"], kwargs.get("max_rows")))
+            return loadtxt(source, dtype, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", record)
         out = self.read(tmp_path / "d.csv")
-        assert calls == [1]
+        # the header as cells, then the body in one typed pass
+        assert calls == [(True, 1, 1), (False, 2, None)]
         assert list(out) == list(self.KINDS)
         assert out["v"].tobytes() == np.array([1.5, -0.0]).tobytes()
         assert out["b"].tolist() == [1, 0] and out["b"].dtype == np.uint8
         assert out["c"].tolist() == [4, 0] and out["t"].tolist() == ["x y", "#"]
 
+    @pytest.mark.parametrize(
+        "header, name", [('"#v"', "#v"), ('"v\r\nw"', "v\r\nw"), ('"v\n""w"""', 'v\n"w"')]
+    )
+    def test_quoted_header_keeps_the_typed_pass(self, tmp_path, monkeypatch, header, name):
+        write_body(tmp_path / "d.csv", f"# m\n{header},b\n1.5,0\n2,1\n")
+        fast_pass_only(monkeypatch)
+        out = self.read(tmp_path / "d.csv", {name: "float", "b": csvio.BITS})
+        assert out[name].tolist() == [1.5, 2.0] and out["b"].tolist() == [0, 1]
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_carriage_return_body_read_in_the_typed_pass(self, tmp_path, monkeypatch, end):
+        text = "# m\nv,b,c,t,row\n1.5,1,ab,x y,0\n-0.0,0,a,#,1\n".replace("\n", end)
+        write_body(tmp_path / "d.csv", text)
+        want = reference(tmp_path / "d.csv", lambda header: self.KINDS)
+        fast_pass_only(monkeypatch)
+        assert_same_columns(self.read(tmp_path / "d.csv"), want)
+        write_body(tmp_path / "blank.csv", text + end)
+        with pytest.raises(LengthMismatch, match="blank.csv"):
+            self.read(tmp_path / "blank.csv")
+
+    def test_crlf_copy_reads_as_written(self, tmp_path):
+        data, _, _ = generate_group(SynthConfig(group="group1", seed=2, n_samples=300))
+        schema = data.schema_dict()
+        data.write_csv(tmp_path / "lf.csv", meta="m")
+        lf = (tmp_path / "lf.csv").read_bytes()
+        (tmp_path / "crlf.csv").write_bytes(lf.replace(b"\n", b"\r\n"))
+        want = Dataset.read_csv(tmp_path / "lf.csv", schema)
+        got = Dataset.read_csv(tmp_path / "crlf.csv", schema)
+        assert got.columns == want.columns
+        for name in want.columns:
+            assert got.spec(name) == want.spec(name)
+            assert got.values(name).dtype == want.values(name).dtype
+            assert got.values(name).tobytes() == want.values(name).tobytes()
+
+    def test_crlf_across_chunk_boundary(self, tmp_path):
+        # the scan reads a MB at a time: its first chunk ends on this "\r"
+        text = "t\r\n" + "y" * ((1 << 20) - 4) + "\r\n" + "z\r\n" * 3
+        assert text.encode()[(1 << 20) - 1 :].startswith(b"\r\n")
+        write_body(tmp_path / "d.csv", text)
+        out = self.read(tmp_path / "d.csv", {"t": "text"})
+        assert [len(cell) for cell in out["t"]] == [(1 << 20) - 4, 1, 1, 1]
+
+    def test_open_quote_at_end_of_file(self, tmp_path):
+        """A quote left open runs to the end of the file, as ``csv.reader``
+        reads it; if it takes in a line end, the file is ``LengthMismatch``."""
+        write_body(tmp_path / "d.csv", 't\nx\n"y,z')
+        assert self.read(tmp_path / "d.csv", {"t": "text"})["t"].tolist() == ["x", "y,z"]
+        write_body(tmp_path / "d.csv", 't\nx\n"y\nz')
+        assert self.read(tmp_path / "d.csv", {"t": "text"})["t"].tolist() == ["x", "y\nz"]
+        for text in ['t\nx\n"y\n', 't\n"x\ny\nz\n', 't\n"x\n' + "y\n" * 10000]:
+            write_body(tmp_path / "d.csv", text)
+            assert ends_in_open_quote(text)
+            with pytest.raises(LengthMismatch, match="quote left open"):
+                self.read(tmp_path / "d.csv", {"t": "text"})
+
     @pytest.mark.parametrize("meta", ["", "# m\n"])
     def test_byte_order_mark_ignored(self, tmp_path, monkeypatch, meta):
         kinds = {"T": csvio.BITS, "Y": csvio.BITS}
-        write_body(tmp_path / "q.csv", "\ufeff" + meta + 'T,Y\n"0",1\n1,0\n')  # csv.reader path
+        write_body(tmp_path / "q.csv", "\ufeff" + meta + 'T,Y\n"0",1\n1,0\n')  # cells pass
         want = self.read(tmp_path / "q.csv", kinds)
         assert want["T"].tolist() == [0, 1] and want["Y"].tolist() == [1, 0]
         assert want["T"].dtype == want["Y"].dtype == np.uint8
@@ -356,6 +509,14 @@ class TestReadTyped:
         schema = {"columns": [{"name": "a", "kind": "binary"}, {"name": "b", "kind": "binary"}]}
         with pytest.raises(LengthMismatch):
             Dataset.read_csv(tmp_path / "d.csv", schema)
+
+    @pytest.mark.parametrize("text", ["v,t\n\n", "v,t\r\n\r\n\r\n", '"v\n",t\n\n', "v,t\n1,2\n\n"])
+    def test_blank_lines_ending_the_body_are_length_mismatch(self, tmp_path, text):
+        write_body(tmp_path / "d.csv", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.loadtxt warns on a body of blank lines
+            with pytest.raises(LengthMismatch, match="blank line"):
+                self.read(tmp_path / "d.csv", {"t": "text"})
 
     @pytest.mark.parametrize("text", ["v,t\n", "v,t", "# m\nv,t\n"])
     def test_no_rows_read_without_warning(self, tmp_path, text):
@@ -421,12 +582,3 @@ class TestReadTyped:
         write_body(tmp_path / "d.csv", text)
         with pytest.raises(error):
             self.read(tmp_path / "d.csv", kinds)
-
-    def test_overlong_field_is_a_data_error(self, tmp_path):
-        write_body(tmp_path / "d.csv", "t\nshort\n" + "x" * 20 + "\n")
-        old = csv.field_size_limit(8)
-        try:
-            with pytest.raises(DataError, match="line"):
-                self.read(tmp_path / "d.csv", {"t": "text"})
-        finally:
-            csv.field_size_limit(old)

@@ -519,9 +519,9 @@ class TestOneBytePerCode:
         if not fast:
 
             def refuse(*args):
-                raise ValueError("left to the csv.reader path")
+                raise ValueError("left to the cells pass")
 
-            monkeypatch.setattr(csvio, "_quote_free_columns", refuse)
+            monkeypatch.setattr(csvio, "_typed_columns", refuse)
         again = Dataset.read_csv(tmp_path / "d.csv", tmp_path / "s.json")
         assert [again.values(n).dtype for n in again.columns] == [
             np.uint8, np.uint8, np.uint16, np.float64

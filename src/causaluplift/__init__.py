@@ -11,9 +11,6 @@ from .graph import (
     MutilationSpec,
     build_dag,
     d_separated,
-    descendants,
-    mutilate,
-    parents,
     verify_uplift_conditions,
 )
 from .data import ColumnSpec, Dataset

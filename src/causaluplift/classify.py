@@ -194,7 +194,7 @@ def train_cctm(
     if parents is None:
         found = discover_parents(discretize_dataset(data, bins, rows), y, cfg)
         members = found.members
-        discovery_info = found.to_dict(include_trace=False)
+        discovery_info = found.to_dict()
     else:
         members = list(parents)
         for i, name in enumerate(members):
@@ -344,7 +344,10 @@ def load_model(path):
     encoder (``check``), so a malformed or tampered file is a ValueError
     naming the file and the key or arm, never a wrong or failed prediction."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     if payload.get("format") != MODEL_FORMAT:

@@ -149,7 +149,11 @@ def cmd_generate(args):
         )
     if args.bif:
         with open(args.bif, "r", encoding="utf-8") as fh:
-            net = parse_bif(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeError as exc:
+                raise ValueError(f"{args.bif}: {exc}") from None
+        net = parse_bif(text)
         if args.treatment:
             rng = np.random.default_rng(args.seed)
             codes, truth = sample_with_ground_truth(
@@ -513,7 +517,7 @@ def _apply_config_dir(sub):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             defaults = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(defaults, dict) or not all(
         isinstance(v, dict) for v in defaults.values()

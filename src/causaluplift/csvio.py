@@ -316,8 +316,8 @@ def _cells(path, skiprows, max_rows=None):
     with open(path, encoding="utf-8-sig", newline="") as fh:
         try:
             return _loadtxt(fh, object, skiprows=skiprows, max_rows=max_rows, ndmin=2)
-        except UnicodeError:
-            raise
+        except UnicodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         except ValueError:
             raise LengthMismatch(f"{path}: a row is not as wide as the header") from None
 

@@ -280,7 +280,7 @@ def _schema_specs(schema):
         with open(schema, "r", encoding="utf-8") as fh:
             try:
                 schema = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
                 raise SchemaError(f"{source}: {exc}") from None
     if not isinstance(schema, dict):
         raise SchemaError(f"{source}: expected an object, got {type(schema).__name__}")

@@ -5,7 +5,9 @@ of the outcome equals its parent set, so this local search is all the
 structure learning the pipeline needs. Association between a candidate and
 the target is measured as the complement of the G-squared p-value, with
 ties at p=0 broken by the larger statistic; unreliable tests count as
-independence so sparse strata cannot invent parents.
+independence so sparse strata cannot invent parents. A ``ParentSet``
+holds the members and a trace: a ``TestRecord`` per CI test, in the order
+run, then one ``symmetry-removed`` record per member the symmetry check drops.
 """
 
 from dataclasses import dataclass, field
@@ -48,11 +50,8 @@ class ParentSet:
     members: list
     trace: list = field(default_factory=list)
 
-    def to_dict(self, include_trace=True):
-        out = {"target": self.target, "members": list(self.members)}
-        if include_trace:
-            out["trace"] = [r.to_dict() for r in self.trace]
-        return out
+    def to_dict(self):
+        return {"target": self.target, "members": list(self.members)}
 
 
 def _subsets(pool, max_size):
@@ -61,7 +60,6 @@ def _subsets(pool, max_size):
 
 
 def _record(candidate, target, given, res, phase):
-    # subsets are tuples already
     return TestRecord(candidate, target, given, res.p_value, res.statistic, res.reliable, phase)
 
 
@@ -98,12 +96,11 @@ def mmpc(data, target, cfg=DiscoveryConfig()):
     """
     if target not in data:
         raise UnknownColumn(target)
-    candidates = [c for c in data.columns if c != target]
     trace = []
 
     # best "worst-case" association seen so far, per live candidate:
     # (1 - p, statistic), minimized over tested subsets
-    floor = {c: (2.0, float("inf")) for c in candidates}
+    floor = {c: (2.0, float("inf")) for c in data.columns if c != target}
     cpc = []
     new_subsets = [()]
     while floor:
@@ -114,23 +111,15 @@ def mmpc(data, target, cfg=DiscoveryConfig()):
                 if res.independent:
                     del floor[c]
                     break
-                key = (1.0 - res.p_value, res.statistic)
-                if key < floor[c]:
-                    floor[c] = key
+                floor[c] = min(floor[c], (1.0 - res.p_value, res.statistic))
         if not floor:
             break
-        best = None
-        for c in candidates:  # declaration order breaks ties
-            if c in floor and (best is None or floor[c] > floor[best]):
-                best = c
-        cpc.append(best)
+        # ``floor`` keeps declaration order, and ``max`` keeps the first of a tie
+        best = max(floor, key=floor.__getitem__)
         del floor[best]
         # subsets of the grown set that involve the newest member
-        rest = [m for m in cpc if m != best]
-        new_subsets = [
-            s + (best,)
-            for s in _subsets(rest, cfg.max_cond_size - 1)
-        ]
+        new_subsets = [s + (best,) for s in _subsets(cpc, cfg.max_cond_size - 1)]
+        cpc.append(best)
 
     members = list(cpc)
     for x in list(members):
@@ -154,21 +143,10 @@ def symmetric_correction(data, target, candidate, cfg=DiscoveryConfig()):
     members = []
     trace = list(candidate.trace)
     for x in candidate.members:
-        reverse = mmpc(data, x, cfg)
-        if target in reverse.members:
+        if target in mmpc(data, x, cfg).members:
             members.append(x)
         else:
-            trace.append(
-                TestRecord(
-                    x=x,
-                    y=target,
-                    given=(),
-                    p_value=None,
-                    statistic=None,
-                    reliable=True,
-                    phase="symmetry-removed",
-                )
-            )
+            trace.append(TestRecord(x, target, (), None, None, True, "symmetry-removed"))
     return ParentSet(target=target, members=members, trace=trace)
 
 

@@ -7,7 +7,8 @@ n_{T=0}. The curve evaluates it on growing prefixes of the rows sorted by
 predicted effect (descending, stable); its area is measured relative to the
 straight line from (0, 0) to (1, final uplift), i.e. against random
 targeting. Prefixes with an empty control group are emitted as gaps rather
-than interpolated.
+than interpolated. Every point is read from one cumulative sum per count
+over the sorted rows; the coefficient of a set is the one-prefix case.
 """
 
 import math
@@ -69,19 +70,27 @@ def causal_accuracy(assign, truth, theta=0.0):
     return float((assign == should_treat).mean())
 
 
+def _prefix_uplifts(outcomes, treatments, ends):
+    """The coefficient of the rows before each of ``ends``, or None where
+    they hold no control row; the counts are Python ints, as one prefix's."""
+    hit, treated, control = outcomes == 1, treatments == 1, treatments == 0
+    n11, n10, n_t1, n_t0 = (
+        np.concatenate(([0], np.cumsum(flags)))[ends].tolist()
+        for flags in (hit & treated, hit & control, treated, control)
+    )
+    return [a - b * c / d if d else None for a, b, c, d in zip(n11, n10, n_t1, n_t0)]
+
+
 def qini_coefficient(outcomes, treatments):
     """n11 - n10 * nT1 / nT0 over the supplied rows."""
     outcomes = np.asarray(outcomes)
     treatments = np.asarray(treatments)
     if outcomes.shape[0] != treatments.shape[0]:
         raise LengthMismatch("outcomes and treatments differ in length")
-    n_t1 = int((treatments == 1).sum())
-    n_t0 = int((treatments == 0).sum())
-    if n_t0 == 0:
+    (uplift,) = _prefix_uplifts(outcomes, treatments, [outcomes.shape[0]])
+    if uplift is None:
         raise EmptyControl("no control rows in this subset")
-    n11 = int(((outcomes == 1) & (treatments == 1)).sum())
-    n10 = int(((outcomes == 1) & (treatments == 0)).sum())
-    return n11 - n10 * n_t1 / n_t0
+    return uplift
 
 
 @dataclass
@@ -111,21 +120,10 @@ def qini_curve(effects, outcomes, treatments, n_points=10):
     n_points = min(n_points, n)
 
     order = rank_by_effect(effects)
-    sorted_out = outcomes[order]
-    sorted_trt = treatments[order]
-
-    points = [(0.0, 0.0)]
-    gaps = []
-    for k in range(1, n_points + 1):
-        count = (k * n) // n_points
-        frac = count / n
-        try:
-            uplift = qini_coefficient(sorted_out[:count], sorted_trt[:count])
-        except EmptyControl:
-            points.append((frac, None))
-            gaps.append(frac)
-            continue
-        points.append((frac, uplift))
+    ends = [(k * n) // n_points for k in range(1, n_points + 1)]
+    uplifts = _prefix_uplifts(outcomes[order], treatments[order], ends)
+    points = [(0.0, 0.0), *((end / n, u) for end, u in zip(ends, uplifts))]
+    gaps = [f for f, u in points if u is None]
 
     defined = [(f, u) for f, u in points if u is not None]
     xs = np.array([f for f, _ in defined])

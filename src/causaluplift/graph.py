@@ -180,18 +180,6 @@ def build_dag(nodes, edges):
     return Dag(nodes, edges)
 
 
-def mutilate(g, spec):
-    return g.mutilate(spec)
-
-
-def parents(g, v):
-    return g.parents(v)
-
-
-def descendants(g, v):
-    return g.descendants(v)
-
-
 def d_separated(g, x, y, z):
     """True iff every path between ``x`` and ``y`` is blocked given ``z``.
 

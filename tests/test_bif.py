@@ -139,9 +139,16 @@ class TestParse:
             ("[ 2 ] { on, off }", "[ 3 ] { on, off, on }", 8, 34, "a new category label", "on"),
             ("0.8;", "0.8;\n  table 0.3, 0.7;", 12, 3, "a new parent configuration", "()"),
             ("| Rain )", "| Rain, Rain )", 13, 33, "a new parent name", "Rain"),
+            ("network toy {", "network toy @ {", 2, 13, "a token", "@"),
+            ("0.6;\n}", "0.6;\n  property never closed\n}", 18, 1, "';'", "end of input"),
+            ("variable Sprinkler {", "variable Rain {", 7, 10, "a new variable name", "Rain"),
+            ("( Sprinkler | Rain )", "( Rain )", 13, 15,
+             "a single probability block per variable", "Rain"),
+            ("( yes ) 0.01", "( yes, no ) 0.01", 14, 3, "1 parent values", "2 values"),
         ],
         ids=["fractional-arity", "repeated-label", "repeated-child-label", "second-table-row",
-             "repeated-parent"],
+             "repeated-parent", "no-token", "unclosed-property", "repeated-variable",
+             "second-probability-block", "parent-value-count"],
     )
     def test_refused_at_the_token(self, old, new, line, col, expected, found):
         with pytest.raises(BifSyntaxError) as exc:

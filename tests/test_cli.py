@@ -28,8 +28,31 @@ probability ( Y | T ) {
 """
 
 
+# T -> Y -> Z, and T -> C with three labels
+FOUR_NODE_BIF = """
+variable T { type discrete [ 2 ] { 0, 1 }; }
+variable Y { type discrete [ 2 ] { 0, 1 }; }
+variable C { type discrete [ 3 ] { a, b, c }; }
+variable Z { type discrete [ 2 ] { 0, 1 }; }
+probability ( T ) { table 0.5, 0.5; }
+probability ( Y | T ) { ( 0 ) 0.7, 0.3; ( 1 ) 0.2, 0.8; }
+probability ( C | T ) { ( 0 ) 0.2, 0.3, 0.5; ( 1 ) 0.5, 0.3, 0.2; }
+probability ( Z | Y ) { ( 0 ) 0.9, 0.1; ( 1 ) 0.1, 0.9; }
+"""
+
+
 def run(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def write_tya_schema(directory):
+    """A ``schema.json`` of binary columns T (treatment), Y (outcome) and A."""
+    columns = [
+        {"name": "T", "kind": "binary", "role": "treatment"},
+        {"name": "Y", "kind": "binary", "role": "outcome"},
+        {"name": "A", "kind": "binary", "role": "covariate"},
+    ]
+    (directory / "schema.json").write_text(json.dumps({"columns": columns}))
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +151,32 @@ class TestGenerate:
         assert run("generate", "--bif", bif, "--seed", 1, "--out", out) == 2
         err = capsys.readouterr().err
         assert err == "error: line 5, col 31: expected a new category label, found '0'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "treatment, outcome, says",
+        [
+            ("Z", "Y", "'Z' is not a parent of 'Y' in the generating network"),
+            ("T", "C", "column 'C' is not binary 0/1"),
+            ("T", "Y", "outcome 'Y' has descendants; ground truth undefined"),
+        ],
+        ids=["not-a-parent", "outcome-not-binary", "outcome-has-descendants"],
+    )
+    def test_bif_without_ground_truth_exits_2(self, tmp_path, capsys, treatment, outcome, says):
+        bif = tmp_path / "four.bif"
+        bif.write_text(FOUR_NODE_BIF)
+        out = tmp_path / "g"
+        assert run(
+            "generate", "--bif", bif, "--treatment", treatment, "--outcome", outcome,
+            "--samples", 50, "--seed", 1, "--out", out,
+        ) == 2
+        assert capsys.readouterr().err == f"error: {says}\n"
+        assert not out.exists()
+
+    def test_negative_noise_vars_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        assert run("generate", "--noise-vars", -1, "--seed", 1, "--out", out) == 2
+        assert capsys.readouterr().err == "error: n_noise_vars must be >= 0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -320,20 +369,51 @@ class TestTrainPredictEval:
         (tmp_path / "flat.csv").write_text(
             "T,Y,A\n" + "\n".join("0,1,0" for _ in range(20)) + "\n"
         )
-        schema = {
-            "columns": [
-                {"name": "T", "kind": "binary", "role": "treatment"},
-                {"name": "Y", "kind": "binary", "role": "outcome"},
-                {"name": "A", "kind": "binary", "role": "covariate"},
-            ]
-        }
-        (tmp_path / "schema.json").write_text(json.dumps(schema))
+        write_tya_schema(tmp_path)
         assert run(
             "train", "--data", tmp_path / "flat.csv",
             "--schema", tmp_path / "schema.json",
             "--treatment", "T", "--outcome", "Y", "--parents", "A",
             "--out", tmp_path / "m.json",
         ) == 3
+
+    def test_empty_control_arm_exits_3(self, tmp_path, capsys):
+        (tmp_path / "treated.csv").write_text(
+            "T,Y,A\n" + "\n".join(f"1,{i % 2},{i // 2 % 2}" for i in range(20)) + "\n"
+        )
+        write_tya_schema(tmp_path)
+        out = tmp_path / "m.json"
+        assert run(
+            "train", "--data", tmp_path / "treated.csv",
+            "--treatment", "T", "--outcome", "Y", "--parents", "A", "--out", out,
+        ) == 3
+        assert capsys.readouterr().err == (
+            "error: arm T=0 has no rows (treated=20, control=0)\n"
+        )
+        assert not out.exists()
+
+    def test_forest_feature_subsample(self, workspace, tmp_path):
+        # mtry is the rounded share of the 10 features: 1.0 tries all of them
+        # at every split, so a tree of depth 1 splits on the best one
+        models = {}
+        for share in (0.1, 1.0):
+            path = tmp_path / f"forest{share}.json"
+            assert run(
+                "train", "--data", workspace / "train.csv",
+                "--schema", workspace / "schema.json",
+                "--treatment", "T", "--outcome", "Y", "--parents", ",".join(
+                    ["X8", "X9", "X1", "X2", "X3", "X4", "X5", "X6", "X7", "N1"]
+                ),
+                "--classifier", "forest", "--seed", 3, "--n-trees", 12, "--max-depth", 1,
+                "--feature-subsample", share, "--out", path,
+            ) == 0
+            models[share] = load_model(path)
+        for share, pair in models.items():
+            assert pair.m1.params["feature_subsample"] == share
+        roots = {
+            share: {int(tree[0][0]) for tree in pair.m1.trees} for share, pair in models.items()
+        }
+        assert len(roots[1.0]) == 1 and len(roots[0.1]) > 1
 
     @pytest.mark.parametrize(
         "kind, flag, value",
@@ -425,6 +505,20 @@ class TestTrainPredictEval:
             )
             counts.append(int(cli.read_predictions(path).assign.sum()))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+    def test_predict_other_file_format_exits_2(self, workspace, model_path, tmp_path, capsys):
+        payload = json.loads(model_path.read_text())
+        payload["format"] = "other-model"
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(payload))
+        assert run(
+            "predict", "--model", other,
+            "--data", workspace / "test.csv",
+            "--schema", workspace / "schema.json",
+            "--out", tmp_path / "preds.csv",
+        ) == 2
+        assert capsys.readouterr().err == f"error: {other} is not a causaluplift-model file\n"
+        assert not (tmp_path / "preds.csv").exists()
 
     def test_predict_other_model_version_exits_2(self, workspace, model_path, tmp_path, capsys):
         payload = json.loads(model_path.read_text())
@@ -1001,6 +1095,18 @@ class TestConfigDir:
         payload = json.loads(out.read_text())
         assert payload["tool"]["config"]["alpha"] == 0.2
 
+    def test_directory_without_defaults_changes_nothing(self, workspace, tmp_path, monkeypatch):
+        conf = tmp_path / "conf"
+        conf.mkdir()
+        monkeypatch.setenv("CAUSALUPLIFT_CONFIG_DIR", str(conf))
+        out = tmp_path / "parents.json"
+        assert run(
+            "discover", "--data", workspace / "train.csv",
+            "--schema", workspace / "schema.json", "--target", "Y", "--out", out,
+        ) == 0
+        config = json.loads(out.read_text())["tool"]["config"]
+        assert (config["alpha"], config["max_cond_size"], config["bins"]) == (0.01, 3, 3)
+
     def test_malformed_defaults_exit_2(self, tmp_path, monkeypatch, capsys):
         conf = tmp_path / "conf"
         conf.mkdir()
@@ -1104,3 +1210,66 @@ class TestNonFiniteInput:
             "row,effect,response,potential_y0,potential_y1\n0,0.1,positive,0,1\n"
         )
         assert run("eval", "--predictions", preds, "--ground-truth", truth) == 2
+
+
+def _truncated_model(tmp_path, workspace, model_path, monkeypatch):
+    path = tmp_path / "model.json"
+    path.write_bytes(model_path.read_bytes()[:11])
+    return path, [
+        "predict", "--model", path, "--data", workspace / "test.csv",
+        "--schema", workspace / "schema.json", "--out", tmp_path / "preds.csv",
+    ]
+
+
+def _schema_with_bad_byte(tmp_path, workspace, model_path, monkeypatch):
+    path = tmp_path / "schema.json"
+    path.write_bytes(b'{"columns": ["\xff"]}')
+    return path, [
+        "discover", "--data", workspace / "train.csv", "--schema", path, "--target", "Y",
+    ]
+
+
+def _bif_with_bad_byte(tmp_path, workspace, model_path, monkeypatch):
+    path = tmp_path / "tiny.bif"
+    path.write_bytes(b"// \xff\n" + TINY_BIF.encode())
+    return path, ["generate", "--bif", path, "--seed", 1, "--out", tmp_path / "g"]
+
+
+def _csv_body_with_bad_byte(tmp_path, workspace, model_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"T,Y,A\n1,0,1\n0,1,\xff\n")
+    write_tya_schema(tmp_path)
+    return path, [
+        "train", "--data", path, "--treatment", "T", "--outcome", "Y", "--parents", "A",
+        "--out", tmp_path / "m.json",
+    ]
+
+
+def _defaults_with_bad_byte(tmp_path, workspace, model_path, monkeypatch):
+    conf = tmp_path / "conf"
+    conf.mkdir()
+    path = conf / "defaults.json"
+    path.write_bytes(b'{"generate": {"seed": "\xff"}}')
+    monkeypatch.setenv("CAUSALUPLIFT_CONFIG_DIR", str(conf))
+    return path, ["generate", "--seed", 1, "--out", tmp_path / "g"]
+
+
+@pytest.mark.parametrize(
+    "make, says",
+    [
+        (_truncated_model, "line 1 column 11"),
+        (_schema_with_bad_byte, "can't decode byte 0xff"),
+        (_bif_with_bad_byte, "can't decode byte 0xff"),
+        (_csv_body_with_bad_byte, "can't decode byte 0xff"),
+        (_defaults_with_bad_byte, "can't decode byte 0xff"),
+    ],
+    ids=["truncated-model", "schema", "bif", "csv-body", "defaults"],
+)
+def test_decode_error_names_the_file(
+    workspace, model_path, tmp_path, capsys, monkeypatch, make, says
+):
+    path, argv = make(tmp_path, workspace, model_path, monkeypatch)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and says in err
+    assert err.count("\n") == 1  # one line, no traceback

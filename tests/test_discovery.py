@@ -99,6 +99,16 @@ class TestMmpc:
             )
             assert was_removed == saw_independence
 
+    def test_tie_goes_to_the_column_declared_first(self):
+        # two identical copies of Y's parent tie in every test; the one
+        # declared first enters, and the other is then independent given it
+        rng = np.random.default_rng(12)
+        a = rng.integers(0, 2, 2000)
+        y = (rng.random(2000) < 0.2 + 0.6 * a).astype(int)
+        noise = rng.integers(0, 2, 2000)
+        assert mmpc(binary_dataset(A=a, B=a.copy(), R=noise, Y=y), "Y").members == ["A"]
+        assert mmpc(binary_dataset(B=a.copy(), A=a, R=noise, Y=y), "Y").members == ["B"]
+
     def test_max_cond_size_zero(self):
         data = v_structure_data(seed=7, n=2000)
         found = mmpc(data, "Y", DiscoveryConfig(max_cond_size=0))

@@ -104,6 +104,10 @@ class TestQiniCoefficient:
         with pytest.raises(EmptyControl):
             qini_coefficient(np.array([1, 0]), np.array([1, 1]))
 
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            qini_coefficient(np.array([1]), np.array([1, 0]))
+
     def test_row_permutation_invariant(self):
         rng = np.random.default_rng(92)
         outcomes = rng.integers(0, 2, 300)
@@ -191,9 +195,66 @@ class TestQiniCurve:
         with pytest.raises(LengthMismatch):
             qini_curve(np.zeros(3), np.zeros(2, dtype=int), np.zeros(3, dtype=int))
 
+    def test_empty_input(self):
+        with pytest.raises(LengthMismatch, match="empty input"):
+            qini_curve(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+
     def test_n_points_validated(self):
         with pytest.raises(ValueError):
             qini_curve(np.zeros(5), np.zeros(5, dtype=int), np.ones(5, dtype=int), n_points=1)
+
+
+def prefix_uplift(outcomes, treatments):
+    """n11 - n10 * nT1 / nT0 counted row by row in Python; None with no
+    control row."""
+    n11 = n10 = n_t1 = n_t0 = 0
+    for y, t in zip(outcomes.tolist(), treatments.tolist()):
+        n11 += y == 1 and t == 1
+        n10 += y == 1 and t == 0
+        n_t1 += t == 1
+        n_t0 += t == 0
+    return n11 - n10 * n_t1 / n_t0 if n_t0 else None
+
+
+@st.composite
+def qini_inputs(draw):
+    n = draw(st.integers(1, 300))
+    # few distinct effects, so most rows tie; codes outside {0, 1} count in
+    # neither arm, and a run of treated rows leaves prefixes with no control
+    effect = st.one_of(st.integers(-2, 2).map(float), st.floats(-5, 5))
+    column = lambda values: st.lists(values, min_size=n, max_size=n).map(np.array)  # noqa: E731
+    return (
+        draw(column(effect)),
+        draw(column(st.sampled_from([0, 1, 1, 2]))),
+        draw(column(st.sampled_from([-1, 0, 1, 1, 1, 2]))),
+        draw(st.integers(2, n + 3)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(qini_inputs())
+def test_qini_curve_matches_row_by_row_prefix_counts(inputs):
+    effects, outcomes, treatments, n_points = inputs
+    n = len(effects)
+    order = sorted(range(n), key=lambda i: -effects[i])  # stable, descending
+    counts = [(k * n) // min(n_points, n) for k in range(1, min(n_points, n) + 1)]
+    want = [(0.0, 0.0)] + [
+        (c / n, prefix_uplift(outcomes[order[:c]], treatments[order[:c]])) for c in counts
+    ]
+    curve = qini_curve(effects, outcomes, treatments, n_points=n_points)
+    assert curve.points == want
+    assert curve.gaps == [f for f, u in want if u is None]
+    whole = prefix_uplift(outcomes, treatments)
+    if whole is None:
+        with pytest.raises(EmptyControl):
+            qini_coefficient(outcomes, treatments)
+    else:
+        assert qini_coefficient(outcomes, treatments) == whole
+
+
+def test_qini_coefficient_of_no_rows_is_empty_control():
+    with pytest.raises(EmptyControl):
+        qini_coefficient(np.array([], dtype=int), np.array([], dtype=int))
 
 
 class TestPairedT:

@@ -94,6 +94,23 @@ class TestBehaviour:
                 assert array.flags.owndata
                 assert array.shape == (size,)
 
+    def test_constant_feature_has_no_cuts_and_never_splits(self):
+        # every feature is tried at every split, so the forest is the one
+        # grown on the informative column alone
+        rng = np.random.default_rng(69)
+        signal = rng.random(500)
+        y = (signal + 0.3 * rng.random(500) > 0.6).astype(int)
+        X = np.column_stack([np.full(500, 5.0), signal])
+        hp = {"seed": 4, "n_trees": 6, "feature_subsample": 1.0}
+        model = fit_forest(X, y, hp)
+        alone = fit_forest(X[:, 1:], y, hp)
+        assert model.cuts[0].size == 0
+        for tree, want in zip(model.trees, alone.trees):
+            assert np.array_equal(tree[0], np.where(want[0] >= 0, want[0] + 1, -1))
+            for got, expected in zip(tree[1:], want[1:]):
+                assert np.array_equal(got, expected)
+        assert np.array_equal(model.predict_proba(X), alone.predict_proba(X[:, 1:]))
+
     def test_continuous_split_quantization(self):
         # >64 distinct values collapse to quantile cuts; monotone signal
         # must still be learnable

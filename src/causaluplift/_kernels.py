@@ -64,7 +64,7 @@ def pack_level_block(columns, arities):
         onehot = codes[:, None, :] == np.arange(arity, dtype=np.uint8)[:, None]
         rows = (start[group][:, None] + np.arange(arity)).ravel()
         block[rows, : -(-n // 8)] = np.packbits(
-            onehot.reshape(-1, n), axis=1, bitorder="little"
+            onehot.reshape(group.size * arity, n), axis=1, bitorder="little"
         )
     return block.view(np.uint64), start
 
@@ -86,7 +86,7 @@ def stacked_counts(x_columns, x_arities, columns, arities, x_bits=None, bits=Non
         # the joint levels of ``columns``, row-major
         strata = bits[0]
         for b in bits[1:]:
-            strata = (strata[:, None] & b[None]).reshape(-1, strata.shape[1])
+            strata = (strata[:, None] & b[None]).reshape(len(strata) * len(b), -1)
         strata = strata[None]
         step = max(1, COUNT_CHUNK_WORDS // max(1, strata.size))
         # popcounts are uint8: sum them in int64

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import column_specs
+from .data import column_specs, read_json
 from .discovery import DiscoveryConfig, discover_parents
 from .errors import (
     DataError,
@@ -23,7 +23,6 @@ from .errors import (
     MissingColumn,
     NonBinary,
     SchemaError,
-    UnknownColumn,
     UnseenCategoryWarning,
 )
 from .forest import ForestModel, fit_forest, forest_hyperparameters
@@ -182,9 +181,6 @@ def train_cctm(
     straight from ``data``, and only the treatment, the outcome and the
     parents are copied for the fit.
     """
-    for name in (t, y):
-        if name not in data:
-            raise UnknownColumn(name)
     if t == y:
         raise ValueError(f"the treatment {t!r} is also the outcome")
     binary_values(data, t)
@@ -203,9 +199,6 @@ def train_cctm(
             if name in members[:i]:
                 raise ValueError(f"the parents list {name!r} twice")
     parents_excl_t = [m for m in members if m != t]
-    for name in parents_excl_t:
-        if name not in data:
-            raise UnknownColumn(name)
     if not parents_excl_t:
         warnings.warn(
             "no parents besides the treatment; both models are constants",
@@ -220,10 +213,8 @@ def train_cctm(
     treated = data.values(t) == 1
     n1 = int(treated.sum())
     n0 = int(data.n_rows - n1)
-    if n1 == 0:
-        raise EmptyArm(1, n1, n0)
-    if n0 == 0:
-        raise EmptyArm(0, n1, n0)
+    if n1 == 0 or n0 == 0:
+        raise EmptyArm(int(n1 == 0), n1, n0)
 
     encoder = FeatureEncoder.build(data, parents_excl_t)
     if encoder.width == 0:
@@ -343,11 +334,7 @@ def load_model(path):
     first, then each arm is read by its model class and checked against the
     encoder (``check``), so a malformed or tampered file is a ValueError
     naming the file and the key or arm, never a wrong or failed prediction."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
-            raise ValueError(f"{path}: {exc}") from None
+    payload = read_json(path)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     if payload.get("format") != MODEL_FORMAT:

@@ -12,6 +12,7 @@ maps subcommand names to flag defaults, each checked against ``_FLAGS``.
 
 import argparse
 import collections
+import dataclasses
 import hashlib
 import json
 import os
@@ -30,7 +31,7 @@ from .classify import (
     save_model,
     train_cctm,
 )
-from .data import Dataset, write_schema
+from .data import Dataset, read_json, write_json, write_schema
 from .datagen import (
     GroundTruth,
     SynthConfig,
@@ -63,12 +64,6 @@ def _meta_line(config):
     return f"causaluplift={__version__} config={_config_hash(config)}"
 
 
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
 def _load_dataset(args):
     schema = args.schema
     if schema is None:
@@ -88,18 +83,10 @@ def _classifier_spec(args):
 def _discovery(args):
     """The discovery config of ``args``, and the entries that every command
     which discovers parents stamps into its config."""
-    cfg = DiscoveryConfig(
-        alpha=args.alpha,
-        max_cond_size=args.max_cond_size,
-        symmetric=not args.no_symmetric,
-    )
-    entries = {
-        "alpha": cfg.alpha,
-        "max_cond_size": cfg.max_cond_size,
-        "symmetric": cfg.symmetric,
-        "bins": args.bins,
-    }
-    return cfg, entries
+    if args.bins < 2:
+        raise ValueError(f"--bins must be >= 2, got {args.bins}")
+    cfg = DiscoveryConfig(args.alpha, args.max_cond_size, symmetric=not args.no_symmetric)
+    return cfg, {**dataclasses.asdict(cfg), "bins": args.bins}
 
 
 def _training(args, command, **entries):
@@ -138,6 +125,8 @@ def _training(args, command, **entries):
 
 def cmd_generate(args):
     """synthesize benchmark data with ground truth"""
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     if args.split is not None and not 0.0 < args.split < 1.0:
         raise ValueError("--split must be in (0, 1)")
     if (args.treatment or args.outcome) and not args.bif:
@@ -222,8 +211,8 @@ def cmd_discover(args):
     """find the outcome's parent set"""
     from .stats import discretize_dataset
 
-    data = _load_dataset(args)
     cfg, entries = _discovery(args)
+    data = _load_dataset(args)
     config = {"command": "discover", "target": args.target, **entries}
     found = discover_parents(discretize_dataset(data, args.bins), args.target, cfg)
     payload = {
@@ -236,15 +225,15 @@ def cmd_discover(args):
     if args.explain:
         payload["trace"] = [r.to_dict() for r in found.trace]
     if args.out:
-        _write_json(args.out, payload)
+        write_json(args.out, payload)
     print(json.dumps({"target": found.target, "members": list(found.members)}))
     return 0
 
 
 def cmd_train(args):
     """fit the two-model pair"""
-    data = _load_dataset(args)
     config, fit_pair = _training(args, "train")
+    data = _load_dataset(args)
     pair = fit_pair(data)
     save_model(pair, args.out, extra={"tool": _tool_block(config)})
     print(
@@ -315,7 +304,7 @@ def cmd_eval(args):
         if args.curve_out:
             _write_curve_csv(args.curve_out, curve.points, config)
     if args.out:
-        _write_json(args.out, payload)
+        write_json(args.out, payload)
     summary = {k: v for k, v in payload.items() if k in ("causal_accuracy", "qini_coefficient", "coefficient_area")}
     print(json.dumps(summary))
     return 0
@@ -348,10 +337,10 @@ def _fold_curve(args, data, fit_pair, train_idx, test_idx):
 
 def cmd_qini(args):
     """cross-validated Qini curves"""
-    data = _load_dataset(args)
     config, fit_pair = _training(
         args, "qini", folds=args.folds, points=args.points, seed=args.seed
     )
+    data = _load_dataset(args)
     folds = kfold_split(data.n_rows, args.folds, args.seed)
     smallest = min(len(test_idx) for _, test_idx in folds)
     if smallest < 2:
@@ -389,7 +378,7 @@ def cmd_qini(args):
         "areas": areas,
         "mean_area": float(np.mean(areas)),
     }
-    _write_json(os.path.join(args.out_dir, "metrics.json"), payload)
+    write_json(os.path.join(args.out_dir, "metrics.json"), payload)
     print(json.dumps({"mean_area": payload["mean_area"]}))
     return 0
 
@@ -514,11 +503,7 @@ def _apply_config_dir(sub):
     path = os.path.join(config_dir, "defaults.json")
     if not os.path.exists(path):
         return
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            defaults = json.load(fh)
-        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
-            raise ValueError(f"{path}: {exc}") from None
+    defaults = read_json(path)
     if not isinstance(defaults, dict) or not all(
         isinstance(v, dict) for v in defaults.values()
     ):

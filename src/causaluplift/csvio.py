@@ -6,10 +6,11 @@ a column at a time.
 (integer codes into it; a binary column's are ``BITS``), or ``"text"``.
 It encodes ``CHUNK_ROWS`` rows at a time, each column of a chunk in one
 pass (shortest round-trip ``repr`` for floats, each label quoted once by
-``csv.writer``'s minimal-quoting rules), and joins the cells into lines.
-A chunk's lines are written to the file, and those of the rows each part
-file holds to that file, before the next chunk is encoded: nothing is
-returned, and no more than one chunk's lines is ever held.
+``quote``: in quotes, inner quotes doubled, when it holds a comma, a quote
+or a line end), and joins the cells into lines. A chunk's lines are
+written to the file, and those of the rows each part file holds to that
+file, before the next chunk is encoded: nothing is returned, and no more
+than one chunk's lines is ever held.
 
 ``read_typed`` reads with the caller naming each column's kind:
 ``"float"``, a tuple of labels or ``"text"``. One tokenizer splits every
@@ -33,8 +34,6 @@ Continuous cells must be finite.
 
 import codecs
 import contextlib
-import csv
-import io
 import os
 import re
 from itertools import chain
@@ -71,16 +70,16 @@ CHUNK_ROWS = 256
 
 
 def quote(label):
-    """``label`` as ``csv.writer`` writes it among other fields.
+    r"""``label`` as a cell: in quotes, each inner quote doubled, when it
+    holds a ``,``, ``"``, ``\r`` or ``\n``; else as it is.
 
-    The ``"\r\n"`` terminator makes minimal quoting quote a ``"\r"`` as
-    well as a ``"\n"`` (Python 3.11 leaves a bare ``"\r"`` unquoted under
-    ``"\n"``, and a reader then splits the row there); files still
-    end their lines in ``"\n"``.
+    This is ``csv.writer``'s minimal quoting under a ``"\r\n"``
+    terminator, which quotes a ``"\r"`` as well as a ``"\n"`` (Python
+    3.11 leaves a bare ``"\r"`` unquoted under ``"\n"``, and a reader then
+    splits the row there); files still end their lines in ``"\n"``.
     """
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\r\n").writerow([label, ""])
-    return buf.getvalue()[:-3]
+    quoted = any(c in label for c in ',"\r\n')
+    return '"' + label.replace('"', '""') + '"' if quoted else label
 
 
 def _float_cells(values):
@@ -127,10 +126,10 @@ def _create(stack, path, header, meta):
     fh = stack.enter_context(open(path, "w", newline="", encoding="utf-8"))
     if meta:
         fh.write(f"# {meta}\n")
-    if header and header[0].startswith("#"):
-        first, header = header[0].replace('"', '""'), header[1:]
-        fh.write(f'"{first}",' if header else f'"{first}"')
-    fh.writelines(_join_rows([[quote(name)] for name in header]) or ["\n"])
+    cells = [quote(name) for name in header]
+    if cells and cells[0].startswith("#"):  # left unquoted, so it holds no quote
+        cells[0] = f'"{cells[0]}"'
+    fh.writelines(_join_rows([[cell] for cell in cells]) or ["\n"])
     return fh
 
 

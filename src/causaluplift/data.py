@@ -5,10 +5,11 @@ Columns are binary (codes of the labels ``"0"``, ``"1"``), categorical
 binary or categorical column have the narrowest unsigned dtype of its
 arity, ``csvio.code_dtype(arity)``: one byte a cell up to 256 levels, from
 the CSV read through every row subset to the G-squared counts. On-disk
-format is an RFC-style CSV with a mandatory header plus a JSON schema
-sidecar carrying column kinds, roles and category vocabularies, read and
-written by ``csvio``. Lines starting with ``#`` before the header are
-comments (the CLI uses one to stamp tool version and config hash).
+format is an RFC-style CSV with a mandatory header (``csvio``) plus a
+JSON schema sidecar carrying column kinds, roles and category vocabularies
+(``read_json`` and ``write_json``, the one JSON reader and writer). Lines
+starting with ``#`` before the header are comments (the CLI uses one to
+stamp tool version and config hash).
 """
 
 import dataclasses
@@ -277,11 +278,7 @@ def _schema_specs(schema):
     source = "schema"
     if isinstance(schema, str) or hasattr(schema, "read_text"):
         source = str(schema)
-        with open(schema, "r", encoding="utf-8") as fh:
-            try:
-                schema = json.load(fh)
-            except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
-                raise SchemaError(f"{source}: {exc}") from None
+        schema = read_json(schema, SchemaError)
     if not isinstance(schema, dict):
         raise SchemaError(f"{source}: expected an object, got {type(schema).__name__}")
     if not isinstance(schema.get("columns"), list):
@@ -321,9 +318,21 @@ def column_specs(entries, source, key="columns"):
 
 
 def write_schema(path, dataset, extra=None):
-    payload = dataset.schema_dict()
-    if extra:
-        payload.update(extra)
+    write_json(path, {**dataset.schema_dict(), **(extra or {})})
+
+
+def read_json(path, error=ValueError):
+    """The JSON value of the UTF-8 file ``path``; text that is not JSON, or
+    not UTF-8, is ``error`` naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+            raise error(f"{path}: {exc}") from None
+
+
+def write_json(path, payload):
+    """Write ``payload`` as indented JSON, with a final line end."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

@@ -47,9 +47,6 @@ def forest_hyperparameters(hyperparameters=None):
         raise ValueError("forest classifier requires a seed")
     if hp["feature_subsample"] is not None and hp["feature_subsample"] > 1:
         raise ValueError("feature_subsample must be in (0, 1]")
-    for key in ("n_trees", "min_leaf"):
-        if hp[key] < 1:
-            raise ValueError(f"{key} must be >= 1")
     return hp
 
 

@@ -189,7 +189,26 @@ class TestGenerate:
         assert run(
             "generate", "--bif", bif, *given, "--samples", -5, "--seed", 1, "--out", out
         ) == 2
-        assert capsys.readouterr().err == "error: n must be >= 0\n"
+        assert capsys.readouterr().err == "error: --samples must be >= 1, got -5\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ("--group", "group1"),
+            ("--bif", "BIF"),
+            ("--bif", "BIF", "--treatment", "T", "--outcome", "Y"),
+        ],
+        ids=["group", "bif-sample", "bif-ground-truth"],
+    )
+    def test_zero_samples_exits_2(self, tmp_path, capsys, source):
+        """Refused on every path, before anything is written."""
+        bif = tmp_path / "tiny.bif"
+        bif.write_text(TINY_BIF)
+        source = [bif if arg == "BIF" else arg for arg in source]
+        out = tmp_path / "g"
+        assert run("generate", *source, "--samples", 0, "--seed", 1, "--out", out) == 2
+        assert capsys.readouterr().err == "error: --samples must be >= 1, got 0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -334,6 +353,45 @@ class TestDiscover:
             "discover", "--data", workspace / "train.csv",
             "--schema", workspace / "schema.json", "--target", "ZZZ",
         ) == 2
+
+    def test_header_only_data_finds_no_parents(self, tmp_path, capsys):
+        write_tya_schema(tmp_path)
+        (tmp_path / "d.csv").write_text("T,Y,A\n")
+        assert run("discover", "--data", tmp_path / "d.csv", "--target", "Y") == 0
+        assert capsys.readouterr().out == '{"target": "Y", "members": []}\n'
+
+    @pytest.mark.parametrize("bins", [1, 0, -4])
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("discover", ("--target", "Y", "--out", "out")),
+            ("train", ("--treatment", "T", "--outcome", "Y", "--out", "out")),
+            ("qini", ("--treatment", "T", "--outcome", "Y", "--out-dir", "out")),
+        ],
+        ids=["discover", "train", "qini"],
+    )
+    def test_bins_below_two_exit_2_on_discrete_data(self, tmp_path, capsys, command, flags, bins):
+        """Refused whatever the data, though all-discrete data never bins."""
+        gen = tmp_path / "gen"
+        bif = tmp_path / "four.bif"
+        bif.write_text(FOUR_NODE_BIF)
+        assert run("generate", "--bif", bif, "--samples", 200, "--seed", 1, "--out", gen) == 0
+        capsys.readouterr()
+        flags = [tmp_path / "out" if flag == "out" else flag for flag in flags]
+        assert run(command, "--data", gen / "data.csv", *flags, "--bins", bins) == 2
+        assert capsys.readouterr().err == f"error: --bins must be >= 2, got {bins}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_internal_error_exits_1(self, workspace, capsys, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("not an input error")
+
+        monkeypatch.setattr(cli, "discover_parents", fail)
+        assert run(
+            "discover", "--data", workspace / "train.csv", "--target", "Y",
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback") and "RuntimeError: not an input error" in err
 
 
 @pytest.fixture(scope="module")

@@ -49,6 +49,32 @@ class TestDataset:
     def test_unknown_column(self, small):
         with pytest.raises(UnknownColumn):
             small.values("nope")
+        with pytest.raises(UnknownColumn):
+            small.spec("nope")
+
+    def test_continuous_column_has_no_arity(self, small):
+        with pytest.raises(ValueError, match="'age' is continuous"):
+            small.arity("age")
+
+    def test_duplicate_column_rejected(self, small):
+        with pytest.raises(ValueError, match="duplicate column 'T'"):
+            Dataset([ColumnSpec("T", "binary")] * 2, {"T": np.array([0, 1])})
+        with pytest.raises(ValueError, match="duplicate column"):
+            small.select(["T", "age", "T"])
+
+    def test_replace_swaps_one_column_checked(self, small):
+        swapped = small.replace(ColumnSpec("color", "binary"), np.array([1, 0, 0, 1]))
+        assert swapped.columns == small.columns
+        assert swapped.spec("color").kind == "binary"
+        assert swapped.values("color").tolist() == [1, 0, 0, 1]
+        assert swapped.values("age") is small.values("age")
+        with pytest.raises(NonBinary):
+            small.replace(ColumnSpec("color", "binary"), np.array([0, 2, 1, 1]))
+
+    def test_object_codes_read_as_numbers(self):
+        data = Dataset([ColumnSpec("b", "binary")], {"b": np.array([1, 0], dtype=object)})
+        assert data.values("b").tolist() == [1, 0]
+        assert data.values("b").dtype == csvio.code_dtype(2)
 
     def test_non_binary_rejected(self):
         with pytest.raises(NonBinary):
@@ -225,7 +251,9 @@ class TestCsvRoundTrip:
         assert again.values("tag").tolist() == [0, 1, 0, 0]
         assert again.values("T").tolist() == [1, 0, 1, 0]
 
-    @pytest.mark.parametrize("names", [["#id", "T"], ['#"q"'], ["#", ""]])
+    @pytest.mark.parametrize(
+        "names", [["#id", "T"], ['#"q"'], ["#", ""], ["#a,b", "T"], ["#\n", "x"], ["#\r\n"]]
+    )
     @pytest.mark.parametrize("meta", [None, "v=1"])
     def test_hash_first_column_name_round_trips(self, tmp_path, names, meta):
         specs = [ColumnSpec(names[0], "continuous")]

@@ -7,6 +7,7 @@ import pytest
 
 from causaluplift.datagen import (
     BayesNet,
+    _bernoulli_cpt,
     GroundTruth,
     SynthConfig,
     generate_group,
@@ -14,6 +15,7 @@ from causaluplift.datagen import (
     group2_network,
     response_labels,
     sample,
+    sample_with_ground_truth,
     true_effect,
     true_effects,
 )
@@ -22,6 +24,7 @@ from causaluplift.errors import (
     NonBinary,
     RowSumViolation,
     TNotParent,
+    UnknownNode,
 )
 from causaluplift.graph import Dag
 from causaluplift.special import chi_square_sf
@@ -43,6 +46,20 @@ class TestBayesNetValidation:
         dag = Dag(["A"], [])
         with pytest.raises(RowSumViolation):
             BayesNet(dag, {"A": ("0", "1")}, {"A": np.array([[0.5, 0.4]])}, {"A": ()})
+
+    def test_negative_probability_refused(self):
+        dag = Dag(["A"], [])
+        with pytest.raises(ValueError, match="negative probability in CPT of 'A'"):
+            BayesNet(dag, {"A": ("0", "1")}, {"A": np.array([[1.5, -0.5]])}, {"A": ()})
+
+    def test_hidden_node_must_be_in_the_net(self):
+        dag = Dag(["A"], [])
+        with pytest.raises(UnknownNode):
+            BayesNet(dag, {"A": ("0", "1")}, {"A": np.array([[0.5, 0.5]])}, {"A": ()}, ["H"])
+
+    def test_bernoulli_probability_out_of_range(self):
+        with pytest.raises(ValueError, match="probability 1.5 out of range"):
+            _bernoulli_cpt((2,), lambda a: 0.5 + a)
 
     def test_missing_cpt(self):
         dag = Dag(["A", "B"], [("A", "B")])
@@ -95,6 +112,13 @@ class TestBayesNetValidation:
 
 
 class TestSampling:
+    def test_negative_row_count_refused(self):
+        net = two_node_net((0.2, 0.9))
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            sample(net, -1, 0)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            sample_with_ground_truth(net, "T", "Y", -1, np.random.default_rng(0))
+
     def test_deterministic_cpts_give_unique_configuration(self):
         dag = Dag(["A", "B"], [("A", "B")])
         net = BayesNet(
@@ -183,6 +207,17 @@ class TestTrueEffect:
             {"T": (), "Y": ()},
         )
         with pytest.raises(TNotParent):
+            true_effect(net, "T", "Y", {})
+
+    def test_row_must_give_every_observed_node(self):
+        dag = Dag(["X", "T", "Y"], [("X", "Y"), ("T", "Y")])
+        net = BayesNet(
+            dag,
+            dict.fromkeys("XTY", ("0", "1")),
+            {"X": [[0.5, 0.5]], "T": [[0.5, 0.5]], "Y": [[0.5, 0.5]] * 4},
+            {"X": (), "T": (), "Y": ("X", "T")},
+        )
+        with pytest.raises(UnknownNode, match="'X'"):
             true_effect(net, "T", "Y", {})
 
     def test_binary_outcome_required(self):
@@ -376,6 +411,8 @@ class TestGenerateGroup:
             SynthConfig(group="group1", seed=0, n_samples=0)
         with pytest.raises(ValueError):
             SynthConfig(group="group1", seed=0, continuous_fraction=1.5)
+        with pytest.raises(ValueError, match="seed is required"):
+            SynthConfig(group="group1", seed=None)
 
 
 class TestGroundTruthCsv:

@@ -51,6 +51,10 @@ class TestPrf:
         score = prf(set(), set())
         assert (score.precision, score.recall, score.f1) == (1.0, 1.0, 1.0)
 
+    def test_no_hit_convention(self):
+        score = prf({"A"}, {"B"})
+        assert (score.precision, score.recall, score.f1) == (0.0, 0.0, 0.0)
+
     def test_relabeling_symmetry(self):
         a = prf({"A", "B"}, {"B", "C"})
         b = prf({"X", "Y"}, {"Y", "Z"})

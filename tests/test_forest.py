@@ -20,11 +20,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             fit_forest(X, y, {"seed": 1, "feature_subsample": 1.5})
 
+    def test_no_rows_refused(self):
+        with pytest.raises(ValueError, match="at least one training row"):
+            fit_forest(np.zeros((0, 2)), np.zeros(0), {"seed": 1})
+
     def test_min_leaf_positive(self):
         X = np.random.default_rng(0).random((20, 3))
         y = np.array([0, 1] * 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="min_leaf must be positive"):
             fit_forest(X, y, {"seed": 1, "min_leaf": 0})
+        with pytest.raises(ValueError, match="n_trees must be positive"):
+            fit_forest(X, y, {"seed": 1, "n_trees": 0})
 
     def test_single_class_constant(self):
         with pytest.warns(DegenerateLabelsWarning):

@@ -69,6 +69,17 @@ class TestBuildDag:
     def test_unknown_node(self):
         with pytest.raises(UnknownNode):
             build_dag(["A"], [("A", "B")])
+        with pytest.raises(UnknownNode):
+            build_dag(["A"], [("B", "A")])
+
+    def test_duplicate_node(self):
+        with pytest.raises(ValueError, match="duplicate node name 'A'"):
+            build_dag(["A", "B", "A"], [])
+
+    def test_hash_and_repr(self):
+        g = build_dag(["A", "B"], [("A", "B")])
+        assert hash(g) == hash(build_dag(["A", "B"], [("A", "B")]))
+        assert repr(g) == "Dag(2 nodes, 1 edges)"
 
     def test_duplicate_edge(self):
         with pytest.raises(DuplicateEdge):
@@ -294,6 +305,15 @@ class TestVerifyUpliftConditions:
         g = build_dag(["T", "Y", "P"], [("P", "Y"), ("P", "T")])
         report = verify_uplift_conditions(g, "T", "Y")
         assert not report.t_is_parent_of_y
+
+    def test_outcome_causing_treatment_fails_rule2(self):
+        report = verify_uplift_conditions(build_dag(["Y", "T"], [("Y", "T")]), "T", "Y")
+        assert report.rule1_holds and not report.rule2_holds
+        assert "T remains associated with Y given parents" in " ".join(report.violations)
+
+    def test_treatment_is_outcome_refused(self):
+        with pytest.raises(OverlappingSets):
+            verify_uplift_conditions(build_dag(["T"], []), "T", "T")
 
     def test_group1_fixture(self):
         net = group1_network()

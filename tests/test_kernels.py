@@ -167,7 +167,7 @@ def counts_both_ways(columns, arities):
     return by_bits, by_bincount, want
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 18000])
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 18000])
 def test_bit_counts_match_oracle(n):
     rng = np.random.default_rng(n)
     for arities in ([2, 2], [3, 2], [2, 3, 2], [3, 2, 3], [2, 2, 2, 2], [3, 2, 2, 3]):

@@ -28,6 +28,10 @@ class TestDegenerate:
         assert model.p == pytest.approx(10 / 11)
         assert model.predict_proba(np.zeros((3, 2))).tolist() == [10 / 11] * 3
 
+    def test_no_rows_refused(self):
+        with pytest.raises(ValueError, match="at least one training row"):
+            fit_logistic(np.zeros((0, 2)), np.zeros(0))
+
     def test_all_negative_labels(self):
         with pytest.warns(DegenerateLabelsWarning):
             model = fit_logistic(np.zeros((4, 1)), np.zeros(4, dtype=int))

@@ -104,6 +104,11 @@ class TestRegularizedBeta:
         assert regularized_beta(2.0, 3.0, 0.0) == 0.0
         assert regularized_beta(2.0, 3.0, 1.0) == 1.0
 
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, -2.0)])
+    def test_bad_shape(self, a, b):
+        with pytest.raises(ValueError, match="shape parameters must be positive"):
+            regularized_beta(a, b, 0.5)
+
     def test_matches_mpmath(self):
         for a, b in ((0.5, 0.5), (2.0, 5.0), (10.0, 0.5), (60.0, 0.5)):
             for x in (0.05, 0.3, 0.7, 0.95):

@@ -79,6 +79,10 @@ class TestDiscretize:
         # median is 1.0; the tied values land in the lower bin
         assert disc.codes.tolist() == [0, 0, 0, 0, 1, 1]
 
+    def test_one_bin_refused(self):
+        with pytest.raises(ValueError, match="bins must be >= 2"):
+            discretize(np.arange(4.0), bins=1)
+
     def test_empty_column(self):
         with pytest.raises(EmptyColumn):
             discretize(np.empty(0), bins=2)
@@ -297,6 +301,11 @@ class TestG2:
         res = g2_from_table(table, alpha=0.05)
         assert res.independent and not res.reliable
         assert res.dof == 0 and res.p_value == 1.0
+
+    @pytest.mark.parametrize("z", [[], ["z"], ["z", "w"]])
+    def test_empty_dataset_is_independent_unreliable(self, z):
+        data = categorical_dataset({"x": 2, "y": 3, "z": 3, "w": 2}, x=[], y=[], z=[], w=[])
+        assert g2_test(data, "x", "y", z) == CITestResult(0.0, 0, 1.0, True, False)
 
     def test_unreliable_counts_as_independent(self):
         # 12 rows, dof 4 after conditioning -> needs 20; verdict forced to

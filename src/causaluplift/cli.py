@@ -19,6 +19,10 @@ import os
 import sys
 import traceback
 
+# Before numpy loads: a second OpenBLAS thread costs ~65 ms of start-up, speeds
+# no product this small, and changes logistic weights' last bits with the core count.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from . import __version__, csvio
@@ -340,20 +344,28 @@ def cmd_qini(args):
     config, fit_pair = _training(
         args, "qini", folds=args.folds, points=args.points, seed=args.seed
     )
+    if args.folds < 2:
+        raise ValueError(f"--folds must be >= 2, got {args.folds}")
     data = _load_dataset(args)
-    folds = kfold_split(data.n_rows, args.folds, args.seed)
-    smallest = min(len(test_idx) for _, test_idx in folds)
+    smallest = data.n_rows // args.folds  # the smallest test fold kfold_split makes
     if smallest < 2:
         # a curve needs two points, so a fold of one row fits no --points
+        bound = (
+            f"--folds must be at most {data.n_rows // 2}"
+            if data.n_rows >= 4
+            else "the data needs at least 4 rows"
+        )
         raise ValueError(
-            f"--folds {args.folds} leaves a test fold of {smallest} row of {data.n_rows};"
-            f" every fold needs at least 2, so --folds must be at most {data.n_rows // 2}"
+            f"--folds {args.folds} leaves a test fold of {smallest}"
+            f" row{'' if smallest == 1 else 's'} of {data.n_rows};"
+            f" every fold needs at least 2, so {bound}"
         )
     if not 2 <= args.points <= smallest:
         # past the smallest fold, its curve would stop short, and the mean curve with it
         raise ValueError(
             f"--points must be in [2, {smallest}] (the smallest test fold), got {args.points}"
         )
+    folds = kfold_split(data.n_rows, args.folds, args.seed)
     rows = []
     per_point = {}
     areas = []

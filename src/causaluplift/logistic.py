@@ -22,9 +22,10 @@ LOGISTIC_DEFAULTS = {
 
 def merge_hyperparameters(defaults, hyperparameters, integers=()):
     """``defaults`` updated with ``hyperparameters``, refusing unknown names,
-    values of the keys in ``integers`` that are not integers (a bool is
-    not), and values that are not positive and finite (``seed`` is exempt
-    from this last check, and ``None`` from both)."""
+    ``None`` for a key whose default is not ``None``, values of the keys in
+    ``integers`` that are not integers (a bool is not), and values that are
+    not positive and finite (``seed`` is exempt from this last check, and
+    ``None`` from both)."""
     hyperparameters = hyperparameters or {}
     unknown = set(hyperparameters) - set(defaults)
     if unknown:
@@ -33,6 +34,8 @@ def merge_hyperparameters(defaults, hyperparameters, integers=()):
     hp.update(hyperparameters)
     for key, value in hp.items():
         if value is None:
+            if defaults[key] is not None:
+                raise ValueError(f"hyperparameter {key} must not be None")
             continue
         if key in integers and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
             raise ValueError(f"hyperparameter {key} must be an integer")

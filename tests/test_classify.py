@@ -83,6 +83,12 @@ BAD_HYPERPARAMETERS = [
     ("forest", {"seed": 1, "min_leaf": 2.0}),
     ("forest", {"seed": 1.5}),
     ("forest", {"seed": True}),
+    # None only where the default is None
+    ("logistic", {"l2_penalty": None}),
+    ("logistic", {"max_iterations": None}),
+    ("logistic", {"convergence_tol": None}),
+    ("forest", {"seed": 0, "n_trees": None}),
+    ("forest", {"seed": 0, "min_leaf": None}),
 ]
 
 
@@ -137,6 +143,17 @@ class TestSpec:
     def test_positivity(self):
         with pytest.raises(ValueError):
             ClassifierSpec("logistic", {"l2_penalty": -1.0})
+
+    def test_none_only_where_the_default_is_none(self):
+        rng = np.random.default_rng(0)
+        X, y = rng.random((20, 2)), np.array([0, 1] * 10)
+        hp = {"n_trees": None, "seed": 0}
+        for refuse in (lambda: ClassifierSpec("forest", hp), lambda: fit_forest(X, y, hp)):
+            with pytest.raises(ValueError, match="^hyperparameter n_trees must not be None$"):
+                refuse()
+        kept = {"n_trees": 2, "max_depth": None, "feature_subsample": None, "seed": 0}
+        assert ClassifierSpec("forest", kept).resolved() == {**kept, "min_leaf": 1}
+        assert fit_forest(X, y, kept).predict_proba(X).shape == (20,)
 
 
 class TestTrain:

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import causaluplift
 from causaluplift import classify, cli
 from causaluplift.classify import load_model, predict_cctm
 from causaluplift.data import ColumnSpec, Dataset, write_schema
@@ -1077,6 +1080,38 @@ class TestQiniCv:
         assert err.count("\n") == 1
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("n_rows", [0, 1])
+    def test_too_few_rows_name_folds_and_the_row_count(self, tmp_path, capsys, n_rows):
+        # a header-only and a one-row CSV: no --folds fits, and no range is printed
+        data = Dataset(
+            [ColumnSpec("T", "binary", "treatment"), ColumnSpec("Y", "binary", "outcome"),
+             ColumnSpec("A", "binary")],
+            {name: np.ones(n_rows, dtype=int) for name in ("T", "Y", "A")},
+        )
+        data.write_csv(tmp_path / "d.csv")
+        write_schema(tmp_path / "schema.json", data)
+        out_dir = tmp_path / "qq"
+        assert run(
+            "qini", "--data", tmp_path / "d.csv", "--treatment", "T", "--outcome", "Y",
+            "--parents", "A", "--out-dir", out_dir,
+        ) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: --folds 10 leaves a test fold of 0 rows of {n_rows};"
+            " every fold needs at least 2, so the data needs at least 4 rows\n"
+        )
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("n_folds", [1, 0, -3])
+    def test_folds_below_2_refused_before_the_data_is_read(self, tmp_path, capsys, n_folds):
+        out_dir = tmp_path / "qq"
+        assert run(
+            "qini", "--data", tmp_path / "absent.csv", "--treatment", "T", "--outcome", "Y",
+            "--folds", n_folds, "--out-dir", out_dir,
+        ) == 2
+        assert capsys.readouterr().err == f"error: --folds must be >= 2, got {n_folds}\n"
+        assert not out_dir.exists()
+
     def test_points_outside_a_test_fold_exit_2(self, tmp_path, capsys, monkeypatch):
         # 300 rows in 10 folds: each test fold has 30 rows, too few for 50 points
         rng = np.random.default_rng(5)
@@ -1331,3 +1366,81 @@ def test_decode_error_names_the_file(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and says in err
     assert err.count("\n") == 1  # one line, no traceback
+
+
+# ------------------------------------------------------------ fresh processes
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+GROUP1_COVARIATES = [f"X{i}" for i in range(1, 11)] + [f"N{i}" for i in range(1, 91)]
+
+
+def fresh(*argv, blas_threads=None):
+    """``python *argv`` in a new process that imports the package from ``src``,
+    with ``OPENBLAS_NUM_THREADS`` set to ``blas_threads`` or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = SRC
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run(
+        [sys.executable, *map(str, argv)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestFreshProcess:
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # a logistic pair on all 100 group1 covariates: with two OpenBLAS
+        # threads its weights differ from one thread's in the last bits
+        data = tmp_path / "gen" / "data.csv"
+        assert run("generate", "--samples", 2000, "--seed", 3, "--out", data.parent) == 0
+        outputs = []
+        for threads in ("1", "2", None):
+            out = tmp_path / f"threads-{threads}"
+            out.mkdir()
+            fresh(
+                "-m", "causaluplift.cli", "train", "--data", data, "--treatment", "T",
+                "--outcome", "Y", "--classifier", "logistic",
+                "--parents", ",".join(GROUP1_COVARIATES), "--out", out / "model.json",
+                blas_threads=threads,
+            )
+            fresh(
+                "-m", "causaluplift.cli", "predict", "--data", data,
+                "--model", out / "model.json", "--out", out / "pred.csv",
+                blas_threads=threads,
+            )
+            outputs.append([(out / name).read_bytes() for name in ("model.json", "pred.csv")])
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_package_import_loads_no_numpy_and_exports_home_objects(self):
+        out = fresh("-c", """
+import importlib, sys, types
+import causaluplift
+assert "numpy" not in sys.modules
+for name in causaluplift.__all__:
+    obj = getattr(causaluplift, name)
+    assert not isinstance(obj, types.ModuleType), name
+    assert obj.__module__.startswith("causaluplift."), name
+    assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+print(len(causaluplift.__all__))
+""")
+        assert int(out) == len(causaluplift.__all__) > 0
+
+    def test_cli_import_starts_no_thread(self):
+        out = fresh("-c", """
+import os
+import causaluplift.cli
+print(len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else "no /proc")
+""")
+        if out.strip() == "no /proc":
+            pytest.skip("no /proc/self/task to count threads in")
+        assert int(out) == 1
+
+    def test_version_runs(self):
+        assert fresh("-m", "causaluplift.cli", "--version").strip() == causaluplift.__version__
+
+
+def test_unexported_name_is_an_attribute_error():
+    assert causaluplift.Dataset is Dataset
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        causaluplift.no_such_name

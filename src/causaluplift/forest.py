@@ -21,7 +21,7 @@ nodes ``2k + 1`` and ``2k + 2``.
 
 import numpy as np
 
-from ._kernels import grow_forest, tree_leaves
+from ._kernels import grow_forest, sorted_quantiles, tree_leaves
 from .logistic import merge_hyperparameters, single_class_model
 
 MAX_BINS = 64
@@ -51,14 +51,26 @@ def forest_hyperparameters(hyperparameters=None):
 
 
 def _feature_cuts(column):
-    """Cut points such that code(v) = #cuts < v (ties go to the lower bin)."""
-    uniq = np.unique(column)
-    if uniq.size <= 1:
-        return np.empty(0, dtype=np.float64)
+    """Cut points such that code(v) = #cuts < v (ties go to the lower bin):
+    every distinct value but the last, or past ``MAX_BINS`` of them, the
+    distinct ``1/MAX_BINS .. (MAX_BINS-1)/MAX_BINS`` quantiles. One sort
+    gives both, the bits ``np.unique`` and ``np.quantile`` would give, save
+    the sign of a zero quantile (see ``sorted_quantiles``)."""
+    ordered = np.sort(column)
+    uniq = ordered[_first_of_runs(ordered)]
     if uniq.size <= MAX_BINS:
-        return uniq[:-1].astype(np.float64)
+        return uniq[:-1]
     qs = np.arange(1, MAX_BINS) / MAX_BINS
-    return np.unique(np.quantile(column, qs)).astype(np.float64)
+    cuts = sorted_quantiles(ordered[None], qs)[0]
+    cuts.sort()
+    return cuts[_first_of_runs(cuts)]
+
+
+def _first_of_runs(ordered):
+    """A mask of each sorted value's first occurrence."""
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return first
 
 
 def _encode(X, cuts):

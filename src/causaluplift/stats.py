@@ -30,35 +30,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import stacked_counts
+from ._kernels import sorted_quantiles, stacked_counts
 from .csvio import code_dtype
 from .data import ColumnSpec, Dataset
 from .errors import ContinuousColumn, DegenerateColumnWarning, EmptyColumn
 from .special import chi_square_sf
 
 DiscretizedColumn = namedtuple("DiscretizedColumn", "codes n_bins degenerate edges")
-
-
-def _sorted_quantiles(ordered, qs):
-    """``np.quantile(ordered, qs, axis=1).T`` of rows already sorted, bit
-    for bit, read at the linear rule's virtual indices without partitioning
-    the rows again."""
-    n = ordered.shape[1]
-    virtual = (n - 1) * qs
-    below = np.floor(virtual).astype(np.intp)
-    above = below + 1
-    # np.quantile takes the last value for an index at or past the end
-    last = virtual >= n - 1
-    below[last] = -1
-    above[last] = -1
-    gamma = virtual - below
-    lo = ordered[:, below]
-    hi = ordered[:, above]
-    diff = hi - lo
-    edges = lo + diff * gamma
-    upper = gamma >= 0.5  # interpolated from the upper neighbour, as np.quantile does
-    edges[:, upper] = (hi - diff * (1 - gamma))[:, upper]
-    return edges
 
 
 def _discretize_rows(columns, bins, rows=None):
@@ -93,7 +71,7 @@ def _discretize_rows(columns, bins, rows=None):
         if not np.isfinite(ordered[:, [0, -1]]).all():
             raise ValueError("column contains NaN or infinity")
         degenerate[lo:hi] = ordered[:, 0] == ordered[:, -1]
-        cut = _sorted_quantiles(ordered, qs)
+        cut = sorted_quantiles(ordered, qs)
         del ordered
         cut.sort(axis=1)
         edges[lo:hi] = cut

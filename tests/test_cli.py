@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -1368,6 +1369,55 @@ def test_decode_error_names_the_file(
     assert err.count("\n") == 1  # one line, no traceback
 
 
+# --------------------------------------------------------------- run()
+
+
+def _exit_argv(code, tmp_path, workspace):
+    """Arguments on which ``main`` returns ``code``."""
+    if code == 0:
+        return ["discover", "--data", workspace / "data.csv", "--target", "Y"]
+    if code == 2:
+        return ["discover", "--data", tmp_path / "missing.csv", "--target", "Y"]
+    (tmp_path / "flat.csv").write_text("T,Y,A\n" + "0,1,0\n" * 20)  # no treated row
+    write_tya_schema(tmp_path)
+    return ["train", "--data", tmp_path / "flat.csv", "--treatment", "T", "--outcome", "Y",
+            "--parents", "A", "--out", tmp_path / "m.json"]
+
+
+class TestRun:
+    @pytest.fixture
+    def freezes(self, monkeypatch):
+        """The ``gc.freeze`` calls made, none of them run."""
+        calls = []
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append(None))
+        return calls
+
+    @pytest.mark.parametrize("code", [0, 2, 3])
+    def test_exits_with_mains_code_and_freezes_once(
+        self, code, tmp_path, workspace, freezes, capsys
+    ):
+        argv = [str(a) for a in _exit_argv(code, tmp_path, workspace)]
+        with pytest.raises(SystemExit) as exited:
+            cli.run(argv)
+        assert exited.value.code == code == cli.main(argv)
+        assert len(freezes) == 1
+
+    @pytest.mark.parametrize("argv, code", [(["--version"], 0), (["no-such-command"], 2)])
+    def test_argparse_exit_freezes_once(self, argv, code, freezes, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli.run(argv)
+        assert exited.value.code == code
+        assert len(freezes) == 1
+
+    def test_main_leaves_the_collector_alone(self, tmp_path, workspace, capsys):
+        frozen = gc.get_freeze_count()
+        for code in (0, 2, 3):
+            assert run(*_exit_argv(code, tmp_path, workspace)) == code
+        with pytest.raises(SystemExit):
+            run("--version")
+        assert gc.get_freeze_count() == frozen
+
+
 # ------------------------------------------------------------ fresh processes
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -1438,6 +1488,36 @@ print(len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") els
 
     def test_version_runs(self):
         assert fresh("-m", "causaluplift.cli", "--version").strip() == causaluplift.__version__
+
+    def test_module_prints_its_summary_and_writes_every_output(self, workspace, tmp_path):
+        out = fresh(
+            "-m", "causaluplift.cli", "qini", "--data", workspace / "train.csv",
+            "--treatment", "T", "--outcome", "Y", "--parents", "X1,X2", "--folds", 3,
+            "--out-dir", tmp_path / "q",
+        )
+        metrics = json.loads((tmp_path / "q" / "metrics.json").read_text())
+        assert json.loads(out) == {"mean_area": metrics["mean_area"]}
+        assert sorted(os.listdir(tmp_path / "q")) == ["folds.csv", "mean_curve.csv", "metrics.json"]
+
+    @pytest.mark.parametrize("command", ["train", "qini", "discover"])
+    def test_no_command_loads_numpy_ma(self, command, tmp_path):
+        # NumPy 2.4's plain np.unique and np.quantile import numpy.ma, 9-10 ms a process
+        data = tmp_path / "gen" / "data.csv"
+        assert run("generate", "--samples", 300, "--noise-vars", 8, "--seed", 4,
+                   "--out", data.parent) == 0
+        pair = ["--treatment", "T", "--outcome", "Y"]
+        argv = {
+            "train": [*pair, "--classifier", "forest", "--n-trees", 5, "--out", tmp_path / "m"],
+            "qini": [*pair, "--folds", 3, "--out-dir", tmp_path / "q"],
+            "discover": ["--target", "Y"],
+        }[command]
+        out = fresh("-c", """
+import sys
+from causaluplift import cli
+assert cli.main(sys.argv[1:]) == 0
+print("numpy.ma" in sys.modules)
+""", command, "--data", data, *argv)
+        assert out.splitlines()[-1] == "False"
 
 
 def test_unexported_name_is_an_attribute_error():

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causaluplift import _kernels as K
 from causaluplift.errors import DegenerateLabelsWarning
-from causaluplift.forest import TREE_KEYS, ForestModel, fit_forest
+from causaluplift.forest import MAX_BINS, TREE_KEYS, ForestModel, _feature_cuts, fit_forest
 from causaluplift.logistic import ConstantModel
 
 
@@ -223,3 +223,51 @@ def test_one_node_flip_refused(seed, rows, depth):
             payload["trees"] = [_flipped(tree, j)]
             with pytest.raises(ValueError, match="not one tree"):
                 ForestModel.from_dict(payload)
+
+
+def _unique_quantile_cuts(column):
+    """The cuts as they were made before ``_feature_cuts`` sorted each
+    column once: ``np.unique`` and ``np.quantile``."""
+    uniq = np.unique(column)
+    if uniq.size <= 1:
+        return np.empty(0, dtype=np.float64)
+    if uniq.size <= MAX_BINS:
+        return uniq[:-1].astype(np.float64)
+    qs = np.arange(1, MAX_BINS) / MAX_BINS
+    return np.unique(np.quantile(column, qs)).astype(np.float64)
+
+
+@st.composite
+def cut_columns(draw):
+    """A column of 1 to 150 distinct values, up to 300 rows, so some hold
+    at most ``MAX_BINS`` distinct values and some more, with heavy ties,
+    and zeros of both signs. Values stay within 1e300, so the distance
+    between two, which a quantile interpolates, is finite."""
+    finite = st.floats(-1e300, 1e300, allow_nan=False)
+    values = draw(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0]), st.integers(-3, 3).map(float), finite),
+            min_size=1,
+            max_size=150,
+            unique_by=lambda v: v.hex(),
+        )
+    )
+    picks = draw(st.lists(st.integers(0, len(values) - 1), min_size=1, max_size=300))
+    return np.array([values[i] for i in picks] + values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(column=cut_columns())
+@example(column=np.full(7, 2.5))  # constant
+@example(column=np.repeat(np.arange(64.0), 40))  # MAX_BINS distinct, heavy ties
+@example(column=np.repeat(np.arange(65.0), 40))  # one more
+@example(column=np.concatenate([[-0.0, 0.0] * 50, np.arange(-40.0, 40.0)]))
+def test_feature_cuts_are_the_unique_quantile_cuts(column):
+    got, want = _feature_cuts(column), _unique_quantile_cuts(column)
+    assert got.dtype == want.dtype == np.float64
+    zeros = np.signbit(column[column == 0])
+    if zeros.any() and not zeros.all() and np.unique(column).size > MAX_BINS:
+        # np.quantile's partition leaves equal zeros in an order of its own,
+        # so there a zero cut may take either sign; all else is bit for bit
+        got, want = got + 0.0, want + 0.0
+    assert got.tobytes() == want.tobytes()

@@ -6,14 +6,17 @@ table of the package's G-squared tests: the tables of several x columns
 against the same other columns, those columns ANDed or flattened once for
 all of them. A small table is counted from packed level bitsets (one
 popcount of ANDed bitsets per cell), any other by one ``bincount`` over the
-rows; both are exact, so the path never shows in a count.
+rows; both are exact, so the path never shows in a count. The bitsets of a
+dataset's code columns are packed into one block, ``PACK_COLUMNS`` columns
+of one arity a step, so packing needs little scratch beside the block.
 
 Forest growth advances all trees of a forest together, one level at a
 time, and scores splits from integer (count, positives) histograms. Each
 node draws its candidate features from a 32-bit xorshift stream keyed by
 its tree's seed and its path from the root, so a tree depends only on its
 inputs and seed, never on the trees grown beside it or on the order in
-which nodes are scored.
+which nodes are scored. Traversal steps every row one level at a time, a
+leaf sending its rows back to itself.
 """
 
 import math
@@ -30,9 +33,12 @@ _MASK32 = 0xFFFFFFFF
 def sorted_quantiles(ordered, qs):
     """``np.quantile(ordered, qs, axis=1).T`` of rows already sorted, read
     at the linear rule's virtual indices without partitioning the rows
-    again. Bit for bit, save the sign of a zero quantile of a row that
-    holds both ``-0.0`` and ``0.0``: ``np.quantile``'s partition leaves
-    equal values in an order of its own."""
+    again. Bit for bit, save two cases. The sign of a zero quantile of a
+    row that holds both ``-0.0`` and ``0.0`` may differ: ``np.quantile``'s
+    partition leaves equal values in an order of its own. And where two
+    neighbours are further apart than the largest float, their difference
+    overflows and ``np.quantile`` returns NaN or an infinity; here such a
+    quantile weighs each neighbour alone, so it lies between them."""
     n = ordered.shape[1]
     virtual = (n - 1) * qs
     below = np.floor(virtual).astype(np.intp)
@@ -44,10 +50,15 @@ def sorted_quantiles(ordered, qs):
     gamma = virtual - below
     lo = ordered[:, below]
     hi = ordered[:, above]
-    diff = hi - lo
-    edges = lo + diff * gamma
     upper = gamma >= 0.5  # interpolated from the upper neighbour, as np.quantile does
-    edges[:, upper] = (hi - diff * (1 - gamma))[:, upper]
+    with np.errstate(over="ignore", invalid="ignore"):  # wide neighbours, redone below
+        diff = hi - lo
+        edges = lo + diff * gamma
+        edges[:, upper] = (hi - diff * (1 - gamma))[:, upper]
+    wide = ~np.isfinite(diff)  # finite neighbours of opposite signs: no term overflows
+    if wide.any():
+        g = np.broadcast_to(gamma, diff.shape)[wide]
+        edges[wide] = lo[wide] * (1 - g) + hi[wide] * g
     return edges
 
 
@@ -66,6 +77,11 @@ BITS_MAX_CELLS = 64
 # Words one AND of x levels against the strata may hold at once (2 MB).
 COUNT_CHUNK_WORDS = 1 << 18
 
+# Code columns one packing step one-hot encodes at once: at 18k rows and
+# three levels, eight columns' one-hot array is 0.4 MB, where the 45 such
+# columns of a qini-cv fold took 2.4 MB at once.
+PACK_COLUMNS = 8
+
 
 def pack_level_block(columns, arities):
     """Packed level bitsets of several code columns, stacked in one
@@ -74,8 +90,10 @@ def pack_level_block(columns, arities):
 
     Returns ``(block, start)``. A column of more than ``BITS_MAX_CELLS``
     levels, which no bitset count would use, gets no rows and
-    ``start[c] == -1``. Columns of one arity are packed together, so the
-    work grows with the levels, not with columns times the widest arity.
+    ``start[c] == -1``. Columns of one arity are packed together, at most
+    ``PACK_COLUMNS`` of them a step, so the work grows with the levels, not
+    with columns times the widest arity, and the scratch beside the block
+    with ``PACK_COLUMNS`` columns, not with all of them.
     """
     n = len(columns[0]) if columns else 0
     arities = np.asarray(arities, dtype=np.intp).reshape(-1)
@@ -83,13 +101,16 @@ def pack_level_block(columns, arities):
     start = np.where(sizes > 0, np.cumsum(sizes) - sizes, -1)
     block = np.zeros((int(sizes.sum()), -(-n // 64) * 8), dtype=np.uint8)
     for arity in sorted(set(sizes[sizes > 0].tolist())):
-        group = np.flatnonzero(sizes == arity)
-        codes = np.array([columns[c] for c in group], dtype=np.uint8)
-        onehot = codes[:, None, :] == np.arange(arity, dtype=np.uint8)[:, None]
-        rows = (start[group][:, None] + np.arange(arity)).ravel()
-        block[rows, : -(-n // 8)] = np.packbits(
-            onehot.reshape(group.size * arity, n), axis=1, bitorder="little"
-        )
+        levels = np.arange(arity, dtype=np.uint8)[:, None]
+        arity_group = np.flatnonzero(sizes == arity)
+        for lo in range(0, arity_group.size, PACK_COLUMNS):
+            group = arity_group[lo : lo + PACK_COLUMNS]
+            codes = np.array([columns[c] for c in group], dtype=np.uint8)
+            onehot = codes[:, None, :] == levels
+            rows = (start[group][:, None] + np.arange(arity)).ravel()
+            block[rows, : -(-n // 8)] = np.packbits(
+                onehot.reshape(group.size * arity, n), axis=1, bitorder="little"
+            )
     return block.view(np.uint64), start
 
 
@@ -325,15 +346,23 @@ def grow_forest(codes, labels, bootstraps, tree_seeds, mtry, n_bins, max_depth, 
 def tree_leaves(codes, split_feat, split_bin):
     """Rank among the leaves of the leaf each row of ``codes`` reaches: the
     k-th split sends a row to node ``2k + 1`` if its code is at most
-    ``split_bin[k]``, else to ``2k + 2``."""
+    ``split_bin[k]``, else to ``2k + 2``.
+
+    Every row takes one step a level, all rows at once, until none moves:
+    a leaf is its own left child on a bin no code exceeds, so a row that
+    reached one stays there."""
     split = split_feat >= 0
     before = np.cumsum(split) - split  # split nodes before each node
-    node = np.zeros(codes.shape[0], dtype=np.int64)
-    active = split[node]
-    while active.any():
-        idx = np.nonzero(active)[0]
-        cur = node[idx]
-        k = before[cur]
-        node[idx] = 2 * k + 1 + (codes[idx, split_feat[cur]] > split_bin[k])
-        active[idx] = split[node[idx]]
+    left = np.where(split, 2 * before + 1, np.arange(split.size))
+    feat = np.where(split, split_feat, 0)
+    cut = np.full(split.size, np.iinfo(codes.dtype).max, dtype=np.int64)
+    cut[split] = split_bin
+    flat = codes.ravel()
+    first = np.arange(codes.shape[0]) * codes.shape[1]
+    node = np.zeros(codes.shape[0], dtype=np.intp)
+    moved = split[0]  # a one-leaf tree sends every row to its root
+    while moved:
+        child = left[node] + (flat.take(first + feat[node]) > cut[node])
+        moved = (child != node).any()
+        node = child
     return node - before[node]

@@ -55,7 +55,9 @@ def _feature_cuts(column):
     every distinct value but the last, or past ``MAX_BINS`` of them, the
     distinct ``1/MAX_BINS .. (MAX_BINS-1)/MAX_BINS`` quantiles. One sort
     gives both, the bits ``np.unique`` and ``np.quantile`` would give, save
-    the sign of a zero quantile (see ``sorted_quantiles``)."""
+    the sign of a zero quantile and a cut between neighbours further apart
+    than the largest float, which ``np.quantile`` makes NaN or infinite (see
+    ``sorted_quantiles``)."""
     ordered = np.sort(column)
     uniq = ordered[_first_of_runs(ordered)]
     if uniq.size <= MAX_BINS:
@@ -123,7 +125,7 @@ class ForestModel:
                 c.ndim == 1
                 and c.size < MAX_BINS
                 and np.isfinite(c).all()
-                and (np.diff(c) > 0).all()
+                and (c[1:] > c[:-1]).all()  # np.diff may overflow
             ):
                 raise ValueError(
                     f"forest cut list {j} is not at most {MAX_BINS - 1} finite,"

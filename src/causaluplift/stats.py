@@ -42,7 +42,9 @@ DiscretizedColumn = namedtuple("DiscretizedColumn", "codes n_bins degenerate edg
 def _discretize_rows(columns, bins, rows=None):
     """Equal-frequency codes of every column of ``columns`` (equal-length
     1-D float arrays), or of their rows ``rows`` (an index array) when
-    given, copied eight columns at a time.
+    given, eight columns at a time: each column, or its rows, is copied
+    straight into its row of the eight-column block, so no other copy of a
+    column is made.
 
     Returns the codes (one row per column, as ``code_dtype(bins)``: uint8
     up to 256 bins), the sorted ``(columns, bins - 1)`` edges, a mask of
@@ -66,7 +68,12 @@ def _discretize_rows(columns, bins, rows=None):
     # against 170-183 ms in one pass over the whole stack
     for lo in range(0, len(columns), 8):
         hi = min(lo + 8, len(columns))
-        block = np.stack([c if rows is None else c[rows] for c in columns[lo:hi]])
+        block = np.empty((hi - lo, n))
+        for row, c in zip(block, columns[lo:hi]):
+            if rows is None:
+                row[:] = c
+            else:
+                np.take(c, rows, out=row)
         ordered = np.sort(block, axis=1)
         if not np.isfinite(ordered[:, [0, -1]]).all():
             raise ValueError("column contains NaN or infinity")

@@ -4,6 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causaluplift import _kernels as K
+from causaluplift.classify import ClassifierSpec, load_model, predict_cctm, save_model, train_cctm
+from causaluplift.data import ColumnSpec, Dataset
 from causaluplift.errors import DegenerateLabelsWarning
 from causaluplift.forest import MAX_BINS, TREE_KEYS, ForestModel, _feature_cuts, fit_forest
 from causaluplift.logistic import ConstantModel
@@ -127,6 +129,29 @@ class TestBehaviour:
         acc = ((model.predict_proba(X[2000:]) > 0.5).astype(int) == y[2000:]).mean()
         assert acc >= 0.97
         assert all(len(c) <= 63 for c in model.cuts)
+
+    def test_neighbours_past_the_largest_float_cut_between(self, tmp_path):
+        # two clusters whose neighbours are further apart than the largest
+        # float: np.quantile's inf * 0 made a NaN cut there, and the model
+        # file that fit wrote was refused on load
+        low = np.linspace(-1.7e308, -1.6e308, 64)
+        high = np.linspace(1.6e308, 1.7e308, 63)
+        x = np.tile(np.random.default_rng(68).permutation(np.concatenate([low, high])), 2)
+        t = np.repeat([0, 1], x.size // 2)
+        data = Dataset(
+            [ColumnSpec("T", "binary"), ColumnSpec("Y", "binary"), ColumnSpec("X", "continuous")],
+            {"T": t, "Y": (x > 0).astype(int), "X": x},
+        )
+        spec = ClassifierSpec("forest", {"seed": 3, "n_trees": 5})
+        pair = train_cctm(data, "T", "Y", parents=["X"], spec=spec)
+        path = tmp_path / "model.json"
+        save_model(pair, path)
+        again = load_model(path)
+        for arm in (again.m0, again.m1):
+            assert np.isfinite(arm.cuts[0]).all() and low[-1] in arm.cuts[0]
+        pred = predict_cctm(again, data)
+        assert (pred.p1[x < 0] < 0.5).all() and (pred.p1[x > 0] > 0.5).all()
+        assert np.array_equal(pred.effect, predict_cctm(pair, data).effect)
 
     def test_round_trip_exact(self):
         rng = np.random.default_rng(67)

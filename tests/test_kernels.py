@@ -6,8 +6,12 @@ trees are walked one row at a time. Results must match exactly (integer
 counts, identical trees).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causaluplift import _kernels as K
 
@@ -239,20 +243,77 @@ def test_crossover_picks_the_path(arities, bits_path, monkeypatch):
 
 
 def test_pack_levels_layout():
+    # binary columns span three packing steps, ternary ones two, the two
+    # arities interleaved with a one-level and an unpacked column
     rng = np.random.default_rng(9)
     n = 2085
-    arities = [2, 3, K.BITS_MAX_CELLS + 1, 1, 4, 2]
+    arities = [2, 3, K.BITS_MAX_CELLS + 1, 1, 4] + [2, 2, 3] * 8 + [2]
+    assert arities.count(2) > 2 * K.PACK_COLUMNS and arities.count(3) > K.PACK_COLUMNS
     columns = [rng.integers(0, a, n) for a in arities]
     block, start = K.pack_level_block(columns, arities)
-    assert block.dtype == np.uint64 and block.shape == (12, -(-n // 64))
+    assert block.dtype == np.uint64 and block.shape == (68, -(-n // 64))
     # a column no bitset count would use is not packed
-    assert start.tolist() == [0, 2, -1, 5, 6, 10]
+    assert start.tolist()[:8] == [0, 2, -1, 5, 6, 10, 12, 14]
+    assert start.tolist()[-1] == 66
     rows = np.unpackbits(block.view(np.uint8), axis=1, bitorder="little")
     for codes, arity, first in zip(columns, arities, start.tolist()):
         if first >= 0:
             for level in range(arity):
                 assert rows[first + level, :n].tolist() == (codes == level).tolist()
     assert not rows[:, n:].any()
+
+
+def pack_in_one_group(columns, arities):
+    """``pack_level_block`` as it was when each arity was one-hot encoded in
+    one step, all its columns at once."""
+    n = len(columns[0]) if columns else 0
+    arities = np.asarray(arities, dtype=np.intp).reshape(-1)
+    sizes = np.where(arities <= K.BITS_MAX_CELLS, arities, 0)
+    start = np.where(sizes > 0, np.cumsum(sizes) - sizes, -1)
+    block = np.zeros((int(sizes.sum()), -(-n // 64) * 8), dtype=np.uint8)
+    for arity in sorted(set(sizes[sizes > 0].tolist())):
+        group = np.flatnonzero(sizes == arity)
+        codes = np.array([columns[c] for c in group], dtype=np.uint8)
+        onehot = codes[:, None, :] == np.arange(arity, dtype=np.uint8)[:, None]
+        rows = (start[group][:, None] + np.arange(arity)).ravel()
+        block[rows, : -(-n // 8)] = np.packbits(
+            onehot.reshape(group.size * arity, n), axis=1, bitorder="little"
+        )
+    return block.view(np.uint64), start
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 300),
+    arities=st.lists(st.sampled_from([1, 2, 2, 2, 3, 3, 5, 64, 65, 200]), max_size=40),
+)
+def test_pack_level_block_is_the_one_group_pack(seed, n, arities):
+    rng = np.random.default_rng(seed)
+    columns = [rng.integers(0, a, n).astype(np.uint8) for a in arities]
+    block, start = K.pack_level_block(columns, arities)
+    want_block, want_start = pack_in_one_group(columns, arities)
+    assert block.dtype == want_block.dtype and block.shape == want_block.shape
+    assert block.tobytes() == want_block.tobytes()
+    assert start.tolist() == want_start.tolist()
+
+
+def test_pack_level_block_scratch_budget():
+    """Memory guard: packing a qini-cv fold's code columns, 57 binary and
+    45 ternary of 18,000 rows, holds at most 2 MB beside the block it
+    returns (about 5 MB when each arity was one-hot encoded at once)."""
+    rng = np.random.default_rng(57)
+    arities = [2] * 57 + [3] * 45
+    rng.shuffle(arities)
+    columns = [rng.integers(0, a, 18000).astype(np.uint8) for a in arities]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        block, _ = K.pack_level_block(columns, arities)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - block.nbytes < 2 << 20
 
 
 @pytest.mark.parametrize("chunk_words", [1, 400, 1 << 18])
@@ -375,6 +436,45 @@ def test_tree_leaves_paths_agree(rng):
     assert leaf[nodes].all()
     assert np.array_equal(ranks, (np.cumsum(leaf) - 1)[nodes])
     assert np.unique(ranks).size > 10
+
+
+def tree_leaves_by_compaction(codes, split_feat, split_bin):
+    """``tree_leaves`` as it was when each level selected the rows still at
+    a split and stepped only those."""
+    split = split_feat >= 0
+    before = np.cumsum(split) - split
+    node = np.zeros(codes.shape[0], dtype=np.int64)
+    active = split[node]
+    while active.any():
+        idx = np.nonzero(active)[0]
+        cur = node[idx]
+        k = before[cur]
+        node[idx] = 2 * k + 1 + (codes[idx, split_feat[cur]] > split_bin[k])
+        active[idx] = split[node[idx]]
+    return node - before[node]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_feats=st.integers(1, 6),
+    n_bins=st.integers(2, 64),
+    depth=st.integers(0, 12),
+    rows=st.integers(0, 300),
+)
+def test_tree_leaves_is_the_compacting_walk(seed, n_feats, n_bins, depth, rows):
+    # trees of every depth from a one-leaf root up, walked by rows whose
+    # codes reach the widest uint8 code, past every split bin
+    rng = np.random.default_rng(seed)
+    train = rng.integers(0, n_bins, size=(200, n_feats)).astype(np.uint8)
+    labels = (rng.random(200) < 0.5).astype(np.uint8)
+    bootstrap = rng.integers(0, 200, 200)
+    (tree,) = K.grow_forest(train, labels, [bootstrap], [seed + 1], n_feats, n_bins, depth, 1)
+    codes = rng.integers(0, 256, size=(rows, n_feats)).astype(np.uint8)
+    codes[: rows // 2] %= n_bins
+    got = K.tree_leaves(codes, *tree[:2])
+    assert np.array_equal(got, tree_leaves_by_compaction(codes, *tree[:2]))
+    assert got.shape == (rows,) and ((0 <= got) & (got < tree[2].size)).all()
 
 
 def test_use_numba_is_false():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from causaluplift.data import ColumnSpec, Dataset
 from causaluplift.errors import ContinuousColumn, DegenerateColumnWarning, EmptyColumn
 from causaluplift.special import chi_square_sf
 from causaluplift.stats import (
+    _discretize_rows,
     CITestResult,
     contingency,
     discretize,
@@ -110,6 +112,18 @@ class TestDiscretize:
         b = discretize(values, bins=3)
         assert np.array_equal(a.codes, b.codes)
 
+    def test_neighbours_past_the_largest_float_split(self):
+        # the median's neighbours are further apart than the largest float:
+        # np.quantile's inf * 0 made the edge NaN and put both clusters in
+        # one bin
+        low = np.linspace(-1.7e308, -1.6e308, 64)
+        high = np.linspace(1.6e308, 1.7e308, 63)
+        values = np.random.default_rng(10).permutation(np.concatenate([low, high]))
+        disc = discretize(values, bins=2)
+        assert disc.edges.tolist() == [low[-1]]
+        assert disc.codes.tolist() == (values > 0).astype(int).tolist()
+        assert disc.n_bins == 2 and not disc.degenerate
+
 
 class TestDiscretizeDataset:
     def test_continuous_replaced(self):
@@ -123,6 +137,26 @@ class TestDiscretizeDataset:
         assert out.spec("b").kind == "binary"
         # original untouched
         assert data.spec("a").kind == "continuous"
+
+    def test_fold_rows_binned_in_place(self):
+        """Memory guard: binning 45 columns at 18,000 of their 20,000 rows
+        holds the codes and edges it returns plus about two eight-column
+        float blocks (the rows copied in, and their sort), not a third for a
+        list of per-column copies stacked into the block."""
+        rng = np.random.default_rng(45)
+        columns = [rng.standard_normal(20000) for _ in range(45)]
+        rows = np.sort(rng.permutation(20000)[:18000])
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            out = _discretize_rows(columns, 3, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = 8 * rows.size * 8
+        assert peak - sum(a.nbytes for a in out) < 2.5 * block
+        want = _discretize_rows([c[rows] for c in columns], 3)
+        assert all(np.array_equal(a, b) for a, b in zip(out, want))
 
 
 def discretize_reference(values, bins):

@@ -264,11 +264,15 @@ def _loadtxt(source, dtype, **kwargs):
 
 
 def _line_ends(text):
-    """The line ends in ``text``, str or bytes; ``\\r\\n`` counts as one."""
-    lf, cr = ("\n", "\r") if isinstance(text, str) else (b"\n", b"\r")
+    """The line ends in ``text``, str or bytes; ``\\r\\n`` counts as one.
+    numpy counts the ``\\n`` of bytes several times faster than ``count``."""
+    if isinstance(text, str):
+        lf, cr, lfs = "\n", "\r", text.count("\n")
+    else:
+        lf, cr, lfs = b"\n", b"\r", int(np.count_nonzero(np.frombuffer(text, np.uint8) == 10))
     if cr not in text:
-        return text.count(lf)
-    return text.count(lf) + text.count(cr) - text.count(cr + lf)
+        return lfs
+    return lfs + text.count(cr) - text.count(cr + lf)
 
 
 def _chunks(fh):

@@ -93,6 +93,8 @@ def mmpc(data, target, cfg=DiscoveryConfig()):
     A forward round tests its candidates subset by subset, all of them at
     once, but records the tests candidate by candidate, each candidate's
     subsets in order, as a search testing one candidate at a time would.
+    The backward phase reads a test the forward phase already ran from its
+    result, which is the one ``g2_test`` would return, and records it again.
     """
     if target not in data:
         raise UnknownColumn(target)
@@ -103,10 +105,12 @@ def mmpc(data, target, cfg=DiscoveryConfig()):
     floor = {c: (2.0, float("inf")) for c in data.columns if c != target}
     cpc = []
     new_subsets = [()]
+    forward = {}  # (candidate, given) -> result, for this search's backward phase
     while floor:
         tested = _forward_round(data, list(floor), target, new_subsets, cfg.alpha)
         for c, tests in tested.items():
             for given, res in tests:
+                forward[c, given] = res
                 trace.append(_record(c, target, given, res, "forward"))
                 if res.independent:
                     del floor[c]
@@ -125,7 +129,10 @@ def mmpc(data, target, cfg=DiscoveryConfig()):
     for x in list(members):
         others = [m for m in members if m != x]
         for given in _subsets(others, cfg.max_cond_size):
-            res = g2_test(data, x, target, given, cfg.alpha)
+            # a subset of the members that entered before x was tested forward
+            res = forward.get((x, given))
+            if res is None:
+                res = g2_test(data, x, target, given, cfg.alpha)
             trace.append(_record(x, target, given, res, "backward"))
             if res.independent:
                 members.remove(x)

@@ -82,12 +82,11 @@ def _design(X):
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) is exp(-z) where z >= 0 and exp(z) elsewhere, so this is
+    # 1 / (1 + exp(-z)) and exp(z) / (1 + exp(z)) on each side, bit for bit,
+    # and neither side can overflow
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def log_likelihood(weights, X, y, l2_penalty):

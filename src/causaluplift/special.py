@@ -24,7 +24,7 @@ def _gamma_series(a, x):
         ap += 1.0
         term *= x / ap
         total += term
-        if abs(term) < abs(total) * _EPS:
+        if term < total * _EPS:  # a > 0 and x > 0: both stay positive
             break
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 

@@ -421,6 +421,37 @@ def test_typed_read_matches_csv_reader_path(drawn, tmp_path_factory):
                 assert want[name].dtype == np.uint8
 
 
+def line_ends_by_count(text):
+    """The line ends in ``text`` by ``count``, for bytes as for str."""
+    lf, cr = ("\n", "\r") if isinstance(text, str) else (b"\n", b"\r")
+    return text.count(lf) + text.count(cr) - text.count(cr + lf)
+
+
+LINE_MIX = st.lists(st.sampled_from(["a", "\xe9", ",", '"', "\r", "\n", "\r\n"]), max_size=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    comments=st.lists(st.sampled_from(["#c\n", "#\r\n", "#x\r"]), max_size=2),
+    head=LINE_MIX,
+    tail=LINE_MIX,
+    across_chunks=st.booleans(),
+)
+def test_line_ends_in_bytes_as_in_str(comments, head, tail, across_chunks, tmp_path_factory):
+    # the scan counts a MB at a time; ``across_chunks`` puts ``tail`` at that cut
+    text = "".join(comments) + "h" + "".join(head)
+    if across_chunks:
+        text += "y" * ((1 << 20) - 1 - len(text.encode()))
+    text += "".join(tail)
+    for part in (text, text[-40:]):
+        assert csvio._line_ends(part.encode()) == csvio._line_ends(part) == line_ends_by_count(part)
+    path = tmp_path_factory.mktemp("scan") / "d.csv"
+    path.write_bytes(text.encode())
+    with mock.patch.object(csvio, "_line_ends", line_ends_by_count):
+        want = csvio._scan(path)
+    assert csvio._scan(path) == want
+
+
 class TestReadTyped:
     """Where ``np.loadtxt`` and ``csv.reader`` differ, the typed read
     behaves as the csv.reader path."""

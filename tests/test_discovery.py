@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causaluplift import discovery
 from causaluplift.data import ColumnSpec, Dataset
@@ -13,6 +15,7 @@ from causaluplift.discovery import (
 )
 from causaluplift.errors import UnknownColumn
 from causaluplift.evaluation import prf
+from causaluplift.stats import g2_test
 
 
 def binary_dataset(**cols):
@@ -189,11 +192,39 @@ class TestSymmetricCorrection:
         ).members == ["X"]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(20, 600),
+    levels=st.lists(st.integers(2, 4), min_size=2, max_size=6),
+    alpha=st.sampled_from([0.01, 0.05, 0.3]),
+    max_cond_size=st.integers(0, 3),
+)
+def test_backward_records_match_a_fresh_test(seed, n, levels, alpha, max_cond_size):
+    # a backward record read from the forward phase is the test run afresh
+    rng = np.random.default_rng(seed)
+    cols = {f"X{i}": rng.integers(0, k, n) for i, k in enumerate(levels)}
+    drive = sum(rng.uniform(0.0, 0.5) * (v == 0) for v in cols.values())
+    cols["Y"] = (rng.random(n) < 0.1 + drive / len(levels) * 1.6).astype(int)
+    specs = [
+        ColumnSpec(name, "binary") if k == 2
+        else ColumnSpec(name, "categorical", categories=tuple(str(i) for i in range(k)))
+        for name, k in zip(cols, [*levels, 2])
+    ]
+    data = Dataset(specs, cols)
+    cfg = DiscoveryConfig(alpha=alpha, max_cond_size=max_cond_size)
+    for r in mmpc(data, "Y", cfg).trace:
+        if r.phase == "backward":
+            res = g2_test(data, r.x, "Y", r.given, alpha)
+            assert (r.p_value, r.statistic, r.reliable) == (res.p_value, res.statistic, res.reliable)
+
+
 class TestOneTestPerBatchedRecord:
-    """Each test record comes from exactly one test evaluated by
-    ``discovery.g2_batch`` (a forward round's candidates against one subset)
-    or ``discovery.g2_test`` (the backward phase), and each candidate's
-    records come in the order its tests were evaluated."""
+    """Each test a search runs is evaluated once, by ``discovery.g2_batch``
+    (a forward round's candidates against one subset) or ``discovery.g2_test``
+    (a backward test the forward phase did not run). Each record repeats an
+    evaluation made in its own search, and each candidate's evaluations come
+    in the order of its records."""
 
     @staticmethod
     def spy(monkeypatch):
@@ -232,8 +263,23 @@ class TestOneTestPerBatchedRecord:
         return out
 
     def check(self, evaluated, records):
-        assert len(evaluated) == len(records)
-        assert self.by_pair(evaluated) == self.by_pair(self.keys(records))
+        """``evaluated`` and ``records`` come from one search. Returns the
+        backward records whose test the forward phase ran."""
+        keys = self.keys(records)
+        forward = {k[:3]: k for k, r in zip(keys, records) if r.phase == "forward"}
+        twin = [r.phase == "backward" and k[:3] in forward for k, r in zip(keys, records)]
+        # no (x, y, given) is evaluated twice
+        assert len({k[:3] for k in evaluated}) == len(evaluated)
+        # every record equals an evaluation made in this search
+        assert set(keys) <= set(evaluated)
+        # a backward record with a forward twin repeats its result
+        twins = [k for k, t in zip(keys, twin) if t]
+        assert all(forward[k[:3]] == k for k in twins)
+        # every other record is evaluated: the evaluations are exactly the
+        # forward records and the backward records with no forward twin
+        fresh = [k for k, t in zip(keys, twin) if not t]
+        assert self.by_pair(evaluated) == self.by_pair(fresh)
+        return twins
 
     def test_mmpc(self, monkeypatch):
         evaluated, batches = self.spy(monkeypatch)
@@ -241,23 +287,28 @@ class TestOneTestPerBatchedRecord:
         assert len(found.trace) > 6
         assert max(batches) > 1  # candidates were tested together
         assert {r.phase for r in found.trace} == {"forward", "backward"}
-        self.check(evaluated, found.trace)
+        twins = self.check(evaluated, found.trace)
+        backward = [r for r in found.trace if r.phase == "backward"]
+        assert 0 < len(twins) < len(backward)  # some backward tests reused, some run
 
     def test_symmetric_search(self, monkeypatch):
         evaluated, batches = self.spy(monkeypatch)
-        traces = []
+        searches = []
         real_mmpc = discovery.mmpc
 
         def recording(data, target, cfg):
+            start = len(evaluated)
             found = real_mmpc(data, target, cfg)
-            traces.append(found.trace)
+            searches.append((evaluated[start:], found.trace))
             return found
 
         monkeypatch.setattr(discovery, "mmpc", recording)
         found = discover_parents(v_structure_data(seed=3, n=3000, extra_noise=3), "Y")
-        assert len(traces) == 3  # the search from Y, then one back from A and from B
-        assert found.trace[: len(traces[0])] == traces[0]
-        self.check(evaluated, [r for trace in traces for r in trace])
+        assert len(searches) == 3  # the search from Y, then one back from A and from B
+        assert sum(len(tests) for tests, _ in searches) == len(evaluated)
+        assert found.trace[: len(searches[0][1])] == searches[0][1]
+        for tests, trace in searches:
+            assert self.check(tests, trace)  # each search reuses its own forward results
 
     def test_forward_records_candidate_by_candidate(self, monkeypatch):
         # a round's records run candidate by candidate in declaration order,

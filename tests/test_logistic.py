@@ -5,6 +5,7 @@ from causaluplift.errors import DegenerateLabelsWarning
 from causaluplift.logistic import (
     ConstantModel,
     LogisticModel,
+    _sigmoid,
     fit_logistic,
     log_likelihood,
     log_likelihood_grad,
@@ -107,3 +108,37 @@ class TestGradient:
         model = fit_logistic(X, y, {"l2_penalty": 1e-3, "convergence_tol": 1e-12})
         grad = log_likelihood_grad(model.weights, X, y, 1e-3)
         assert np.max(np.abs(grad)) < 1e-6
+
+
+def masked_sigmoid(z):
+    """The logistic link as two masked branches, each stable on its side."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+SIGMOID_EDGES = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308,
+    745.0, -745.0, 746.0, -746.0, 1e308, -1e308, np.inf, -np.inf, np.nan,
+])
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 10_007])
+def test_sigmoid_bits_match_the_masked_branches(n):
+    # lengths 1-64 take every SIMD remainder lane; edge values sit anywhere
+    rng = np.random.default_rng(n)
+    z = np.concatenate([
+        rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3, n),
+        rng.uniform(-800.0, 800.0, n),
+        np.where(rng.random(n) < 0.5, -1.0, 1.0) * 2.0 ** rng.uniform(-1074, 1023, n),
+        rng.choice(SIGMOID_EDGES, n),
+    ])
+    rng.shuffle(z)
+    for part in np.split(z, 4):
+        got, want = _sigmoid(part), masked_sigmoid(part)
+        nan = np.isnan(part)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))

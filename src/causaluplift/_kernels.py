@@ -1,5 +1,5 @@
-"""Hot numeric kernels in numpy: quantiles of sorted rows, contingency
-counting, histogram-CART forest growth and tree traversal.
+"""Hot numeric kernels in numpy: quantile cuts of a sorted column,
+contingency counting, histogram-CART forest growth and tree traversal.
 
 Counting returns exact int64 counts, and ``stacked_counts`` counts every
 table of the package's G-squared tests: the tables of several x columns
@@ -7,8 +7,8 @@ against the same other columns, those columns ANDed or flattened once for
 all of them. A small table is counted from packed level bitsets (one
 popcount of ANDed bitsets per cell), any other by one ``bincount`` over the
 rows; both are exact, so the path never shows in a count. The bitsets of a
-dataset's code columns are packed into one block, ``PACK_COLUMNS`` columns
-of one arity a step, so packing needs little scratch beside the block.
+dataset's code columns are packed into one block a column at a time, so
+packing needs only one column's scratch beside the block.
 
 Forest growth advances all trees of a forest together, one level at a
 time, and scores splits from integer (count, positives) histograms. Each
@@ -30,16 +30,24 @@ USE_NUMBA = False
 _MASK32 = 0xFFFFFFFF
 
 
-def sorted_quantiles(ordered, qs):
-    """``np.quantile(ordered, qs, axis=1).T`` of rows already sorted, read
-    at the linear rule's virtual indices without partitioning the rows
-    again. Bit for bit, save two cases. The sign of a zero quantile of a
-    row that holds both ``-0.0`` and ``0.0`` may differ: ``np.quantile``'s
-    partition leaves equal values in an order of its own. And where two
-    neighbours are further apart than the largest float, their difference
-    overflows and ``np.quantile`` returns NaN or an infinity; here such a
-    quantile weighs each neighbour alone, so it lies between them."""
-    n = ordered.shape[1]
+def first_of_runs(ordered):
+    """A mask of each sorted value's first occurrence."""
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return first
+
+
+def quantile_cuts(ordered, qs):
+    """The distinct values of ``np.quantile(ordered, qs)``, in increasing
+    order, of a column already sorted: read at the linear rule's virtual
+    indices without partitioning the column again. Bit for bit, save two
+    cases. The sign of a zero quantile of a column that holds both ``-0.0``
+    and ``0.0`` may differ: ``np.quantile``'s partition leaves equal values
+    in an order of its own. And where two neighbours are further apart than
+    the largest float, their difference overflows and ``np.quantile``
+    returns NaN or an infinity; here such a quantile weighs each neighbour
+    alone, so it lies between them."""
+    n = ordered.size
     virtual = (n - 1) * qs
     below = np.floor(virtual).astype(np.intp)
     above = below + 1
@@ -48,18 +56,18 @@ def sorted_quantiles(ordered, qs):
     below[last] = -1
     above[last] = -1
     gamma = virtual - below
-    lo = ordered[:, below]
-    hi = ordered[:, above]
+    lo = ordered[below]
+    hi = ordered[above]
     upper = gamma >= 0.5  # interpolated from the upper neighbour, as np.quantile does
     with np.errstate(over="ignore", invalid="ignore"):  # wide neighbours, redone below
         diff = hi - lo
-        edges = lo + diff * gamma
-        edges[:, upper] = (hi - diff * (1 - gamma))[:, upper]
+        cuts = lo + diff * gamma
+        cuts[upper] = (hi - diff * (1 - gamma))[upper]
     wide = ~np.isfinite(diff)  # finite neighbours of opposite signs: no term overflows
     if wide.any():
-        g = np.broadcast_to(gamma, diff.shape)[wide]
-        edges[wide] = lo[wide] * (1 - g) + hi[wide] * g
-    return edges
+        cuts[wide] = lo[wide] * (1 - gamma[wide]) + hi[wide] * gamma[wide]
+    cuts.sort()
+    return cuts[first_of_runs(cuts)]
 
 
 # ---------------------------------------------------------------------------
@@ -77,12 +85,6 @@ BITS_MAX_CELLS = 64
 # Words one AND of x levels against the strata may hold at once (2 MB).
 COUNT_CHUNK_WORDS = 1 << 18
 
-# Code columns one packing step one-hot encodes at once: at 18k rows and
-# three levels, eight columns' one-hot array is 0.4 MB, where the 45 such
-# columns of a qini-cv fold took 2.4 MB at once.
-PACK_COLUMNS = 8
-
-
 def pack_level_block(columns, arities):
     """Packed level bitsets of several code columns, stacked in one
     ``(levels, ceil(n / 64))`` uint64 array: bit ``i`` of row
@@ -90,27 +92,19 @@ def pack_level_block(columns, arities):
 
     Returns ``(block, start)``. A column of more than ``BITS_MAX_CELLS``
     levels, which no bitset count would use, gets no rows and
-    ``start[c] == -1``. Columns of one arity are packed together, at most
-    ``PACK_COLUMNS`` of them a step, so the work grows with the levels, not
-    with columns times the widest arity, and the scratch beside the block
-    with ``PACK_COLUMNS`` columns, not with all of them.
+    ``start[c] == -1``. Each column is one-hot encoded and packed alone, so
+    the scratch beside the block is one column's one-hot rows.
     """
     n = len(columns[0]) if columns else 0
     arities = np.asarray(arities, dtype=np.intp).reshape(-1)
     sizes = np.where(arities <= BITS_MAX_CELLS, arities, 0)
     start = np.where(sizes > 0, np.cumsum(sizes) - sizes, -1)
     block = np.zeros((int(sizes.sum()), -(-n // 64) * 8), dtype=np.uint8)
-    for arity in sorted(set(sizes[sizes > 0].tolist())):
-        levels = np.arange(arity, dtype=np.uint8)[:, None]
-        arity_group = np.flatnonzero(sizes == arity)
-        for lo in range(0, arity_group.size, PACK_COLUMNS):
-            group = arity_group[lo : lo + PACK_COLUMNS]
-            codes = np.array([columns[c] for c in group], dtype=np.uint8)
-            onehot = codes[:, None, :] == levels
-            rows = (start[group][:, None] + np.arange(arity)).ravel()
-            block[rows, : -(-n // 8)] = np.packbits(
-                onehot.reshape(group.size * arity, n), axis=1, bitorder="little"
-            )
+    for codes, first, size in zip(columns, start.tolist(), sizes.tolist()):
+        if size:
+            onehot = np.asarray(codes, dtype=np.uint8) == np.arange(size, dtype=np.uint8)[:, None]
+            packed = np.packbits(onehot, axis=1, bitorder="little")
+            block[first : first + size, : packed.shape[1]] = packed
     return block.view(np.uint64), start
 
 

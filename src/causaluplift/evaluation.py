@@ -172,10 +172,9 @@ def kfold_split(n, k, seed):
         raise InvalidK(f"k must be in [2, {n}], got {k}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    folds = np.array_split(perm, k)
     out = []
-    for i, fold in enumerate(folds):
-        test_idx = np.sort(fold)
-        train_idx = np.sort(np.concatenate([f for j, f in enumerate(folds) if j != i]))
-        out.append((train_idx, test_idx))
+    for fold in np.array_split(perm, k):
+        train = np.ones(n, dtype=bool)
+        train[fold] = False
+        out.append((np.flatnonzero(train), np.sort(fold)))
     return out

@@ -21,7 +21,7 @@ nodes ``2k + 1`` and ``2k + 2``.
 
 import numpy as np
 
-from ._kernels import grow_forest, sorted_quantiles, tree_leaves
+from ._kernels import first_of_runs, grow_forest, quantile_cuts, tree_leaves
 from .logistic import merge_hyperparameters, single_class_model
 
 MAX_BINS = 64
@@ -57,22 +57,12 @@ def _feature_cuts(column):
     gives both, the bits ``np.unique`` and ``np.quantile`` would give, save
     the sign of a zero quantile and a cut between neighbours further apart
     than the largest float, which ``np.quantile`` makes NaN or infinite (see
-    ``sorted_quantiles``)."""
+    ``_kernels.quantile_cuts``)."""
     ordered = np.sort(column)
-    uniq = ordered[_first_of_runs(ordered)]
+    uniq = ordered[first_of_runs(ordered)]
     if uniq.size <= MAX_BINS:
         return uniq[:-1]
-    qs = np.arange(1, MAX_BINS) / MAX_BINS
-    cuts = sorted_quantiles(ordered[None], qs)[0]
-    cuts.sort()
-    return cuts[_first_of_runs(cuts)]
-
-
-def _first_of_runs(ordered):
-    """A mask of each sorted value's first occurrence."""
-    first = np.ones(ordered.size, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    return first
+    return quantile_cuts(ordered, np.arange(1, MAX_BINS) / MAX_BINS)
 
 
 def _encode(X, cuts):

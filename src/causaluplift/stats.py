@@ -16,13 +16,14 @@ sums each table's own slice of terms, so a table's result does not depend
 on the tables counted beside it: ``g2_test`` is ``g2_batch`` of one x, and
 ``g2_from_table`` is ``_g2_tables`` of one table.
 
-Discretization bins the continuous columns of a dataset eight at a time:
-one sort of their stack, the edges read from it where ``np.quantile`` would
-interpolate them, and each code as the number of distinct edges below a
-value, stored in the narrowest dtype of the column's arity.
+Discretization bins one continuous column at a time: one sort of the
+column, the distinct edges read from it where ``np.quantile`` would
+interpolate them, and each code as the number of edges below a value,
+stored in the narrowest dtype of the column's arity.
 """
 
 import math
+import sys
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import sorted_quantiles, stacked_counts
+from ._kernels import quantile_cuts, stacked_counts
 from .csvio import code_dtype
 from .data import ColumnSpec, Dataset
 from .errors import ContinuousColumn, DegenerateColumnWarning, EmptyColumn
@@ -39,113 +40,60 @@ from .special import chi_square_sf
 DiscretizedColumn = namedtuple("DiscretizedColumn", "codes n_bins degenerate edges")
 
 
-def _discretize_rows(columns, bins, rows=None):
-    """Equal-frequency codes of every column of ``columns`` (equal-length
-    1-D float arrays), or of their rows ``rows`` (an index array) when
-    given, eight columns at a time: each column, or its rows, is copied
-    straight into its row of the eight-column block, so no other copy of a
-    column is made.
-
-    Returns the codes (one row per column, as ``code_dtype(bins)``: uint8
-    up to 256 bins), the sorted ``(columns, bins - 1)`` edges, a mask of
-    each edge's first occurrence, and each column's degenerate flag. A
-    value's code is the number of distinct edges below it, which is
-    ``np.searchsorted(np.unique(edges), value)``.
-    """
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
-    n = len(columns[0]) if rows is None else len(rows)
-    if n == 0:
-        raise EmptyColumn("cannot discretize an empty column")
-    qs = np.arange(1, bins) / bins
-    codes = np.zeros((len(columns), n), dtype=code_dtype(bins))
-    edges = np.empty((len(columns), bins - 1))
-    distinct = np.ones(edges.shape, dtype=bool)
-    degenerate = np.empty(len(columns), dtype=bool)
-    # eight columns at a time, sorted, cut and coded, so each edge's pass
-    # stays in cache and only eight columns are ever held sorted: on 45
-    # columns of 18k rows (2-core host), 300 bins took 90-118 ms this way
-    # against 170-183 ms in one pass over the whole stack
-    for lo in range(0, len(columns), 8):
-        hi = min(lo + 8, len(columns))
-        block = np.empty((hi - lo, n))
-        for row, c in zip(block, columns[lo:hi]):
-            if rows is None:
-                row[:] = c
-            else:
-                np.take(c, rows, out=row)
-        ordered = np.sort(block, axis=1)
-        if not np.isfinite(ordered[:, [0, -1]]).all():
-            raise ValueError("column contains NaN or infinity")
-        degenerate[lo:hi] = ordered[:, 0] == ordered[:, -1]
-        cut = sorted_quantiles(ordered, qs)
-        del ordered
-        cut.sort(axis=1)
-        edges[lo:hi] = cut
-        distinct[lo:hi, 1:] = cut[:, 1:] != cut[:, :-1]
-        counted = np.where(distinct[lo:hi], cut, np.inf)  # no value exceeds a repeat
-        code = codes[lo:hi]
-        for j in range(bins - 1):
-            code += block > counted[:, j, None]
-    return codes, edges, distinct, degenerate
-
-
-def _warn_degenerate():
-    warnings.warn(
-        "constant column collapses to a single category",
-        DegenerateColumnWarning,
-        stacklevel=3,
-    )
-
-
 def discretize(values, bins):
     """Equal-frequency binning of a continuous column.
 
-    Bin edges are the 1/bins ... (bins-1)/bins quantiles; a value equal to
-    an edge goes to the lower bin. Columns with fewer than two distinct
-    values collapse to a single category and are flagged (with a warning).
+    Bin edges are the distinct 1/bins ... (bins-1)/bins quantiles, read from
+    one sort of the column (``_kernels.quantile_cuts``); a value's code is
+    the number of edges below it, so a value equal to an edge goes to the
+    lower bin, and the codes are stored as ``code_dtype(n_bins)``. Columns
+    with fewer than two distinct values collapse to a single category and
+    are flagged (with a warning).
     """
+    if bins < 2:
+        raise ValueError("bins must be >= 2")
     values = np.asarray(values, dtype=np.float64)
-    codes, edges, distinct, degenerate = _discretize_rows([values], bins)
-    n_bins = 1 if degenerate[0] else int(distinct[0].sum()) + 1
-    codes = codes[0].astype(code_dtype(n_bins), copy=False)
-    if degenerate[0]:
-        _warn_degenerate()
-        return DiscretizedColumn(codes, 1, True, np.empty(0))
-    return DiscretizedColumn(codes, n_bins, False, edges[0][distinct[0]])
+    if values.size == 0:
+        raise EmptyColumn("cannot discretize an empty column")
+    ordered = np.sort(values)
+    if not np.isfinite(ordered[[0, -1]]).all():
+        raise ValueError("column contains NaN or infinity")
+    if ordered[0] == ordered[-1]:
+        # at the caller's line, also when discretize_dataset bins the column
+        nested = sys._getframe(1).f_code is discretize_dataset.__code__
+        warnings.warn(
+            "constant column collapses to a single category",
+            DegenerateColumnWarning,
+            stacklevel=2 + nested,
+        )
+        return DiscretizedColumn(np.zeros(values.size, code_dtype(1)), 1, True, np.empty(0))
+    edges = quantile_cuts(ordered, np.arange(1, bins) / bins)
+    del ordered
+    codes = np.zeros(values.size, code_dtype(edges.size + 1))
+    for edge in edges:
+        codes += values > edge
+    return DiscretizedColumn(codes, edges.size + 1, False, edges)
 
 
 def discretize_dataset(data, bins=3, rows=None):
     """Replace every continuous column by its equal-frequency code column.
 
     Applied once, dataset-wide, so category arities do not depend on the
-    stratum a test later conditions on. The continuous columns are binned
-    together, each exactly as ``discretize`` bins it alone, and each code
-    column has the ``code_dtype`` of its own number of bins. ``rows`` (an
-    index array), when given, gives ``discretize_dataset(data.take(rows))``
-    without a float copy of the rows: they are binned straight from
-    ``data``'s columns.
+    stratum a test later conditions on. Each continuous column is binned
+    alone by ``discretize``. ``rows`` (an index array), when given, gives
+    ``discretize_dataset(data.take(rows))`` while holding only one column's
+    rows at a time.
     """
-    continuous = [n for n in data.columns if data.spec(n).kind == "continuous"]
-    row = {name: i for i, name in enumerate(continuous)}
-    if continuous:
-        codes, _, distinct, degenerate = _discretize_rows(
-            [data.values(n) for n in continuous], bins, rows
-        )
-        n_bins = np.where(degenerate, 1, distinct.sum(axis=1) + 1)
     specs = []
     arrays = {}
     for name in data.columns:
         spec = data.spec(name)
+        values = data.values(name) if rows is None else data.values(name)[rows]
         if spec.kind == "continuous":
-            i = row[name]
-            if degenerate[i]:
-                _warn_degenerate()
-            labels = tuple(f"q{k}" for k in range(n_bins[i]))
+            column = discretize(values, bins)
+            labels = tuple(f"q{k}" for k in range(column.n_bins))
             spec = ColumnSpec(name, "categorical", spec.role, labels)
-            values = codes[i].astype(code_dtype(n_bins[i]), copy=False)
-        else:
-            values = data.values(name) if rows is None else data.values(name)[rows]
+            values = column.codes
         specs.append(spec)
         arrays[name] = values
     # the other columns are the dataset's (or their rows), and every code

@@ -11,7 +11,6 @@ from causaluplift.data import ColumnSpec, Dataset
 from causaluplift.errors import ContinuousColumn, DegenerateColumnWarning, EmptyColumn
 from causaluplift.special import chi_square_sf
 from causaluplift.stats import (
-    _discretize_rows,
     CITestResult,
     contingency,
     discretize,
@@ -140,23 +139,39 @@ class TestDiscretizeDataset:
 
     def test_fold_rows_binned_in_place(self):
         """Memory guard: binning 45 columns at 18,000 of their 20,000 rows
-        holds the codes and edges it returns plus about two eight-column
-        float blocks (the rows copied in, and their sort), not a third for a
-        list of per-column copies stacked into the block."""
+        holds the codes it returns plus under three float columns of the
+        rows (one column's rows, their sort and the comparison mask), not
+        blocks of several columns at once."""
         rng = np.random.default_rng(45)
-        columns = [rng.standard_normal(20000) for _ in range(45)]
+        names = [f"c{i}" for i in range(45)]
+        data = Dataset(
+            [ColumnSpec(name, "continuous") for name in names],
+            {name: rng.standard_normal(20000) for name in names},
+        )
         rows = np.sort(rng.permutation(20000)[:18000])
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            out = _discretize_rows(columns, 3, rows)
+            out = discretize_dataset(data, 3, rows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        block = 8 * rows.size * 8
-        assert peak - sum(a.nbytes for a in out) < 2.5 * block
-        want = _discretize_rows([c[rows] for c in columns], 3)
-        assert all(np.array_equal(a, b) for a, b in zip(out, want))
+        column = 8 * rows.size
+        assert peak - sum(out.values(name).nbytes for name in names) < 3 * column
+        want = discretize_dataset(data.take(rows), 3)
+        for name in names:
+            assert out.spec(name) == want.spec(name)
+            assert out.values(name).dtype == want.values(name).dtype
+            assert np.array_equal(out.values(name), want.values(name))
+
+    def test_degenerate_warning_names_the_caller(self):
+        data = Dataset([ColumnSpec("a", "continuous")], {"a": np.full(10, 2.0)})
+        with pytest.warns(DegenerateColumnWarning) as alone:
+            discretize(data.values("a"), 3)
+        with pytest.warns(DegenerateColumnWarning) as dataset_wide:
+            discretize_dataset(data, 3)
+        assert [w.filename for w in alone] == [__file__]
+        assert [w.filename for w in dataset_wide] == [__file__]
 
 
 def discretize_reference(values, bins):

@@ -36,6 +36,7 @@ import codecs
 import contextlib
 import os
 import re
+import warnings
 from itertools import chain
 
 import numpy as np
@@ -333,8 +334,15 @@ def _typed_columns(path, skiprows, body_lines, header, kinds):
     formats = [_loadtxt_format(kinds[h]) if h in kinds else "U1" for h in header]
     dtype = np.dtype([(f"c{i}", f) for i, f in enumerate(formats)])
     # by absolute path, so numpy's opener takes it for neither a URL nor an
-    # archive; it reads in chunks, with the comments and header skipped
-    table = _loadtxt(os.path.abspath(path), dtype, skiprows=skiprows, encoding="utf-8", ndmin=1)
+    # archive; it reads in chunks, with the comments and header skipped, into
+    # a table sized once by the scan's line count. It skips a blank line, and
+    # warns of it under max_rows: the table then comes out short.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
+        table = _loadtxt(
+            os.path.abspath(path), dtype, skiprows=skiprows, max_rows=body_lines,
+            encoding="utf-8", ndmin=1,
+        )
     if len(table) != body_lines:
         raise ValueError("a blank line")
     position = {name: i for i, name in enumerate(header)}

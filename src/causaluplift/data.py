@@ -236,9 +236,11 @@ class Dataset:
         arrays = csvio.read_typed(path, kinds_of)
         for h, values in arrays.items():
             if specs[h].cells == "text":  # the vocabulary is the sorted distinct cells
-                cats, arrays[h] = np.unique(values, return_inverse=True)
+                cats, codes = np.unique(values, return_inverse=True)
+                arrays[h] = codes.astype(csvio.code_dtype(len(cats)))
                 specs[h] = dataclasses.replace(specs[h], categories=cats)
-        return cls([specs[h] for h in arrays], arrays)
+        # read_typed has checked every column against its spec
+        return cls.of_valid([specs[h] for h in arrays], arrays)
 
 
 def _checked_codes(spec, values):

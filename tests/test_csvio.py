@@ -473,8 +473,8 @@ class TestReadTyped:
 
         monkeypatch.setattr(np, "loadtxt", record)
         out = self.read(tmp_path / "d.csv")
-        # the header as cells, then the body in one typed pass
-        assert calls == [(True, 1, 1), (False, 2, None)]
+        # the header as cells, then the body in one typed pass sized by the scan
+        assert calls == [(True, 1, 1), (False, 2, 2)]
         assert list(out) == list(self.KINDS)
         assert out["v"].tobytes() == np.array([1.5, -0.0]).tobytes()
         assert out["b"].tolist() == [1, 0] and out["b"].dtype == np.uint8

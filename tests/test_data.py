@@ -557,3 +557,31 @@ class TestOneBytePerCode:
         assert_codes_narrow(again)
         for name in data.columns:
             assert again.values(name).tobytes() == data.values(name).tobytes()
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_read_codes_narrow_and_read_only(self, tmp_path, monkeypatch, fast):
+        # "u" has no labels in its schema entry: its vocabulary is its cells
+        cells = [f"k{i:03}" for i in range(300)]
+        rows = [f"{b},{u},{v}" for b, u, v in zip([0, 1] * 150, cells[::-1], range(300))]
+        (tmp_path / "d.csv").write_text("b,u,v\n" + "\n".join(rows) + "\n")
+        schema = {
+            "columns": [
+                {"name": "b", "kind": "binary"},
+                {"name": "u", "kind": "categorical"},
+                {"name": "v", "kind": "continuous"},
+            ]
+        }
+        if not fast:
+
+            def refuse(*args):
+                raise ValueError("left to the cells pass")
+
+            monkeypatch.setattr(csvio, "_typed_columns", refuse)
+        data = Dataset.read_csv(tmp_path / "d.csv", schema)
+        assert data.spec("u").categories == tuple(cells)
+        assert data.values("u").tolist() == list(range(299, -1, -1))
+        assert [data.values(n).dtype for n in data.columns] == [np.uint8, np.uint16, np.float64]
+        assert_codes_narrow(data)
+        for name in data.columns:
+            with pytest.raises(ValueError, match="read-only"):
+                data.values(name)[0] = 0

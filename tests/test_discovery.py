@@ -15,7 +15,9 @@ from causaluplift.discovery import (
 )
 from causaluplift.errors import UnknownColumn
 from causaluplift.evaluation import prf
-from causaluplift.stats import g2_test
+from causaluplift.graph import d_separated
+from causaluplift.stats import CITestResult, g2_test
+from conftest import enumerate_all_dags, random_dag, random_setting_dag
 
 
 def binary_dataset(**cols):
@@ -333,3 +335,66 @@ class TestOneTestPerBatchedRecord:
         for records in rounds.values():
             order = [r.x for r in records]
             assert order == sorted(order, key=data.columns.index)
+
+
+class TestExactUnderAPerfectTest:
+    """With every CI test answered by d-separation on the true graph, a
+    perfect test under faithfulness, the search returns exactly PC(T), the
+    target's parents and children, once the symmetry check has run
+    (Tsamardinos, Brown & Aliferis 2006). In the pretreatment setting the
+    outcome is childless, so that is PA(Y), the set the arm models need."""
+
+    @staticmethod
+    def oracle(monkeypatch, dag):
+        """A dataset of ``dag``'s nodes, of no rows, whose tests read ``dag``."""
+
+        def test(data, x, y, z, alpha):
+            independent = d_separated(dag, {x}, {y}, set(z))
+            return CITestResult(0.0, 0, float(independent), independent, True)
+
+        def batch(data, xs, y, z, alpha):
+            return [test(data, x, y, z, alpha) for x in xs]
+
+        monkeypatch.setattr(discovery, "g2_test", test)
+        monkeypatch.setattr(discovery, "g2_batch", batch)
+        return binary_dataset(**{v: np.zeros(0, np.uint8) for v in dag.nodes})
+
+    @staticmethod
+    def small_and_sampled_dags():
+        dags = [g for k in range(1, 5) for g in enumerate_all_dags(k)]
+        rng = np.random.default_rng(31)
+        return dags + [random_dag(rng, int(rng.integers(5, 9)), 0.3) for _ in range(40)]
+
+    @staticmethod
+    def setting_dags():
+        rng = np.random.default_rng(32)
+        return [random_setting_dag(rng, n_pre=int(rng.integers(3, 8))) for _ in range(120)]
+
+    def test_exact_pc_set_with_the_symmetry_check(self, monkeypatch):
+        plain_superset = 0
+        for dag in self.small_and_sampled_dags():
+            data = self.oracle(monkeypatch, dag)
+            cfg = DiscoveryConfig(max_cond_size=len(dag.nodes))
+            for target in dag.nodes:
+                pc = dag.parents(target) | dag.children(target)
+                plain = set(mmpc(data, target, cfg).members)
+                assert plain >= pc, (dag.edges, target)
+                plain_superset += plain != pc
+                assert set(discover_parents(data, target, cfg).members) == pc, (dag.edges, target)
+        assert plain_superset > 0  # the symmetry check is load-bearing
+
+    def test_exact_parents_of_the_outcome_with_no_cap(self, monkeypatch):
+        for dag in self.setting_dags():
+            data = self.oracle(monkeypatch, dag)
+            cfg = DiscoveryConfig(max_cond_size=len(dag.nodes))
+            assert set(discover_parents(data, "Y", cfg).members) == dag.parents("Y"), dag.edges
+
+    def test_a_bounded_cap_adds_members_and_drops_no_parent(self, monkeypatch):
+        extra = 0
+        for dag in self.setting_dags():
+            data = self.oracle(monkeypatch, dag)
+            for cap in range(4):
+                found = set(discover_parents(data, "Y", DiscoveryConfig(max_cond_size=cap)).members)
+                assert found >= dag.parents("Y"), (dag.edges, cap)
+                extra += found != dag.parents("Y")
+        assert extra > 0  # some separating sets are larger than the cap

@@ -1,14 +1,13 @@
-"""Hot numeric kernels in numpy: quantile cuts of a sorted column,
-contingency counting, histogram-CART forest growth and tree traversal.
+"""Hot numeric kernels in numpy: quantile cuts of a sorted column and the
+codes they bin, contingency counting, histogram-CART forest growth and tree
+traversal.
 
-Counting returns exact int64 counts, and ``stacked_counts`` counts every
-table of the package's G-squared tests: the tables of several x columns
-against the same other columns, those columns ANDed or flattened once for
-all of them. A small table is counted from packed level bitsets (one
-popcount of ANDed bitsets per cell), any other by one ``bincount`` over the
-rows; both are exact, so the path never shows in a count. The bitsets of a
-dataset's code columns are packed into one block a column at a time, so
-packing needs only one column's scratch beside the block.
+Counting returns the exact int64 counts of several x columns' tables
+against the same other columns, those ANDed or flattened once for all x:
+``stacked_bit_counts`` from each column's packed level bitsets
+(``pack_levels``), one popcount per cell, and ``stacked_counts`` by one
+``bincount`` over the rows. The caller picks one by table size
+(``BITS_MAX_CELLS``); the counts are the same either way.
 
 Forest growth advances all trees of a forest together, one level at a
 time, and scores splits from integer (count, positives) histograms. Each
@@ -70,13 +69,26 @@ def quantile_cuts(ordered, qs):
     return cuts[first_of_runs(cuts)]
 
 
+def bin_codes(values, cuts, dtype):
+    """The number of ``cuts`` below each value, as ``dtype``: for increasing
+    cuts, ``np.searchsorted(cuts, values, side="left")``. One comparison pass
+    per cut, over a contiguous copy of strided values (passes over a strided
+    column run slower than ``np.searchsorted``)."""
+    values = np.ascontiguousarray(values)
+    codes = np.zeros(values.shape, dtype)
+    for cut in cuts:
+        codes += values > cut
+    return codes
+
+
 # ---------------------------------------------------------------------------
 # contingency counting (the inner loop of every G^2 test)
 # ---------------------------------------------------------------------------
 
 
-# Tables of at most this many cells are counted from packed level bitsets.
-# Bitset work grows with cells times words, bincount's with the rows alone.
+# Tables of at most this many cells are counted from packed level bitsets
+# (``stats._count_tables`` compares). Bitset work grows with cells times
+# words, bincount's with the rows alone.
 # On a 2-core x86-64 host (NumPy 2.4), at 18k rows, a 6-cell table takes
 # 12 us by bitsets against 48 us by bincount, 54 cells 34-53 against
 # 55-59 us, and 162 cells 96 against 76 us.
@@ -85,54 +97,44 @@ BITS_MAX_CELLS = 64
 # Words one AND of x levels against the strata may hold at once (2 MB).
 COUNT_CHUNK_WORDS = 1 << 18
 
-def pack_level_block(columns, arities):
-    """Packed level bitsets of several code columns, stacked in one
-    ``(levels, ceil(n / 64))`` uint64 array: bit ``i`` of row
-    ``start[c] + l`` is set when ``columns[c][i] == l``.
 
-    Returns ``(block, start)``. A column of more than ``BITS_MAX_CELLS``
-    levels, which no bitset count would use, gets no rows and
-    ``start[c] == -1``. Each column is one-hot encoded and packed alone, so
-    the scratch beside the block is one column's one-hot rows.
-    """
-    n = len(columns[0]) if columns else 0
-    arities = np.asarray(arities, dtype=np.intp).reshape(-1)
-    sizes = np.where(arities <= BITS_MAX_CELLS, arities, 0)
-    start = np.where(sizes > 0, np.cumsum(sizes) - sizes, -1)
-    block = np.zeros((int(sizes.sum()), -(-n // 64) * 8), dtype=np.uint8)
-    for codes, first, size in zip(columns, start.tolist(), sizes.tolist()):
-        if size:
-            onehot = np.asarray(codes, dtype=np.uint8) == np.arange(size, dtype=np.uint8)[:, None]
-            packed = np.packbits(onehot, axis=1, bitorder="little")
-            block[first : first + size, : packed.shape[1]] = packed
-    return block.view(np.uint64), start
+def pack_levels(codes, arity):
+    """One code column's packed level bitsets, ``(arity, ceil(n / 64))``
+    uint64: bit ``i`` of row ``l`` is set when ``codes[i] == l``, and no bit
+    past ``n`` is set. The scratch is the column's one-hot rows."""
+    codes = np.asarray(codes)
+    onehot = codes == np.arange(arity, dtype=codes.dtype)[:, None]
+    bits = np.zeros((arity, -(-codes.size // 64) * 8), dtype=np.uint8)
+    bits[:, : -(-codes.size // 8)] = np.packbits(onehot, axis=1, bitorder="little")
+    return bits.view(np.uint64)
 
 
-def stacked_counts(x_columns, x_arities, columns, arities, x_bits=None, bits=None):
+def stacked_bit_counts(x_bits, bits):
+    """``stacked_counts`` from the ``pack_levels`` bitsets of each x (at
+    least one) and of each other column: the other columns' joint levels
+    are ANDed once, row-major, and each cell is one popcount of an x level
+    ANDed with a joint level, ``COUNT_CHUNK_WORDS`` words at a time."""
+    strata = bits[0]
+    for b in bits[1:]:
+        strata = (strata[:, None] & b[None]).reshape(len(strata) * len(b), -1)
+    strata = strata[None]
+    x_bits = np.concatenate(x_bits)
+    step = max(1, COUNT_CHUNK_WORDS // max(1, strata.size))
+    # popcounts are uint8: sum them in int64
+    return np.concatenate([
+        np.bitwise_count(x_bits[i : i + step, None] & strata).sum(axis=2, dtype=np.int64)
+        for i in range(0, max(1, x_bits.shape[0]), step)
+    ])
+
+
+def stacked_counts(x_columns, x_arities, columns, arities):
     """Count of each (x, c_1, ..., c_k) code tuple for every x of
     ``x_columns``, stacked: an ``(sum x_arities, prod arities)`` int64 array
     whose rows are the x levels, x after x, and whose columns are the joint
-    levels of ``columns``, row-major.
-
-    The joint levels of ``columns`` are formed once for all x: ANDed from
-    their level bitsets ``bits``, when given (with ``x_bits``, the x levels'
-    bitsets stacked like the rows) and every table has at most
-    ``BITS_MAX_CELLS`` cells, then each cell is one popcount; flattened to
-    one code per row otherwise, then each x is one ``bincount``.
+    levels of ``columns``, row-major. The joint levels are flattened to one
+    code per row once for all x, then each x is one ``bincount``.
     """
     cells = math.prod(arities)
-    if bits is not None and max(x_arities, default=0) * cells <= BITS_MAX_CELLS:
-        # the joint levels of ``columns``, row-major
-        strata = bits[0]
-        for b in bits[1:]:
-            strata = (strata[:, None] & b[None]).reshape(len(strata) * len(b), -1)
-        strata = strata[None]
-        step = max(1, COUNT_CHUNK_WORDS // max(1, strata.size))
-        # popcounts are uint8: sum them in int64
-        return np.concatenate([
-            np.bitwise_count(x_bits[i : i + step, None] & strata).sum(axis=2, dtype=np.int64)
-            for i in range(0, max(1, x_bits.shape[0]), step)
-        ])
     flat = columns[0].astype(np.int64)
     for codes, arity in zip(columns[1:], arities[1:]):
         flat *= arity

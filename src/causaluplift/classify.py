@@ -339,15 +339,21 @@ def load_model(path):
         raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     if payload.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path} is not a {MODEL_FORMAT} file")
-    if payload.get("version") != MODEL_FORMAT_VERSION:
+    version = payload.get("version")
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:  # not 3.0, not True
         raise ValueError(
-            f"{path} is {MODEL_FORMAT} version {payload.get('version')!r};"
+            f"{path} is {MODEL_FORMAT} version {version!r};"
             f" this build reads version {MODEL_FORMAT_VERSION}"
         )
     try:
         for key in ("treatment", "outcome", "parents_excl_t", "encoder", "m1", "m0"):
             if key not in payload:
                 raise ValueError(f"missing key {key!r}")
+        for key in ("treatment", "outcome"):
+            if not isinstance(payload[key], str) or not payload[key]:
+                raise ValueError(f"{key!r} must be a non-empty string")
+        if not isinstance(payload.get("metadata", {}), dict):
+            raise ValueError("'metadata' must be an object")
         encoder = FeatureEncoder.from_dict(payload["encoder"])
         if payload["parents_excl_t"] != [spec.name for spec in encoder.specs]:
             raise ValueError("parents_excl_t must list the encoder's entry names, in order")

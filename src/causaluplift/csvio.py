@@ -29,7 +29,8 @@ are comments only before the header; after it, every line is data. A
 blank line in the body, a row not as wide as the header, or a quote left
 open at the end of the file that takes in a line end is
 ``LengthMismatch``. A byte-order mark before the first line is ignored.
-Continuous cells must be finite.
+Continuous cells must be finite numbers in ASCII, whitespace around them
+aside: no ``_`` and no other digits, on either pass.
 """
 
 import codecs
@@ -163,18 +164,29 @@ def write_typed(path, columns, meta=None, parts=()):
 # ------------------------------------------------------------------ decode
 
 
+def _ascii_float(cell):
+    """``float(cell)``, save that a ``_`` or a non-ASCII character other
+    than whitespace around the number is a ValueError, as in the typed
+    pass."""
+    if "_" in cell or not cell.strip().isascii():
+        raise ValueError(cell)
+    return float(cell)
+
+
 def _floats(cells, name, source):
-    """Cells as float64; a cell ``float`` cannot read raises ``NonNumeric``
-    naming ``source`` (the file), the column and the row."""
+    """Cells as float64, read as the typed pass reads them: a cell
+    ``float`` cannot read, or that holds a ``_`` (``1_0``) or non-ASCII
+    digits (``３``), raises ``NonNumeric`` naming ``source`` (the file),
+    the column and the row."""
+    joined = "".join(cells)
+    # only a "_" or a non-ASCII character lets ``float`` read more
+    read = float if joined.isascii() and "_" not in joined else _ascii_float
+    rest = iter(cells)
     try:
-        out = np.fromiter(map(float, cells), np.float64, len(cells))
+        out = np.fromiter(map(read, rest), np.float64, len(cells))
     except ValueError:
-        for row, cell in enumerate(cells, 1):
-            try:
-                float(cell)
-            except ValueError:
-                raise NonNumeric(name, row, cell, source) from None
-        raise
+        row = len(cells) - sum(1 for _ in rest)  # the cells read, the refused one last
+        raise NonNumeric(name, row, cells[row - 1], source) from None
     if not np.isfinite(out).all():
         raise NonFinite(name)
     return out
@@ -205,9 +217,7 @@ def decode(cells, name, kind, source=None):
         return _codes(cells, name, kind)
     if kind == "float":
         return _floats(cells, name, source)
-    if kind == "text":
-        return np.array(cells, dtype=object)
-    raise KeyError(kind)
+    return np.array(cells, dtype=object)  # "text"
 
 
 # ----------------------------------------------------------- typed reading

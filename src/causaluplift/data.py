@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import csvio
-from ._kernels import pack_level_block
+from ._kernels import pack_levels
 from .errors import (
     DataError,
     LengthMismatch,
@@ -96,29 +96,7 @@ class Dataset:
     """
 
     def __init__(self, specs, arrays):
-        self._specs = {}
-        self._values = {}
-        self._block = None
-        n = None
-        for spec in specs:
-            if spec.name in self._specs:
-                raise ValueError(f"duplicate column {spec.name!r}")
-            if spec.kind == "continuous":
-                values = np.asarray(arrays[spec.name], dtype=np.float64)
-                if not np.isfinite(values).all():
-                    raise NonFinite(spec.name)
-            else:
-                spec, values = _checked_codes(spec, arrays[spec.name])
-            values.flags.writeable = False
-            if n is None:
-                n = values.shape[0]
-            elif values.shape[0] != n:
-                raise LengthMismatch(
-                    f"column {spec.name!r} has {values.shape[0]} rows, expected {n}"
-                )
-            self._specs[spec.name] = spec
-            self._values[spec.name] = values
-        self.n_rows = 0 if n is None else int(n)
+        self._keep(_checked_column(spec, arrays[spec.name]) for spec in specs)
 
     @classmethod
     def of_valid(cls, specs, arrays):
@@ -126,17 +104,27 @@ class Dataset:
         a dataset (or rows of them), or codes made to index their labels.
         They are kept as given, made read-only, and not checked again."""
         self = cls.__new__(cls)
-        self._specs = {spec.name: spec for spec in specs}
-        if len(self._specs) != len(specs):
-            raise ValueError("duplicate column")
-        self._values = {}
-        for name in self._specs:
-            values = arrays[name]
-            values.flags.writeable = False
-            self._values[name] = values
-        self._block = None
-        self.n_rows = len(values) if self._values else 0
+        self._keep((spec, arrays[spec.name]) for spec in specs)
         return self
+
+    def _keep(self, columns):
+        """Keep each ``(spec, values)`` of ``columns``, the values made
+        read-only, and no level bitsets yet; a name given twice is a
+        ValueError, a column of another length than the first
+        ``LengthMismatch``."""
+        self._specs, self._values, self._bits = {}, {}, {}
+        self.n_rows = 0
+        for spec, values in columns:
+            if spec.name in self._specs:
+                raise ValueError(f"duplicate column {spec.name!r}")
+            if self._values and len(values) != self.n_rows:
+                raise LengthMismatch(
+                    f"column {spec.name!r} has {len(values)} rows, expected {self.n_rows}"
+                )
+            values.flags.writeable = False
+            self._specs[spec.name] = spec
+            self._values[spec.name] = values
+            self.n_rows = len(values)
 
     @property
     def columns(self):
@@ -161,18 +149,12 @@ class Dataset:
             raise ValueError(f"column {name!r} is continuous; it has no arity")
         return len(spec.categories)
 
-    def level_block(self):
-        """``(block, start)``: the packed level bitsets of every binary and
-        categorical column, built together on first use by
-        ``_kernels.pack_level_block``. Column ``name``'s level ``l`` is row
-        ``start[name] + l`` of ``block``; a column too wide to pack is not in
-        ``start``."""
-        if self._block is None:
-            names = [n for n, s in self._specs.items() if s.kind != "continuous"]
-            arities = [self.arity(n) for n in names]
-            block, start = pack_level_block([self._values[n] for n in names], arities)
-            self._block = block, {n: int(s) for n, s in zip(names, start) if s >= 0}
-        return self._block
+    def level_bits(self, name):
+        """The packed level bitsets of binary or categorical column
+        ``name`` (``_kernels.pack_levels``), packed on first use and kept."""
+        if name not in self._bits:
+            self._bits[name] = pack_levels(self.values(name), self.arity(name))
+        return self._bits[name]
 
     def role_of(self, role):
         """Names of columns carrying ``role``, in declaration order."""
@@ -243,10 +225,15 @@ class Dataset:
         return cls.of_valid([specs[h] for h in arrays], arrays)
 
 
-def _checked_codes(spec, values):
+def _checked_column(spec, values):
     """``spec`` (with labels, for a categorical column given none) and
-    ``values`` as codes of its ``csvio.code_dtype``, each checked before it
-    is narrowed."""
+    ``values`` checked: finite float64, or codes of its ``csvio.code_dtype``,
+    each checked before it is narrowed."""
+    if spec.kind == "continuous":
+        values = np.asarray(values, dtype=np.float64)
+        if not np.isfinite(values).all():
+            raise NonFinite(spec.name)
+        return spec, values
     values = np.asarray(values)
     if values.dtype.kind not in "biuf":
         values = values.astype(np.float64)

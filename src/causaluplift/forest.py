@@ -21,7 +21,7 @@ nodes ``2k + 1`` and ``2k + 2``.
 
 import numpy as np
 
-from ._kernels import first_of_runs, grow_forest, quantile_cuts, tree_leaves
+from ._kernels import bin_codes, first_of_runs, grow_forest, quantile_cuts, tree_leaves
 from .logistic import merge_hyperparameters, single_class_model
 
 MAX_BINS = 64
@@ -68,7 +68,7 @@ def _feature_cuts(column):
 def _encode(X, cuts):
     codes = np.empty(X.shape, dtype=np.uint8)
     for j, c in enumerate(cuts):
-        codes[:, j] = np.searchsorted(c, X[:, j], side="left").astype(np.uint8)
+        codes[:, j] = bin_codes(X[:, j], c, np.uint8)
     return codes
 
 

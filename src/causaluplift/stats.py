@@ -7,19 +7,21 @@ conditioning configuration. Strata with no rows contribute nothing and
 reduce the effective degrees of freedom.
 
 Every test runs through one path. ``_count_tables`` counts the tables of
-several x against one y and z with ``_kernels.stacked_counts``, from the
-packed level bitsets a ``Dataset`` keeps for all its columns in one block
-(``Dataset.level_block``) when the tables are small, by ``bincount``
-otherwise; the counts, and so every statistic and p-value bit, are the same
-either way. ``_g2_tables`` evaluates the terms of all of them together and
-sums each table's own slice of terms, so a table's result does not depend
-on the tables counted beside it: ``g2_test`` is ``g2_batch`` of one x, and
+several x against one y and z together. It is the one place that picks the
+counter, by table size: a table of at most ``_kernels.BITS_MAX_CELLS``
+cells is counted from the packed level bitsets a ``Dataset`` keeps per
+column (``Dataset.level_bits``), any other by ``bincount``. The counts, and
+so every statistic and p-value bit, are the same either way.
+``_g2_tables`` evaluates the terms of all of them together and sums each
+table's own slice of terms, so a table's result does not depend on the
+tables counted beside it: ``g2_test`` is ``g2_batch`` of one x, and
 ``g2_from_table`` is ``_g2_tables`` of one table.
 
 Discretization bins one continuous column at a time: one sort of the
 column, the distinct edges read from it where ``np.quantile`` would
-interpolate them, and each code as the number of edges below a value,
-stored in the narrowest dtype of the column's arity.
+interpolate them, and each code as the number of edges below a value
+(``_kernels.bin_codes``), stored in the narrowest dtype of the column's
+arity.
 """
 
 import math
@@ -31,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import quantile_cuts, stacked_counts
+from ._kernels import BITS_MAX_CELLS, bin_codes, quantile_cuts, stacked_bit_counts, stacked_counts
 from .csvio import code_dtype
 from .data import ColumnSpec, Dataset
 from .errors import ContinuousColumn, DegenerateColumnWarning, EmptyColumn
@@ -45,10 +47,10 @@ def discretize(values, bins):
 
     Bin edges are the distinct 1/bins ... (bins-1)/bins quantiles, read from
     one sort of the column (``_kernels.quantile_cuts``); a value's code is
-    the number of edges below it, so a value equal to an edge goes to the
-    lower bin, and the codes are stored as ``code_dtype(n_bins)``. Columns
-    with fewer than two distinct values collapse to a single category and
-    are flagged (with a warning).
+    the number of edges below it (``_kernels.bin_codes``), so a value equal
+    to an edge goes to the lower bin, and the codes are stored as
+    ``code_dtype(n_bins)``. Columns with fewer than two distinct values
+    collapse to a single category and are flagged (with a warning).
     """
     if bins < 2:
         raise ValueError("bins must be >= 2")
@@ -69,9 +71,7 @@ def discretize(values, bins):
         return DiscretizedColumn(np.zeros(values.size, code_dtype(1)), 1, True, np.empty(0))
     edges = quantile_cuts(ordered, np.arange(1, bins) / bins)
     del ordered
-    codes = np.zeros(values.size, code_dtype(edges.size + 1))
-    for edge in edges:
-        codes += values > edge
+    codes = bin_codes(values, edges, code_dtype(edges.size + 1))
     return DiscretizedColumn(codes, edges.size + 1, False, edges)
 
 
@@ -120,8 +120,8 @@ def _count_tables(data, xs, y, z):
     """The count table of every x of ``xs`` against y within each
     configuration of z, stacked: an ``(sum |x|, |y|, prod |z_i|)`` int64
     array whose rows are the x levels, x after x, and the list of x
-    arities. Counted from the dataset's packed level bitsets when every
-    column has them, by ``bincount`` otherwise (``_kernels.stacked_counts``).
+    arities. Tables of at most ``BITS_MAX_CELLS`` cells are counted from
+    the dataset's packed level bitsets, any other by ``bincount``.
     """
     names = [y, *z]
     for name in [*xs, *names]:
@@ -129,19 +129,14 @@ def _count_tables(data, xs, y, z):
             raise ContinuousColumn(name)
     nxs = [data.arity(x) for x in xs]
     arities = [data.arity(name) for name in names]
-    block, start = data.level_block()
-    x_bits = bits = None
-    if all(name in start for name in [*xs, *names]):
-        x_bits = block[[start[x] + level for x, nx in zip(xs, nxs) for level in range(nx)]]
-        bits = [block[start[n] : start[n] + a] for n, a in zip(names, arities)]
-    counts = stacked_counts(
-        (data.values(x) for x in xs),  # read by the bincount path only
-        nxs,
-        [data.values(name) for name in names],
-        arities,
-        x_bits,
-        bits,
-    )
+    if xs and max(nxs) * math.prod(arities) <= BITS_MAX_CELLS:
+        counts = stacked_bit_counts(
+            [data.level_bits(x) for x in xs], [data.level_bits(name) for name in names]
+        )
+    else:
+        counts = stacked_counts(
+            [data.values(x) for x in xs], nxs, [data.values(name) for name in names], arities
+        )
     return counts.reshape(sum(nxs), arities[0], math.prod(arities[1:])), nxs
 
 

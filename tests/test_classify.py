@@ -531,7 +531,7 @@ class TestEncoderAndPersistence:
         assert payload["format"] == "causaluplift-model"
         assert payload["version"] == 3
 
-    @pytest.mark.parametrize("version", [99, 0, None, 1, 2])
+    @pytest.mark.parametrize("version", [99, 0, None, 1, 2, 3.0, True, "3"])
     def test_other_version_refused(self, tmp_path, version):
         pair = train_cctm(uplift_data(seed=83, n=300), "T", "Y", parents=["A"])
         payload = model_payload(pair)

@@ -582,6 +582,27 @@ class TestTrainPredictEval:
         assert capsys.readouterr().err == f"error: {other} is not a causaluplift-model file\n"
         assert not (tmp_path / "preds.csv").exists()
 
+    @pytest.mark.parametrize("version", [3.0, True, "3"], ids=["float", "bool", "string"])
+    def test_predict_model_version_not_the_int_3_exits_2(
+        self, workspace, model_path, tmp_path, capsys, version
+    ):
+        payload = json.loads(model_path.read_text())
+        payload["version"] = version
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(payload))
+        assert run(
+            "predict", "--model", other,
+            "--data", workspace / "test.csv",
+            "--schema", workspace / "schema.json",
+            "--out", tmp_path / "preds.csv",
+        ) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {other} is causaluplift-model version {version!r};"
+            " this build reads version 3\n"
+        )
+        assert not (tmp_path / "preds.csv").exists()
+
     def test_predict_other_model_version_exits_2(self, workspace, model_path, tmp_path, capsys):
         payload = json.loads(model_path.read_text())
         payload["version"] = 99
@@ -793,6 +814,11 @@ class TestTrainPredictEval:
              "encoder: column 'X9': a binary column's categories are '0', '1'"),
             (lambda p: p["parents_excl_t"].reverse(), "parents_excl_t must list the encoder's"),
             (lambda p: p.update(parents_excl_t="X8"), "parents_excl_t must list the encoder's"),
+            (lambda p: p.update(treatment=None), "'treatment' must be a non-empty string"),
+            (lambda p: p.update(treatment=""), "'treatment' must be a non-empty string"),
+            (lambda p: p.update(outcome=7), "'outcome' must be a non-empty string"),
+            (lambda p: p.update(metadata=None), "'metadata' must be an object"),
+            (lambda p: p.update(metadata=[]), "'metadata' must be an object"),
         ],
         ids=[
             "no-treatment", "no-outcome", "no-parents", "no-encoder", "no-m0",
@@ -800,6 +826,7 @@ class TestTrainPredictEval:
             "entry-not-an-object", "name-not-a-string", "unknown-kind", "no-categories",
             "categories-not-strings", "repeated-category", "repeated-name",
             "binary-reordered", "parents-reordered", "parents-not-a-list",
+            "treatment-null", "treatment-empty", "outcome-int", "metadata-null", "metadata-a-list",
         ],
     )
     def test_predict_tampered_header_exits_2(

@@ -24,6 +24,7 @@ from causaluplift.errors import (
     LengthMismatch,
     MissingValues,
     NonBinary,
+    NonNumeric,
     UnknownColumn,
 )
 
@@ -419,6 +420,29 @@ def test_typed_read_matches_csv_reader_path(drawn, tmp_path_factory):
         for name, kind in kinds.items():  # codes are one byte a cell, on both passes
             if isinstance(kind, tuple):
                 assert want[name].dtype == np.uint8
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["unquoted", "quoted"])
+@pytest.mark.parametrize("cell", ["1_0", "1_000.5", "\uff13", "\uff13.5", "\u0661", "-\u0661\u0662"])
+def test_float_cell_outside_the_ascii_grammar_is_non_numeric(tmp_path, cell, quoted):
+    # ``float`` reads each of these cells, the typed pass none of them
+    assert float(cell)
+    path = tmp_path / "d.csv"
+    write_body(path, "k,v\n0,1.5\n1," + (f'"{cell}"' if quoted else cell) + "\n")
+    with pytest.raises(NonNumeric) as info:
+        csvio.read_typed(path, lambda header: {"v": "float"})
+    assert (info.value.name, info.value.row, info.value.cell) == ("v", 2, cell)
+    assert str(info.value) == f"{path}: column 'v', data row 2: {cell!r} is not a number"
+
+
+@pytest.mark.parametrize("pad", [" ", "\t", "\xa0", "\u3000"])
+def test_float_cell_within_whitespace_reads_alike_on_both_passes(tmp_path, pad):
+    for quoted in (False, True):
+        path = tmp_path / "d.csv"
+        cell = f"{pad}-2.5e3{pad}"
+        write_body(path, "v\n1.5\n" + (f'"{cell}"' if quoted else cell) + "\n")
+        got = csvio.read_typed(path, lambda header: {"v": "float"})
+        assert got["v"].tolist() == [1.5, -2500.0]
 
 
 def line_ends_by_count(text):

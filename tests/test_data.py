@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causaluplift import csvio
+from causaluplift import data as data_module
+from causaluplift._kernels import pack_levels
 from causaluplift.data import ColumnSpec, Dataset, write_schema
 from causaluplift.datagen import SynthConfig, generate_group
 from causaluplift.errors import (
@@ -112,19 +114,32 @@ class TestDataset:
     def test_columns_are_read_only(self, small):
         codes = np.array([0, 1, 1], dtype=np.uint8)
         data = Dataset([ColumnSpec("c", "categorical")], {"c": codes})
-        block, start = data.level_block()
-        rows = slice(start["c"], start["c"] + data.arity("c"))
-        bits = block[rows].copy()
+        bits = data.level_bits("c").copy()
         # a write through the dataset, or through the array it kept, raises,
         # so the kept level bitsets always describe the codes
         with pytest.raises(ValueError, match="read-only"):
             data.values("c")[0] = 1
         with pytest.raises(ValueError, match="read-only"):
             codes[0] = 1
-        assert np.array_equal(data.level_block()[0][rows], bits)
+        assert np.array_equal(data.level_bits("c"), bits)
+        assert np.array_equal(bits, pack_levels(codes, 2))
         for sub in (small.take([2, 0]), small.select(["age"])):
             with pytest.raises(ValueError, match="read-only"):
                 sub.values("age")[0] = 0.0
+
+    def test_level_bits_packed_once_per_column(self, small, monkeypatch):
+        packs = []
+        monkeypatch.setattr(
+            data_module, "pack_levels", lambda *a: packs.append(a) or pack_levels(*a)
+        )
+        sub = small.take([2, 0, 1])
+        bits = sub.level_bits("T")
+        assert sub.level_bits("T") is bits and len(packs) == 1
+        assert np.array_equal(bits, pack_levels(sub.values("T"), 2))
+        # a row subset or a new dataset packs its own
+        assert sub.take([0]).level_bits("T") is not bits and len(packs) == 2
+        with pytest.raises(UnknownColumn):
+            sub.level_bits("nope")
 
     def test_fractional_code_refused(self):
         with pytest.raises(DataError, match="'b' has a code that is not an integer: 0.7"):

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causaluplift import _kernels as K
+from causaluplift import stats
+from causaluplift.data import ColumnSpec, Dataset
 
 MASK32 = 0xFFFFFFFF
 
@@ -123,11 +125,13 @@ def assert_same_tree(got, want):
 
 
 def one_x_counts(columns, arities, bits=None):
-    """``stacked_counts`` of the one x ``columns[0]`` against the other
-    columns, by bitsets when ``bits`` (every column's) are given, shaped as
-    the ``(nx, ny, nz)`` table."""
-    x_bits, rest = (None, None) if bits is None else (bits[0], bits[1:])
-    counts = K.stacked_counts(columns[:1], arities[:1], columns[1:], arities[1:], x_bits, rest)
+    """The counts of the one x ``columns[0]`` against the other columns, by
+    ``stacked_bit_counts`` when ``bits`` (every column's) are given and by
+    ``stacked_counts`` otherwise, shaped as the ``(nx, ny, nz)`` table."""
+    if bits is None:
+        counts = K.stacked_counts(columns[:1], arities[:1], columns[1:], arities[1:])
+    else:
+        counts = K.stacked_bit_counts(bits[:1], bits[1:])
     return counts.reshape(arities[0], arities[1], int(np.prod(arities[2:])))
 
 
@@ -153,16 +157,13 @@ def strata_oracle(zs, arities, n):
 
 
 def packed(columns, arities):
-    """Each column's level bitsets, as rows of one ``pack_level_block``
-    (None for a column too wide to pack)."""
-    block, start = K.pack_level_block(columns, arities)
-    return [None if s < 0 else block[s : s + a] for s, a in zip(start.tolist(), arities)]
+    """Each column's level bitsets."""
+    return [K.pack_levels(codes, arity) for codes, arity in zip(columns, arities)]
 
 
 def counts_both_ways(columns, arities):
     """The table by packed bitsets and by bincount, and the oracle's."""
     bits = packed(columns, arities)
-    assert all(b is not None for b in bits)
     by_bits = one_x_counts(columns, arities, bits)
     by_bincount = one_x_counts(columns, arities)
     nz = int(np.prod(arities[2:]))
@@ -227,81 +228,51 @@ def test_bit_counts_keep_empty_strata():
     [([3, 3, 7], True), ([2, 2, 16], True), ([2, 2, 4, 4], True), ([5, 13], False), ([2, 3, 11], False)],
 )
 def test_crossover_picks_the_path(arities, bits_path, monkeypatch):
-    # tables just below, at and just above BITS_MAX_CELLS cells
+    # ``stats._count_tables`` counts a table of at most BITS_MAX_CELLS cells
+    # by bitsets and a larger one by bincount: tables just below, at and
+    # just above the bound
     cells = int(np.prod(arities))
     assert (cells <= K.BITS_MAX_CELLS) == bits_path
     assert abs(cells - K.BITS_MAX_CELLS) <= 2
     rng = np.random.default_rng(cells)
     columns = [rng.integers(0, a, 6149) for a in arities]
-    bits = packed(columns, arities)
+    names = [f"c{i}" for i in range(len(arities))]
+    labels = [map(str, range(a)) for a in arities]
+    data = Dataset(
+        [ColumnSpec(n, "categorical", categories=c) for n, c in zip(names, labels)],
+        dict(zip(names, columns)),
+    )
     calls = []
-    real_bincount = np.bincount
-    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(a) or real_bincount(*a, **k))
-    got = one_x_counts(columns, arities, bits)
-    assert bool(calls) != bits_path
-    assert np.array_equal(got, counts_both_ways(columns, arities)[2])
+    for counter in ("stacked_bit_counts", "stacked_counts"):
+        real = getattr(stats, counter)
+        monkeypatch.setattr(
+            stats, counter, lambda *a, real=real, name=counter: calls.append(name) or real(*a)
+        )
+    table = stats.contingency(data, names[0], names[1], names[2:])
+    assert calls == ["stacked_bit_counts" if bits_path else "stacked_counts"]
+    assert np.array_equal(table.counts, counts_both_ways(columns, arities)[2])
 
 
 def test_pack_levels_layout():
-    # binary and ternary columns interleaved with a one-level and an
-    # unpacked column
-    rng = np.random.default_rng(9)
-    n = 2085
-    arities = [2, 3, K.BITS_MAX_CELLS + 1, 1, 4] + [2, 2, 3] * 8 + [2]
-    columns = [rng.integers(0, a, n) for a in arities]
-    block, start = K.pack_level_block(columns, arities)
-    assert block.dtype == np.uint64 and block.shape == (68, -(-n // 64))
-    # a column no bitset count would use is not packed
-    assert start.tolist()[:8] == [0, 2, -1, 5, 6, 10, 12, 14]
-    assert start.tolist()[-1] == 66
-    rows = np.unpackbits(block.view(np.uint8), axis=1, bitorder="little")
-    for codes, arity, first in zip(columns, arities, start.tolist()):
-        if first >= 0:
+    # every bit of every level row, at word and byte edges, past the
+    # bitset path's widest column
+    for n in (0, 1, 63, 64, 65, 2085):
+        for arity in (1, 2, 3, 4, K.BITS_MAX_CELLS):
+            codes = np.random.default_rng(n * arity).integers(0, arity, n).astype(np.uint8)
+            bits = K.pack_levels(codes, arity)
+            assert bits.dtype == np.uint64 and bits.shape == (arity, -(-n // 64))
+            rows = np.unpackbits(bits.view(np.uint8), axis=1, bitorder="little")
             for level in range(arity):
-                assert rows[first + level, :n].tolist() == (codes == level).tolist()
-    assert not rows[:, n:].any()
+                assert rows[level, :n].tolist() == (codes == level).tolist()
+            assert not rows[:, n:].any()
 
 
-def pack_in_one_group(columns, arities):
-    """``pack_level_block`` as it was when each arity was one-hot encoded in
-    one step, all its columns at once."""
-    n = len(columns[0]) if columns else 0
-    arities = np.asarray(arities, dtype=np.intp).reshape(-1)
-    sizes = np.where(arities <= K.BITS_MAX_CELLS, arities, 0)
-    start = np.where(sizes > 0, np.cumsum(sizes) - sizes, -1)
-    block = np.zeros((int(sizes.sum()), -(-n // 64) * 8), dtype=np.uint8)
-    for arity in sorted(set(sizes[sizes > 0].tolist())):
-        group = np.flatnonzero(sizes == arity)
-        codes = np.array([columns[c] for c in group], dtype=np.uint8)
-        onehot = codes[:, None, :] == np.arange(arity, dtype=np.uint8)[:, None]
-        rows = (start[group][:, None] + np.arange(arity)).ravel()
-        block[rows, : -(-n // 8)] = np.packbits(
-            onehot.reshape(group.size * arity, n), axis=1, bitorder="little"
-        )
-    return block.view(np.uint64), start
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(0, 300),
-    arities=st.lists(st.sampled_from([1, 2, 2, 2, 3, 3, 5, 64, 65, 200]), max_size=40),
-)
-def test_pack_level_block_is_the_one_group_pack(seed, n, arities):
-    rng = np.random.default_rng(seed)
-    columns = [rng.integers(0, a, n).astype(np.uint8) for a in arities]
-    block, start = K.pack_level_block(columns, arities)
-    want_block, want_start = pack_in_one_group(columns, arities)
-    assert block.dtype == want_block.dtype and block.shape == want_block.shape
-    assert block.tobytes() == want_block.tobytes()
-    assert start.tolist() == want_start.tolist()
-
-
-def test_pack_level_block_scratch_budget():
+def test_pack_levels_scratch_budget():
     """Memory guard: packing a qini-cv fold's code columns, 57 binary and
-    45 ternary of 18,000 rows, holds at most 0.25 MB beside the block it
-    returns, one column's one-hot rows (about 1 MB when eight columns of
-    one arity were encoded at once, 5 MB when all were)."""
+    45 ternary of 18,000 rows, one column at a time, holds at most 0.25 MB
+    beside the bitsets it returns, one column's one-hot rows (about 1 MB
+    when eight columns of one arity were encoded at once, 5 MB when all
+    were)."""
     rng = np.random.default_rng(57)
     arities = [2] * 57 + [3] * 45
     rng.shuffle(arities)
@@ -309,11 +280,34 @@ def test_pack_level_block_scratch_budget():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        block, _ = K.pack_level_block(columns, arities)
+        bits = [K.pack_levels(codes, arity) for codes, arity in zip(columns, arities)]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - block.nbytes < 1 << 18
+    assert peak - sum(b.nbytes for b in bits) < 1 << 18
+
+
+@st.composite
+def binned_columns(draw):
+    """Values and increasing cuts that share values, among them both zeros,
+    and a step to read the values at, 1 or strided."""
+    pool = draw(st.lists(
+        st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0]), min_size=1, max_size=12
+    ))
+    values = draw(st.lists(st.sampled_from(pool), max_size=200))
+    cuts = np.unique(draw(st.lists(st.sampled_from(pool), max_size=64)))
+    return np.array(values, dtype=np.float64), cuts, draw(st.sampled_from([1, 3]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(binned_columns())
+def test_bin_codes_is_searchsorted(column):
+    values, cuts, step = column
+    strided = np.repeat(values, step)[::step]
+    assert strided.flags.c_contiguous == (step == 1 or values.size < 2)
+    got = K.bin_codes(strided, cuts, np.uint8)
+    assert got.dtype == np.uint8
+    assert got.tolist() == np.searchsorted(cuts, values, side="left").tolist()
 
 
 @pytest.mark.parametrize("chunk_words", [1, 400, 1 << 18])
@@ -327,15 +321,12 @@ def test_stacked_counts_match_oracle(chunk_words, monkeypatch):
     arities = [2, 3, 2]
     xs = [rng.integers(0, a, n) for a in x_arities]
     columns = [rng.integers(0, a, n) for a in arities]
-    block, start = K.pack_level_block(xs + columns, x_arities + arities)
-    x_bits = block[: sum(x_arities)]
-    bits = [block[s : s + a] for s, a in zip(start[len(xs):].tolist(), arities)]
     zf = strata_oracle(columns[1:], arities[1:], n)
     want = np.concatenate([
         joint_counts_oracle(x, columns[0], zf, a, 2, 6).reshape(a, 12)
         for x, a in zip(xs, x_arities)
     ])
-    by_bits = K.stacked_counts(xs, x_arities, columns, arities, x_bits, bits)
+    by_bits = K.stacked_bit_counts(packed(xs, x_arities), packed(columns, arities))
     by_bincount = K.stacked_counts(xs, x_arities, columns, arities)
     assert by_bits.dtype == by_bincount.dtype == np.int64
     assert np.array_equal(by_bits, want)
